@@ -11,6 +11,8 @@ sorted word order so identical tables serialize identically.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from .textvec import (
     VectorizerBackend,
     Vocabulary,
     WordEmbeddingTable,
+    backend_dim,
 )
 
 MAGIC = b"W2VV"
@@ -45,18 +48,30 @@ class TrainedModel:
 
 
 def save_model(path: str, model: TrainedModel) -> None:
+    """Write ``model`` to ``path`` atomically.
+
+    The payload streams into a temporary file beside ``path``, which
+    then replaces it, so a failed write leaves any earlier file intact.
+    """
     if model.kind not in _KIND_TAGS:
         raise ValueError(f"unknown vectorizer kind {model.kind!r}")
-    chunks = [MAGIC, struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[model.kind])]
-    chunks.append(_pack_backend(model.kind, model.backend))
-    chunks.append(struct.pack("<Q", len(model.params)))
-    for weight, bias in model.params:
-        rows, cols = weight.shape
-        chunks.append(struct.pack("<QQ", rows, cols))
-        chunks.append(np.ascontiguousarray(weight, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(bias, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[model.kind]))
+            fh.write(_pack_backend(model.kind, model.backend))
+            fh.write(struct.pack("<Q", len(model.params)))
+            for weight, bias in model.params:
+                rows, cols = weight.shape
+                fh.write(struct.pack("<QQ", rows, cols))
+                fh.write(np.ascontiguousarray(weight, dtype="<f8"))
+                fh.write(np.ascontiguousarray(bias, dtype="<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path: str) -> TrainedModel:
@@ -83,6 +98,13 @@ def load_model(path: str) -> TrainedModel:
     if not params:
         raise ValueError(f"{path}: model has no layers")
     reader.expect_end()
+    expected, source = backend_dim(kind, backend), "the backend dim"
+    for number, (weight, _) in enumerate(params, start=1):
+        if weight.shape[1] != expected:
+            raise ValueError(
+                f"{path}: layer {number} takes {weight.shape[1]} inputs, but {source} is {expected}"
+            )
+        expected, source = weight.shape[0], f"layer {number}'s output width"
     return TrainedModel(kind=kind, backend=backend, params=params)
 
 

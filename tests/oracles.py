@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the library:
-finite-difference gradients and loop-based metric recomputation. These
-deliberately avoid the code paths they verify."""
+finite-difference gradients, the allocating RMSprop formula and
+loop-based metric recomputation. These deliberately avoid the code paths
+they verify."""
 
 import numpy as np
 
@@ -46,6 +47,23 @@ def numeric_gradients(params, inputs, targets, dropout_rate=0.0, masks=None, h=1
             pair.append(grad)
         grads.append(tuple(pair))
     return grads
+
+
+def rmsprop_reference(params, grads, state, config):
+    """The textbook RMSprop step, one new array per operation, inputs untouched."""
+    new_params = []
+    new_state = []
+    for (w, b), (gw, gb), (ew, eb) in zip(params, grads, state):
+        ew2 = config.gamma * ew + (1.0 - config.gamma) * gw * gw
+        eb2 = config.gamma * eb + (1.0 - config.gamma) * gb * gb
+        new_params.append(
+            (
+                w - config.learning_rate * gw / np.sqrt(ew2 + config.epsilon),
+                b - config.learning_rate * gb / np.sqrt(eb2 + config.epsilon),
+            )
+        )
+        new_state.append((ew2, eb2))
+    return new_params, new_state
 
 
 def max_relative_error(analytic, numeric):

@@ -1,3 +1,6 @@
+import errno
+import struct
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,48 @@ class TestTrain:
         assert main(args) == 2
         assert "zebra" in capsys.readouterr().err
 
+    def test_diverging_loss_is_data_error_naming_the_epoch(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        huge = [VisualFeature(item, np.array(values) * 1e150)
+                for item, values in ITEM_TARGETS.items()]
+        formats.write_features(paths["features"], huge)
+        model = tmp_path / "m.bin"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(train_args(paths, str(model), ["--lr", "1e150"]))
+        assert code == 2
+        assert "epoch 1: non-finite loss" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
+                                                               monkeypatch):
+        from textovision import modelio
+
+        class FullDiskFile:
+            """Opens the real file, then fails every write as a full disk does."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        paths = write_corpus(tmp_path)
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model))) == 0
+        earlier = model.read_bytes()
+        files = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(modelio, "open", FullDiskFile, raising=False)
+        assert main(train_args(paths, str(model), ["--seed", "6"])) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert model.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_nonexistent_file_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         args = train_args(paths, str(tmp_path / "m.bin"))
@@ -207,6 +252,29 @@ class TestEncode:
         broken.write_bytes(b"XXXX" + bytes(16))
         assert main(["encode", "--model", str(broken), "--sentences", paths["val_sentences"],
                      "--out", str(tmp_path / "o.feat")]) == 2
+
+    @pytest.mark.parametrize(
+        "shapes, code, message",
+        [
+            ([(5, 3), (2, 5)], 0, "encoded 1 sentences"),
+            ([(5, 4), (2, 5)], 2, "layer 1 takes 4 inputs, but the backend dim is 3"),
+            ([(5, 3), (2, 6)], 2, "layer 2 takes 6 inputs, but layer 1's output width is 5"),
+        ],
+    )
+    def test_layer_shapes_must_chain_from_backend_dim(self, tmp_path, capsys, shapes, code,
+                                                      message):
+        words = ["a", "cat", "dog"]
+        raw = [b"W2VV", struct.pack("<BBQ", 1, 0, len(words))]
+        raw += [struct.pack("<Q", len(w)) + w.encode() for w in words]
+        raw.append(struct.pack("<Q", len(shapes)))
+        raw += [struct.pack("<QQ", r, c) + bytes(8 * (r * c + r)) for r, c in shapes]
+        model = tmp_path / "hand.bin"
+        model.write_bytes(b"".join(raw))
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("s#0\ta cat\n", encoding="utf-8")
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(tmp_path / "o.feat")]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestRank:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import max_relative_error, numeric_gradients, random_net
+from oracles import max_relative_error, numeric_gradients, random_net, rmsprop_reference
 
 from textovision import neuralnet as nn
 from textovision.textvec import SentenceVector
@@ -214,9 +214,10 @@ class TestRmsprop:
         params = [(np.full((2, 2), 0.5), np.array([1.0, -1.0]))]
         state = [(np.full((2, 2), 0.4), np.array([0.2, 0.2]))]
         grads = [(np.zeros((2, 2)), np.zeros(2))]
+        before = nn.copy_params(params)
         new_params, new_state = nn.rmsprop_step(params, grads, state, nn.OptimizerConfig())
-        assert np.array_equal(new_params[0][0], params[0][0])
-        assert np.array_equal(new_params[0][1], params[0][1])
+        assert np.array_equal(new_params[0][0], before[0][0])
+        assert np.array_equal(new_params[0][1], before[0][1])
         assert np.allclose(new_state[0][0], 0.9 * 0.4, atol=1e-15)
 
     def test_two_successive_unit_gradient_steps(self):
@@ -247,6 +248,64 @@ class TestRmsprop:
             assert np.all(state[0][1] >= 0.0)
             assert np.all(state[0][0] <= peak_w + 1e-15)
             assert np.all(state[0][1] <= peak_b + 1e-15)
+
+
+    # weight shapes below, equal to and not a multiple of the slice size
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(3, 5), (2, 3)],
+            [(8, nn.RMSPROP_SLICE // 8)],
+            [(7, 10_000), (3, 7)],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "cfg",
+        [nn.OptimizerConfig(), nn.OptimizerConfig(learning_rate=0.05, gamma=0.5, epsilon=1e-8)],
+    )
+    def test_bit_identical_to_reference_formula(self, shapes, cfg):
+        rng = np.random.default_rng(19)
+        params = [(rng.normal(size=shape), rng.normal(size=shape[0])) for shape in shapes]
+        state = nn.zero_state(params)
+        ref_params, ref_state = nn.copy_params(params), nn.zero_state(params)
+        for step in range(20):
+            grads = [
+                (rng.normal(size=w.shape) * 10.0 ** -step, rng.normal(size=b.shape))
+                for w, b in params
+            ]
+            grads[0][1][0] = 0.0
+            frozen = nn.copy_params(grads)
+            ref_params, ref_state = rmsprop_reference(ref_params, grads, ref_state, cfg)
+            new_params, new_state = nn.rmsprop_step(params, grads, state, cfg)
+            assert new_params is params and new_state is state
+            for got, want in zip(params + state, ref_params + ref_state):
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+            for got, want in zip(grads, frozen):
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize(
+        "make_weight",
+        [
+            lambda: np.zeros((3, 2)).T,
+            lambda: np.zeros((2, 3), dtype=np.float32),
+            lambda: np.frombuffer(bytes(48), dtype=np.float64).reshape(2, 3),
+        ],
+        ids=["transposed", "float32", "read-only"],
+    )
+    def test_rejects_arrays_it_cannot_update_in_place(self, make_weight):
+        params = [(make_weight(), np.zeros(2))]
+        grads = [(np.ones((2, 3)), np.ones(2))]
+        state = [(np.zeros((2, 3)), np.zeros(2))]
+        with pytest.raises(ValueError, match="layer 1"):
+            nn.rmsprop_step(params, grads, state, nn.OptimizerConfig())
+
+    def test_rejects_gradient_shape_mismatch(self):
+        params = [(np.zeros((2, 3)), np.zeros(2))]
+        state = nn.zero_state(params)
+        with pytest.raises(ValueError, match="shapes differ"):
+            nn.rmsprop_step(params, [(np.ones((3, 2)), np.ones(2))], state, nn.OptimizerConfig())
 
 
 class TestEarlyStopping:
