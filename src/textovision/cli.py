@@ -115,16 +115,26 @@ def main(argv=None) -> int:
         return 2
 
 
-def cmd_build_vocab(args) -> int:
-    from . import formats, textvec
+def _vectorizer_builder(args):
+    """Map ``--vectorizer`` to a function that builds that vectorizer from
+    the training sentences. A missing ``--embeddings`` is reported here,
+    before any file is read."""
+    from . import textvec
 
-    sentences = formats.read_sentences(args.sentences)
-    if args.vectorizer == "bow":
-        entries = textvec.build_vocab(sentences).words
-    else:
-        entries = textvec.build_trigram_index(sentences).trigrams
-    formats.write_word_list(args.out, entries)
-    print(len(entries))
+    if args.vectorizer != "word2vec":
+        return lambda sentences: textvec.build_vocab(args.vectorizer, sentences)
+    if not args.embeddings:
+        raise UsageError("--vectorizer word2vec requires --embeddings")
+    return lambda sentences: textvec.load_embeddings(args.embeddings)
+
+
+def cmd_build_vocab(args) -> int:
+    from . import formats
+
+    build = _vectorizer_builder(args)
+    terms = build(formats.read_sentences(args.sentences)).terms
+    formats.write_word_list(args.out, terms)
+    print(len(terms))
     return 0
 
 
@@ -144,49 +154,44 @@ def _parse_hidden_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _pair_sentences(sentences, features, pairs_path):
-    """Match each sentence to its item's feature row.
+def _training_matrices(vectorizer, sentences, features, pair_map):
+    """Input and target matrices with one row per sentence: its vector and
+    the feature row of its item.
 
-    The item is looked up in the explicit pairs file if given, otherwise
-    derived from the '<item_id>#<n>' sentence id convention.
+    The item is looked up in ``pair_map`` (from an explicit pairs file)
+    if given, otherwise derived from the '<item_id>#<n>' sentence id
+    convention.
     """
+    import numpy as np
+
     from . import formats
 
-    pair_map = dict(formats.read_pairs(pairs_path)) if pairs_path else None
-    by_id = {f.item_id: f for f in features}
-    matched = []
+    by_id = {f.item_id: f.values for f in features}
+    targets = []
     for sentence in sentences:
         if pair_map is not None:
             item = pair_map.get(sentence.id)
             if item is None:
                 raise ValueError(f"sentence {sentence.id!r} is missing from the pairs file")
         else:
-            item = formats.item_of_sentence_id(sentence.id)
-        feature = by_id.get(item)
-        if feature is None:
+            item = formats.item_id_of(sentence.id)
+        target = by_id.get(item)
+        if target is None:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
-        matched.append((sentence, feature.values))
-    return matched
+        targets.append(target)
+    # np.array, not np.stack: an empty sentence file reaches train's own check
+    return np.array([vectorizer.vectorize(s) for s in sentences]), np.array(targets)
 
 
 def cmd_train(args) -> int:
-    from . import formats, modelio, neuralnet, textvec
+    from . import formats, modelio, neuralnet
 
-    if args.vectorizer == "word2vec" and not args.embeddings:
-        raise UsageError("--vectorizer word2vec requires --embeddings")
-
+    build = _vectorizer_builder(args)
     train_sentences = formats.read_sentences(args.sentences)
     train_features = formats.read_features(args.features)
     val_sentences = formats.read_sentences(args.val_sentences)
     val_features = formats.read_features(args.val_features)
-
-    if args.vectorizer == "bow":
-        backend = textvec.build_vocab(train_sentences)
-    elif args.vectorizer == "hashing":
-        backend = textvec.build_trigram_index(train_sentences)
-    else:
-        backend = textvec.load_embeddings(args.embeddings)
-    in_dim = textvec.backend_dim(args.vectorizer, backend)
+    vectorizer = build(train_sentences)
 
     out_dim = train_features[0].values.shape[0]
     if val_features[0].values.shape[0] != out_dim:
@@ -195,14 +200,8 @@ def cmd_train(args) -> int:
             f"does not match training dim {out_dim}"
         )
 
-    def to_pairs(sentences, features):
-        return [
-            neuralnet.TrainingPair(textvec.vectorize(s, args.vectorizer, backend), values)
-            for s, values in _pair_sentences(sentences, features, args.pairs)
-        ]
-
     net_cfg = neuralnet.NetworkConfig(
-        layer_sizes=[in_dim, *_parse_hidden_sizes(args.layers), out_dim],
+        layer_sizes=[vectorizer.dim, *_parse_hidden_sizes(args.layers), out_dim],
         dropout_rate=args.dropout,
     )
     opt_cfg = neuralnet.OptimizerConfig(
@@ -214,11 +213,12 @@ def cmd_train(args) -> int:
         patience=args.patience,
         seed=args.seed,
     )
-    result = neuralnet.train(to_pairs(train_sentences, train_features),
-                             to_pairs(val_sentences, val_features),
-                             net_cfg, opt_cfg)
+    pair_map = dict(formats.read_pairs(args.pairs, unique_left=True)) if args.pairs else None
+    x_train, t_train = _training_matrices(vectorizer, train_sentences, train_features, pair_map)
+    x_val, t_val = _training_matrices(vectorizer, val_sentences, val_features, pair_map)
+    result = neuralnet.train(x_train, t_train, x_val, t_val, net_cfg, opt_cfg)
 
-    modelio.save_model(args.out, modelio.TrainedModel(args.vectorizer, backend, result.params))
+    modelio.save_model(args.out, modelio.TrainedModel(vectorizer, result.params))
     formats.write_history(args.history or args.out + ".history.tsv", result.history)
     print(
         f"trained {len(result.history)} epochs; "
@@ -228,26 +228,27 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from . import formats, modelio, neuralnet, retrieval, textvec
+    import numpy as np
+
+    from . import formats, modelio, neuralnet, retrieval
 
     model = modelio.load_model(args.model)
     sentences = formats.read_sentences(args.sentences)
 
-    rows = []
-    skipped = 0
+    ids, rows = [], []
     for sentence in sentences:
         try:
-            sv = textvec.vectorize(sentence, model.kind, model.backend)
+            rows.append(model.vectorizer.vectorize(sentence))
         except ValueError as exc:
             print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
-            skipped += 1
             continue
-        rows.append(retrieval.VisualFeature(sentence.id, neuralnet.encode(model.params, sv)))
+        ids.append(sentence.id)
 
     if not rows:
         raise ValueError("no sentence could be encoded")
-    formats.write_features(args.out, rows)
-    print(f"encoded {len(rows)} sentences, skipped {skipped}", file=sys.stderr)
+    encoded = neuralnet.encode(model.params, np.stack(rows))
+    formats.write_features(args.out, [retrieval.VisualFeature(i, v) for i, v in zip(ids, encoded)])
+    print(f"encoded {len(ids)} sentences, skipped {len(sentences) - len(ids)}", file=sys.stderr)
     return 0
 
 
@@ -292,39 +293,16 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _parse_metric_names(text: str) -> list[str]:
-    names = [token.strip() for token in text.split(",") if token.strip()]
-    if not names:
-        raise UsageError("--metrics lists no metric")
-    for name in names:
-        if name in ("medr", "meanr", "mir", "map"):
-            continue
-        if name.startswith("r@") and name[2:].isdigit() and int(name[2:]) >= 1:
-            continue
-        raise UsageError(f"unknown metric name {name!r}")
-    return names
-
-
 def cmd_evaluate(args) -> int:
     from . import formats, metrics
 
-    names = _parse_metric_names(args.metrics)
+    try:
+        names = metrics.parse_metric_names(args.metrics)
+    except ValueError as exc:
+        raise UsageError(f"--metrics: {exc}") from None
     rankings = formats.read_ranking(args.rankings)
     truth = metrics.GroundTruth.from_pairs(formats.read_pairs(args.ground_truth))
-
-    ranks = [metrics.first_relevant_rank(r, truth) for r in rankings]
-    values = []
-    for name in names:
-        if name.startswith("r@"):
-            values.append(metrics.recall_at_k(ranks, int(name[2:])))
-        elif name == "medr":
-            values.append(metrics.median_rank(ranks))
-        elif name == "meanr":
-            values.append(metrics.mean_rank(ranks))
-        elif name == "mir":
-            values.append(metrics.mean_inverted_rank(ranks))
-        else:
-            values.append(metrics.mean_average_precision(rankings, truth))
+    values = metrics.evaluate(names, rankings, truth)
 
     tsv_line = "\t".join(f"{n}\t{v!r}" for n, v in zip(names, values))
     print(tsv_line)

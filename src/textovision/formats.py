@@ -131,8 +131,11 @@ def write_word_list(path: str, entries: Sequence[str]) -> None:
 # -- relevance pairs / ground truth: "<query_id>\t<item_id>" --------------
 
 
-def read_pairs(path: str) -> list[tuple[str, str]]:
+def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
+    """All pairs in file order; with ``unique_left`` a repeated left id
+    (say, a sentence paired with two items) is an error naming the line."""
     pairs: list[tuple[str, str]] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -141,18 +144,21 @@ def read_pairs(path: str) -> list[tuple[str, str]]:
             left, sep, right = line.partition("\t")
             if not sep or not left or not right:
                 raise ValueError(f"{path}:{lineno}: expected '<query_id>\\t<item_id>'")
+            if unique_left and left in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate id {left!r}")
+            seen.add(left)
             pairs.append((left, right))
     if not pairs:
         raise ValueError(f"{path}: no pairs found")
     return pairs
 
 
-def item_of_sentence_id(sentence_id: str) -> str:
-    """Sentence ids follow "<item_id>#<n>"; the item is the prefix before
-    the last '#'."""
-    prefix, sep, _ = sentence_id.rpartition("#")
+def item_id_of(member_id: str) -> str:
+    """Sentence ids follow "<item_id>#<n>", and video frame ids
+    "<video_id>#<frame_index>"; the item is the prefix before the last '#'."""
+    prefix, sep, _ = member_id.rpartition("#")
     if not sep or not prefix:
-        raise ValueError(f"sentence id {sentence_id!r} does not follow '<item_id>#<n>'")
+        raise ValueError(f"id {member_id!r} does not follow '<item_id>#<n>'")
     return prefix
 
 

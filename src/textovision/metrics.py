@@ -1,12 +1,16 @@
 """Rank-based retrieval metrics: R@K, median/mean rank, mean inverted
 rank, and mean average precision. Stateless and loop-based; pools at
-evaluation scale are small."""
+evaluation scale are small.
+
+Metrics are also named: ``r@K`` for any K >= 1, ``medr``, ``meanr``,
+``mir`` and ``map``. ``parse_metric_names`` checks a comma-separated
+list of names and ``evaluate`` computes the named metrics."""
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 from .retrieval import Ranking
 
@@ -32,15 +36,6 @@ class GroundTruth:
         for query_id, item_id in pairs:
             relevance.setdefault(query_id, set()).add(item_id)
         return cls(relevance)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    r_at: dict[int, float] = field(default_factory=dict)
-    median_rank: float = 0.0
-    mean_rank: float = 0.0
-    mean_inverted_rank: float = 0.0
-    map_score: float = 0.0
 
 
 def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
@@ -105,22 +100,39 @@ def mean_average_precision(rankings: Sequence[Ranking], truth: GroundTruth) -> f
     return statistics.fmean(average_precision(r, truth) for r in rankings)
 
 
-def compute_metrics(
-    rankings: Sequence[Ranking],
-    truth: GroundTruth,
-    ks: Sequence[int] = (1, 5, 10),
-) -> MetricReport:
-    """Evaluate the full metric set over a list of rankings."""
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
+def _metric(name: str) -> Callable[[list[int], Sequence[Ranking], GroundTruth], float]:
+    """The function computing the metric ``name`` from the first-relevant
+    ranks, the rankings and the ground truth. It is made per call and
+    looks up the module's metric functions when it runs, so a replaced
+    module attribute (a profiler's wrapper, say) is the one called."""
+    if name.startswith("r@") and name[2:].isdigit() and int(name[2:]) >= 1:
+        return lambda ranks, rankings, truth: recall_at_k(ranks, int(name[2:]))
+    functions = {
+        "medr": lambda ranks, rankings, truth: median_rank(ranks),
+        "meanr": lambda ranks, rankings, truth: mean_rank(ranks),
+        "mir": lambda ranks, rankings, truth: mean_inverted_rank(ranks),
+        "map": lambda ranks, rankings, truth: mean_average_precision(rankings, truth),
+    }
+    if name not in functions:
+        raise ValueError(f"unknown metric name {name!r}")
+    return functions[name]
+
+
+def parse_metric_names(text: str) -> list[str]:
+    """The metric names of a comma-separated list, in order; an empty list
+    or an unknown name raises ``ValueError``."""
+    names = [token.strip() for token in text.split(",") if token.strip()]
+    if not names:
+        raise ValueError("no metric name given")
+    for name in names:
+        _metric(name)
+    return names
+
+
+def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTruth) -> list[float]:
+    """The value of each named metric over ``rankings``, in ``names`` order."""
     ranks = [first_relevant_rank(r, truth) for r in rankings]
-    return MetricReport(
-        r_at={k: recall_at_k(ranks, k) for k in ks},
-        median_rank=median_rank(ranks),
-        mean_rank=mean_rank(ranks),
-        mean_inverted_rank=mean_inverted_rank(ranks),
-        map_score=mean_average_precision(rankings, truth),
-    )
+    return [_metric(name)(ranks, rankings, truth) for name in names]
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:

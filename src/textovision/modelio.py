@@ -1,12 +1,16 @@
 """Bit-exact binary model files.
 
-Layout, all little-endian: the 4-byte magic ``W2VV`` and a format
+A ``TrainedModel`` is a vectorizer and the network trained on its
+rows. Layout, all little-endian: the 4-byte magic ``W2VV`` and a format
 version byte; one byte naming the vectorizer kind (0=bow, 1=hashing,
-2=word2vec) followed by its serialized backend; then a 64-bit layer
+2=word2vec) followed by the vectorizer's payload; then a 64-bit layer
 count and, per layer, rows and cols as 64-bit unsigned integers, the
 weight matrix row-major, and the bias vector, all as 64-bit floats.
-Strings are length-prefixed (64-bit) UTF-8; embedding rows are stored in
-sorted word order so identical tables serialize identically.
+A term index's payload is its 64-bit term count and terms; an embedding
+table's is its 64-bit dim and word count, the words, and the embedding
+matrix as 64-bit floats with rows in sorted word order, so identical
+tables serialize identically. Strings are length-prefixed (64-bit)
+UTF-8.
 """
 
 from __future__ import annotations
@@ -15,17 +19,12 @@ import contextlib
 import os
 import struct
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .neuralnet import NetworkParams
-from .textvec import (
-    TrigramIndex,
-    VectorizerBackend,
-    Vocabulary,
-    WordEmbeddingTable,
-    backend_dim,
-)
+from .textvec import TERM_KINDS, TermIndex, WordEmbeddingTable
 
 MAGIC = b"W2VV"
 FORMAT_VERSION = 1
@@ -36,15 +35,10 @@ _TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A network together with the vectorizer backend it was trained on."""
+    """A network together with the vectorizer it was trained on."""
 
-    kind: str
-    backend: VectorizerBackend
+    vectorizer: Union[TermIndex, WordEmbeddingTable]
     params: NetworkParams
-
-    @property
-    def output_dim(self) -> int:
-        return self.params[-1][0].shape[0]
 
 
 def save_model(path: str, model: TrainedModel) -> None:
@@ -53,14 +47,15 @@ def save_model(path: str, model: TrainedModel) -> None:
     The payload streams into a temporary file beside ``path``, which
     then replaces it, so a failed write leaves any earlier file intact.
     """
-    if model.kind not in _KIND_TAGS:
-        raise ValueError(f"unknown vectorizer kind {model.kind!r}")
+    kind = model.vectorizer.kind
+    if kind not in _KIND_TAGS:
+        raise ValueError(f"unknown vectorizer kind {kind!r}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[model.kind]))
-            fh.write(_pack_backend(model.kind, model.backend))
+            fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[kind]))
+            fh.write(_pack_vectorizer(model.vectorizer))
             fh.write(struct.pack("<Q", len(model.params)))
             for weight, bias in model.params:
                 rows, cols = weight.shape
@@ -85,8 +80,7 @@ def load_model(path: str) -> TrainedModel:
         raise ValueError(f"{path}: unsupported model format version {version}")
     if tag not in _TAG_KINDS:
         raise ValueError(f"{path}: unknown vectorizer tag {tag}")
-    kind = _TAG_KINDS[tag]
-    backend = _unpack_backend(kind, reader)
+    vectorizer = _unpack_vectorizer(_TAG_KINDS[tag], reader)
 
     (layer_count,) = struct.unpack("<Q", reader.take(8))
     params: NetworkParams = []
@@ -98,14 +92,14 @@ def load_model(path: str) -> TrainedModel:
     if not params:
         raise ValueError(f"{path}: model has no layers")
     reader.expect_end()
-    expected, source = backend_dim(kind, backend), "the backend dim"
+    expected, source = vectorizer.dim, "the vectorizer dim"
     for number, (weight, _) in enumerate(params, start=1):
         if weight.shape[1] != expected:
             raise ValueError(
                 f"{path}: layer {number} takes {weight.shape[1]} inputs, but {source} is {expected}"
             )
         expected, source = weight.shape[0], f"layer {number}'s output width"
-    return TrainedModel(kind=kind, backend=backend, params=params)
+    return TrainedModel(vectorizer, params)
 
 
 class _Reader:
@@ -137,29 +131,24 @@ def _unpack_string(reader: _Reader) -> str:
     return reader.take(length).decode("utf-8")
 
 
-def _pack_backend(kind: str, backend: VectorizerBackend) -> bytes:
-    if kind == "bow":
-        entries = backend.words
-    elif kind == "hashing":
-        entries = backend.trigrams
-    else:
-        words = sorted(backend.entries)
-        matrix = np.stack([backend.entries[w] for w in words])
-        return (
-            struct.pack("<QQ", backend.dim, len(words))
-            + b"".join(_pack_string(w) for w in words)
-            + np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-        )
-    return struct.pack("<Q", len(entries)) + b"".join(_pack_string(e) for e in entries)
+def _pack_vectorizer(vectorizer: Union[TermIndex, WordEmbeddingTable]) -> bytes:
+    if isinstance(vectorizer, TermIndex):
+        terms = vectorizer.terms
+        return struct.pack("<Q", len(terms)) + b"".join(_pack_string(t) for t in terms)
+    words = sorted(vectorizer.entries)
+    matrix = np.stack([vectorizer.entries[w] for w in words])
+    return (
+        struct.pack("<QQ", vectorizer.dim, len(words))
+        + b"".join(_pack_string(w) for w in words)
+        + np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    )
 
 
-def _unpack_backend(kind: str, reader: _Reader) -> VectorizerBackend:
-    if kind == "word2vec":
-        dim, count = struct.unpack("<QQ", reader.take(16))
-        words = [_unpack_string(reader) for _ in range(count)]
-        matrix = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
-        entries = {w: matrix[i].astype(np.float64) for i, w in enumerate(words)}
-        return WordEmbeddingTable(dim, entries)
-    (count,) = struct.unpack("<Q", reader.take(8))
-    entries = [_unpack_string(reader) for _ in range(count)]
-    return Vocabulary(entries) if kind == "bow" else TrigramIndex(entries)
+def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbeddingTable]:
+    if kind in TERM_KINDS:
+        (count,) = struct.unpack("<Q", reader.take(8))
+        return TermIndex(kind, [_unpack_string(reader) for _ in range(count)])
+    dim, count = struct.unpack("<QQ", reader.take(16))
+    words = [_unpack_string(reader) for _ in range(count)]
+    matrix = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
+    return WordEmbeddingTable(dim, {w: matrix[i].astype(np.float64) for i, w in enumerate(words)})

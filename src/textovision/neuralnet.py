@@ -9,6 +9,8 @@ from seeded ``numpy.random.Generator`` streams, so a (seed, data,
 config) triple fully determines parameters, masks, shuffles and the
 loss history.
 
+``train`` takes input and target matrices, one row per example, and
+``encode`` maps an input matrix to a matrix of predicted features.
 ``rmsprop_step`` mutates the ``params`` and ``state`` it is given and
 only reads ``grads``. ``EarlyStopping`` keeps a copy of the best
 epoch's parameters, so later in-place steps never change what
@@ -22,8 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from .textvec import SentenceVector
 
 #: ordered (weight matrix, bias vector) pairs; W_i has shape (n_i, n_{i-1})
 NetworkParams = list[tuple[np.ndarray, np.ndarray]]
@@ -73,14 +73,6 @@ class OptimizerConfig:
             raise ValueError("epsilon must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch size, max epochs and patience must be >= 1")
-
-
-@dataclass(frozen=True)
-class TrainingPair:
-    """One (sentence vector, target visual feature) regression example."""
-
-    sentence_vector: SentenceVector
-    target: np.ndarray
 
 
 @dataclass
@@ -310,37 +302,36 @@ class EarlyStopping:
         return self.epochs_without_improvement >= self.patience
 
 
-def _stack_pairs(pairs: Sequence[TrainingPair]) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([p.sentence_vector.values for p in pairs]).astype(np.float64)
-    targets = np.stack([np.asarray(p.target, dtype=np.float64) for p in pairs])
-    return inputs, targets
-
-
 def train(
-    train_set: Sequence[TrainingPair],
-    val_set: Sequence[TrainingPair],
+    x_train: np.ndarray,
+    t_train: np.ndarray,
+    x_val: np.ndarray,
+    t_val: np.ndarray,
     net_cfg: NetworkConfig,
     opt_cfg: OptimizerConfig,
     val_metric_fn: Optional[Callable[[NetworkParams], float]] = None,
 ) -> TrainResult:
     """Mini-batch RMSprop training with early stopping.
 
-    Each epoch shuffles the training pairs with the run's seeded
-    generator, steps once per mini-batch (the last batch may be smaller),
-    then scores the validation set in inference mode. The parameters of
-    the best validation epoch are returned together with the full
-    per-epoch (train loss, validation loss) history.
+    Row i of an input matrix is the sentence vector of the example whose
+    target visual feature is row i of the matching target matrix. Each
+    epoch shuffles the training rows with the run's seeded generator,
+    steps once per mini-batch (the last batch may be smaller), then
+    scores the validation set in inference mode. The parameters of the
+    best validation epoch are returned together with the full per-epoch
+    (train loss, validation loss) history.
 
     ``val_metric_fn`` may replace the monitored quantity (lower is
     better); the recorded ``val_loss`` column then holds that metric.
     A non-finite training or validation loss raises ``ValueError``
     naming the epoch.
     """
-    if not train_set or not val_set:
-        raise ValueError("training and validation sets must be non-empty")
-
-    x_train, t_train = _stack_pairs(train_set)
-    x_val, t_val = _stack_pairs(val_set)
+    for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
+        if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
+            raise ValueError(
+                f"{name} inputs {x.shape} and targets {t.shape} must be non-empty "
+                "matrices with one row per example"
+            )
     if x_train.shape[1] != net_cfg.layer_sizes[0]:
         raise ValueError(
             f"sentence vector dim {x_train.shape[1]} does not match input width {net_cfg.layer_sizes[0]}"
@@ -364,32 +355,35 @@ def train(
             return float(val_metric_fn(p))
         return mse_loss(forward(p, x_val).output, t_val)
 
-    for epoch in range(1, opt_cfg.max_epochs + 1):
-        order = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, opt_cfg.batch_size):
-            batch = order[start : start + opt_cfg.batch_size]
-            cache = forward(
-                params,
-                x_train[batch],
-                train=True,
-                dropout_rate=net_cfg.dropout_rate,
-                rng=rng,
-            )
-            loss_sum += mse_loss(cache.output, t_train[batch]) * batch.size
-            grads = backward(params, cache, t_train[batch])
-            params, state = rmsprop_step(params, grads, state, opt_cfg)
+    # a diverging run overflows long before the epoch ends; the finite-loss
+    # check below reports it, so numpy's own warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, opt_cfg.max_epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, opt_cfg.batch_size):
+                batch = order[start : start + opt_cfg.batch_size]
+                cache = forward(
+                    params,
+                    x_train[batch],
+                    train=True,
+                    dropout_rate=net_cfg.dropout_rate,
+                    rng=rng,
+                )
+                loss_sum += mse_loss(cache.output, t_train[batch]) * batch.size
+                grads = backward(params, cache, t_train[batch])
+                params, state = rmsprop_step(params, grads, state, opt_cfg)
 
-        train_loss = loss_sum / n
-        val_loss = validation_loss(params)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
-            raise ValueError(
-                f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
-                f"validation {val_loss!r}); training diverged"
-            )
-        history.append(EpochStats(epoch, train_loss, val_loss))
-        if stopper.update(epoch, val_loss, params):
-            break
+            train_loss = loss_sum / n
+            val_loss = validation_loss(params)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise ValueError(
+                    f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
+                    f"validation {val_loss!r}); training diverged"
+                )
+            history.append(EpochStats(epoch, train_loss, val_loss))
+            if stopper.update(epoch, val_loss, params):
+                break
 
     best = stopper.best_params if stopper.best_params is not None else copy_params(params)
     return TrainResult(
@@ -400,6 +394,14 @@ def train(
     )
 
 
-def encode(params: NetworkParams, sv: SentenceVector) -> np.ndarray:
-    """Predicted visual feature vector for one sentence (inference mode)."""
-    return forward(params, sv.values[None, :]).output[0]
+def encode(params: NetworkParams, inputs: np.ndarray) -> np.ndarray:
+    """Predicted visual features, one row per input row (inference mode).
+
+    Each row gets its own forward pass: BLAS sums a batched product in
+    another order, which changes the last bits of every row (by up to
+    4.4e-16 on the benchmark's inputs) and so the encoded files.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ValueError("encode expects a 2-D (rows, dim) input")
+    return np.stack([forward(params, row[None, :]).output[0] for row in inputs])

@@ -11,9 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-SIMILARITIES = ("cosine", "dot")
-
-
 @dataclass(frozen=True)
 class VisualFeature:
     """A d-dimensional vector attached to an image, video, or sentence id."""
@@ -60,7 +57,6 @@ def _rank_one(
     candidates: Sequence[VisualFeature],
     matrix: np.ndarray,
     norms: np.ndarray,
-    similarity: str,
 ) -> Ranking:
     q = np.asarray(query.values, dtype=np.float64)
     if q.shape[0] != matrix.shape[1]:
@@ -70,9 +66,7 @@ def _rank_one(
     qn = np.linalg.norm(q)
     if qn == 0.0:
         raise ValueError(f"query {query.item_id!r} is a zero vector")
-    scores = matrix @ q
-    if similarity == "cosine":
-        scores = scores / (norms * qn)
+    scores = (matrix @ q) / (norms * qn)
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].item_id))
     return Ranking(
         query_id=query.item_id,
@@ -80,33 +74,19 @@ def _rank_one(
     )
 
 
-def rank_items(
-    query: VisualFeature,
-    candidates: Sequence[VisualFeature],
-    similarity: str = "cosine",
-) -> Ranking:
-    """Full descending ordering of ``candidates`` for one query.
-
-    ``similarity`` is cosine by default; the dot product is available for
-    ablation only.
-    """
-    if similarity not in SIMILARITIES:
-        raise ValueError(f"unknown similarity {similarity!r}")
+def rank_items(query: VisualFeature, candidates: Sequence[VisualFeature]) -> Ranking:
+    """Full descending cosine ordering of ``candidates`` for one query."""
     if not candidates:
         raise ValueError("candidate list is empty")
     matrix, norms = _candidate_matrix(candidates)
-    return _rank_one(query, candidates, matrix, norms, similarity)
+    return _rank_one(query, candidates, matrix, norms)
 
 
 def rank_all(
-    queries: Sequence[VisualFeature],
-    candidates: Sequence[VisualFeature],
-    similarity: str = "cosine",
+    queries: Sequence[VisualFeature], candidates: Sequence[VisualFeature]
 ) -> list[Ranking]:
-    """One Ranking per query, in query order."""
-    if similarity not in SIMILARITIES:
-        raise ValueError(f"unknown similarity {similarity!r}")
+    """One cosine Ranking per query, in query order."""
     if not candidates:
         raise ValueError("candidate list is empty")
     matrix, norms = _candidate_matrix(candidates)
-    return [_rank_one(q, candidates, matrix, norms, similarity) for q in queries]
+    return [_rank_one(q, candidates, matrix, norms) for q in queries]

@@ -1,8 +1,13 @@
-"""Sentence vectorization backends: bag-of-words, letter-trigram hashing,
-and word-embedding mean pooling.
+"""Sentence vectorizers: bag-of-words, letter-trigram hashing, and
+word-embedding mean pooling.
 
-All backends are immutable after construction and safe for concurrent
-read-only use. Entry lists are kept sorted by byte order so that
+A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
+``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``, read by
+``load_embeddings``). Each knows its ``kind`` and ``dim``, and its
+``vectorize`` turns a ``Sentence`` into a float64 row, raising
+``ValueError`` naming the sentence when none of its terms is known.
+Vectorizers are immutable after construction and safe for concurrent
+read-only use. Term lists are kept sorted by byte order so that
 serialized vocabularies are identical across platforms.
 """
 
@@ -10,14 +15,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO, Union
+from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 #: maximal runs of letters/digits; underscore and everything else separates
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-VECTORIZER_KINDS = ("bow", "hashing", "word2vec")
 
 
 @dataclass(frozen=True)
@@ -26,18 +29,6 @@ class Sentence:
 
     id: str
     text: str
-
-
-@dataclass(frozen=True)
-class SentenceVector:
-    """Fixed-length vectorizer output; counts are stored as floats."""
-
-    values: np.ndarray
-    kind: str
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def tokenize(text: str) -> list[str]:
@@ -61,59 +52,73 @@ def letter_trigrams(word: str) -> list[str]:
     return [padded[i : i + 3] for i in range(len(padded) - 2)]
 
 
-def _check_sorted_unique(entries: Sequence[str], what: str) -> None:
-    for a, b in zip(entries, entries[1:]):
-        if a >= b:
-            raise ValueError(f"{what} entries must be strictly ascending: {a!r} before {b!r}")
+def _trigram_terms(text: str) -> list[str]:
+    return [trigram for token in tokenize(text) for trigram in letter_trigrams(token)]
 
 
-class Vocabulary:
-    """Sorted list of distinct lowercase words plus its inverse index."""
+#: per term-index kind: what the index is called, the terms of a text
+#: (its words, or the letter trigrams of each word), and the length
+#: every term must have (None: any length)
+TERM_KINDS: dict[str, tuple[str, Callable[[str], list[str]], Optional[int]]] = {
+    "bow": ("vocabulary", tokenize, None),
+    "hashing": ("trigram index", _trigram_terms, 3),
+}
 
-    def __init__(self, words: Iterable[str]):
-        words = list(words)
-        if not words:
-            raise ValueError("vocabulary is empty")
-        _check_sorted_unique(words, "vocabulary")
-        self.words: list[str] = words
-        self.index: dict[str, int] = {w: i for i, w in enumerate(words)}
 
-    def __len__(self) -> int:
-        return len(self.words)
+def _term_kind(kind: str) -> tuple[str, Callable[[str], list[str]], Optional[int]]:
+    if kind not in TERM_KINDS:
+        raise ValueError(f"unknown term index kind {kind!r}")
+    return TERM_KINDS[kind]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
+
+class TermIndex:
+    """Sorted list of distinct terms plus its inverse index.
+
+    ``kind`` decides what a term is: each word itself (``bow``) or each
+    letter trigram of each word (``hashing``), see ``TERM_KINDS``.
+    """
+
+    def __init__(self, kind: str, terms: Iterable[str]):
+        self.noun, self._terms, length = _term_kind(kind)
+        terms = list(terms)
+        if not terms:
+            raise ValueError(f"{self.noun} is empty")
+        if length is not None:
+            for term in terms:
+                if len(term) != length:
+                    raise ValueError(f"term {term!r} is not {length} characters long")
+        for a, b in zip(terms, terms[1:]):
+            if a >= b:
+                raise ValueError(f"{self.noun} entries must be strictly ascending: {a!r} before {b!r}")
+        self.kind = kind
+        self.terms: list[str] = terms
+        self.index: dict[str, int] = {t: i for i, t in enumerate(terms)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.words == other.words
+        return isinstance(other, TermIndex) and (self.kind, self.terms) == (other.kind, other.terms)
 
-
-class TrigramIndex:
-    """Sorted list of distinct letter trigrams plus its inverse index."""
-
-    def __init__(self, trigrams: Iterable[str]):
-        trigrams = list(trigrams)
-        if not trigrams:
-            raise ValueError("trigram index is empty")
-        for t in trigrams:
-            if len(t) != 3:
-                raise ValueError(f"trigram {t!r} is not 3 characters long")
-        _check_sorted_unique(trigrams, "trigram index")
-        self.trigrams: list[str] = trigrams
-        self.index: dict[str, int] = {t: i for i, t in enumerate(trigrams)}
-
-    def __len__(self) -> int:
-        return len(self.trigrams)
-
-    def __contains__(self, trigram: str) -> bool:
-        return trigram in self.index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TrigramIndex) and self.trigrams == other.trigrams
+    def vectorize(self, sentence: Sentence) -> np.ndarray:
+        """Count occurrences of each indexed term; unknown terms contribute nothing."""
+        values = np.zeros(self.dim, dtype=np.float64)
+        hits = 0
+        for term in self._terms(sentence.text):
+            pos = self.index.get(term)
+            if pos is not None:
+                values[pos] += 1.0
+                hits += 1
+        if hits == 0:
+            raise ValueError(f"sentence {sentence.id!r} has no term in the {self.noun}")
+        return values
 
 
 class WordEmbeddingTable:
     """Word to dense-vector map with a single fixed dimensionality."""
+
+    kind = "word2vec"
 
     def __init__(self, dim: int, entries: dict[str, np.ndarray]):
         if dim < 1:
@@ -126,107 +131,36 @@ class WordEmbeddingTable:
         self.dim = dim
         self.entries = entries
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def vectorize(self, sentence: Sentence) -> np.ndarray:
+        """Mean-pool the embeddings of in-table tokens.
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
+        Out-of-table tokens are excluded from both the sum and the
+        denominator, so a sentence with a single known word maps exactly
+        to that word's embedding.
+        """
+        total = np.zeros(self.dim, dtype=np.float64)
+        count = 0
+        for token in tokenize(sentence.text):
+            vec = self.entries.get(token)
+            if vec is not None:
+                total += vec
+                count += 1
+        if count == 0:
+            raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
+        return total / count
 
 
-VectorizerBackend = Union[Vocabulary, TrigramIndex, WordEmbeddingTable]
-
-
-def build_vocab(sentences: Sequence[Sentence]) -> Vocabulary:
-    """Collect every token of the corpus, with no frequency cutoff."""
+def build_vocab(kind: str, sentences: Sequence[Sentence]) -> TermIndex:
+    """Index every term of the corpus, with no frequency cutoff."""
+    noun, terms, _ = _term_kind(kind)
     if not sentences:
-        raise ValueError("cannot build a vocabulary from an empty corpus")
+        raise ValueError(f"cannot build a {noun} from an empty corpus")
     seen: set[str] = set()
     for s in sentences:
-        seen.update(tokenize(s.text))
+        seen.update(terms(s.text))
     if not seen:
-        raise ValueError("no token survived tokenization; vocabulary would be empty")
-    return Vocabulary(sorted(seen))
-
-
-def build_trigram_index(sentences: Sequence[Sentence]) -> TrigramIndex:
-    """Collect every letter trigram of every token of the corpus."""
-    if not sentences:
-        raise ValueError("cannot build a trigram index from an empty corpus")
-    seen: set[str] = set()
-    for s in sentences:
-        for token in tokenize(s.text):
-            seen.update(letter_trigrams(token))
-    if not seen:
-        raise ValueError("no token survived tokenization; trigram index would be empty")
-    return TrigramIndex(sorted(seen))
-
-
-def vectorize_bow(sentence: Sentence, vocab: Vocabulary) -> SentenceVector:
-    """Count occurrences of each vocabulary word; unknown words contribute nothing."""
-    values = np.zeros(len(vocab), dtype=np.float64)
-    hits = 0
-    for token in tokenize(sentence.text):
-        pos = vocab.index.get(token)
-        if pos is not None:
-            values[pos] += 1.0
-            hits += 1
-    if hits == 0:
-        raise ValueError(f"sentence {sentence.id!r} has no in-vocabulary token")
-    return SentenceVector(values, "bow")
-
-
-def vectorize_hashing(sentence: Sentence, index: TrigramIndex) -> SentenceVector:
-    """Count indexed letter trigrams over all tokens; unseen trigrams are ignored."""
-    values = np.zeros(len(index), dtype=np.float64)
-    hits = 0
-    for token in tokenize(sentence.text):
-        for trigram in letter_trigrams(token):
-            pos = index.index.get(trigram)
-            if pos is not None:
-                values[pos] += 1.0
-                hits += 1
-    if hits == 0:
-        raise ValueError(f"sentence {sentence.id!r} has no trigram present in the index")
-    return SentenceVector(values, "hashing")
-
-
-def vectorize_w2v(sentence: Sentence, table: WordEmbeddingTable) -> SentenceVector:
-    """Mean-pool the embeddings of in-table tokens.
-
-    Out-of-table tokens are excluded from both the sum and the
-    denominator, so a sentence with a single known word maps exactly to
-    that word's embedding.
-    """
-    total = np.zeros(table.dim, dtype=np.float64)
-    count = 0
-    for token in tokenize(sentence.text):
-        vec = table.entries.get(token)
-        if vec is not None:
-            total += vec
-            count += 1
-    if count == 0:
-        raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
-    return SentenceVector(total / count, "word2vec")
-
-
-def vectorize(sentence: Sentence, kind: str, backend: VectorizerBackend) -> SentenceVector:
-    """Dispatch to the vectorizer named by ``kind``."""
-    if kind == "bow":
-        return vectorize_bow(sentence, backend)
-    if kind == "hashing":
-        return vectorize_hashing(sentence, backend)
-    if kind == "word2vec":
-        return vectorize_w2v(sentence, backend)
-    raise ValueError(f"unknown vectorizer kind {kind!r}")
-
-
-def backend_dim(kind: str, backend: VectorizerBackend) -> int:
-    """Dimensionality of the vectors a backend produces."""
-    if kind in ("bow", "hashing"):
-        return len(backend)
-    if kind == "word2vec":
-        return backend.dim
-    raise ValueError(f"unknown vectorizer kind {kind!r}")
+        raise ValueError(f"no token survived tokenization; {noun} would be empty")
+    return TermIndex(kind, sorted(seen))
 
 
 def load_embeddings(source: Union[str, TextIO]) -> WordEmbeddingTable:
@@ -265,7 +199,10 @@ def _parse_embeddings(fh: TextIO) -> WordEmbeddingTable:
             )
         if word in entries:
             raise ValueError(f"line {lineno}: duplicate word {word!r}")
-        entries[word] = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"line {lineno}: embedding for {word!r} has a non-finite value")
+        entries[word] = vec
     if len(entries) != count:
         raise ValueError(f"header declares {count} entries but file has {len(entries)}")
     return WordEmbeddingTable(dim, entries)

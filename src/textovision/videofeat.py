@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .formats import item_id_of
 from .retrieval import VisualFeature
 
 
@@ -50,21 +51,12 @@ def concat_visual_audio(visual: VisualFeature, audio: AudioFeature) -> VisualFea
     return VisualFeature(visual.item_id, combined)
 
 
-def video_id_of(frame_id: str) -> str:
-    """Frame ids follow "<video_id>#<frame_index>"; group by the prefix
-    before the last '#'."""
-    prefix, sep, _ = frame_id.rpartition("#")
-    if not sep or not prefix:
-        raise ValueError(f"frame id {frame_id!r} does not follow '<video_id>#<frame_index>'")
-    return prefix
-
-
 def group_frames(rows: Sequence[VisualFeature]) -> list[FrameFeatureSet]:
     """Group frame rows into per-video sets, keeping first-appearance order."""
     grouped: dict[str, list[np.ndarray]] = {}
     order: list[str] = []
     for row in rows:
-        video_id = video_id_of(row.item_id)
+        video_id = item_id_of(row.item_id)
         if video_id not in grouped:
             grouped[video_id] = []
             order.append(video_id)

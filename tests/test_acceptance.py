@@ -7,6 +7,7 @@ lines as they complete.
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import synthdata
@@ -16,7 +17,7 @@ from textovision import formats, metrics
 from textovision import neuralnet as nn
 from textovision import retrieval, textvec
 from textovision.cli import main as cli_main
-from textovision.formats import item_of_sentence_id
+from textovision.formats import item_id_of
 from textovision.retrieval import Ranking, VisualFeature
 from textovision.textvec import Sentence
 
@@ -68,21 +69,23 @@ def test_criterion_2_rmsprop_unit_fixture():
         assert abs(new_state[0][0][0, 0] - 0.1) <= 1e-12
 
 
+def _matrices(vocab, corpus, sentences):
+    """Bag-of-words rows and item targets of ``sentences``."""
+    x = np.stack([vocab.vectorize(s) for s in sentences])
+    t = np.stack([corpus.targets[item_id_of(s.id)] for s in sentences])
+    return x, t
+
+
 def _train_on_corpus(corpus, seed=42):
-    vocab = textvec.build_vocab(corpus.train_sentences)
-
-    def pairs(sentences):
-        return [
-            nn.TrainingPair(
-                textvec.vectorize_bow(s, vocab),
-                corpus.targets[item_of_sentence_id(s.id)],
-            )
-            for s in sentences
-        ]
-
-    net_cfg = nn.NetworkConfig([len(vocab), 128, synthdata.VISUAL_DIM], dropout_rate=0.2)
+    vocab = textvec.build_vocab("bow", corpus.train_sentences)
+    net_cfg = nn.NetworkConfig([vocab.dim, 128, synthdata.VISUAL_DIM], dropout_rate=0.2)
     opt_cfg = nn.OptimizerConfig(seed=seed)
-    result = nn.train(pairs(corpus.train_sentences), pairs(corpus.val_sentences), net_cfg, opt_cfg)
+    result = nn.train(
+        *_matrices(vocab, corpus, corpus.train_sentences),
+        *_matrices(vocab, corpus, corpus.val_sentences),
+        net_cfg,
+        opt_cfg,
+    )
     return vocab, net_cfg, opt_cfg, result
 
 
@@ -123,20 +126,13 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
 
         vocab, net_cfg, opt_cfg, result = _train_on_corpus(corpus)
 
-        val_pairs = [
-            (textvec.vectorize_bow(s, vocab).values, corpus.targets[item_of_sentence_id(s.id)])
-            for s in corpus.val_sentences
-        ]
-        x_val = np.stack([x for x, _ in val_pairs])
-        t_val = np.stack([t for _, t in val_pairs])
+        x_val, t_val = _matrices(vocab, corpus, corpus.val_sentences)
         initial_params = nn.init_network(net_cfg, opt_cfg.seed)
         initial_val_loss = nn.mse_loss(nn.forward(initial_params, x_val).output, t_val)
         assert result.best_val_loss < initial_val_loss
 
-        candidates = [
-            VisualFeature(s.id, nn.encode(result.params, textvec.vectorize_bow(s, vocab)))
-            for s in pool
-        ]
+        encoded = nn.encode(result.params, np.stack([vocab.vectorize(s) for s in pool]))
+        candidates = [VisualFeature(s.id, row) for s, row in zip(pool, encoded)]
         ranks = [
             metrics.first_relevant_rank(r, truth)
             for r in retrieval.rank_all(queries, candidates)
@@ -156,12 +152,9 @@ def test_criterion_4_overfit_oracle():
     with criterion(4, "single-pair overfit oracle"):
         # seed 7 keeps both initial output preactivations positive; the
         # output ReLU would pin a negative one at zero forever
-        pair = nn.TrainingPair(
-            textvec.SentenceVector(np.array([1.0, 0.5]), "bow"), np.array([0.6, 0.4])
-        )
+        x, t = np.array([[1.0, 0.5]]), np.array([[0.6, 0.4]])
         result = nn.train(
-            [pair],
-            [pair],
+            x, t, x, t,
             nn.NetworkConfig([2, 2], dropout_rate=0.0),
             nn.OptimizerConfig(seed=7),
         )
@@ -230,11 +223,11 @@ def test_criterion_7_vectorizer_fixtures():
             length = int(rng.integers(6, 11))
             pool.add("".join("abcde"[i] for i in rng.integers(0, 5, size=length)))
         corpus = [Sentence(f"w#{i}", word) for i, word in enumerate(sorted(pool))]
-        vocab = textvec.build_vocab(corpus)
-        index = textvec.build_trigram_index(corpus)
-        assert len(vocab) >= 1000
-        assert all(len(w) >= 6 for w in vocab.words)
-        assert len(index) < len(vocab)
+        vocab = textvec.build_vocab("bow", corpus)
+        index = textvec.build_vocab("hashing", corpus)
+        assert vocab.dim >= 1000
+        assert all(len(w) >= 6 for w in vocab.terms)
+        assert index.dim < vocab.dim
 
 
 def _run_cli_pipeline(workdir):
@@ -295,8 +288,8 @@ def test_criterion_8_pipeline_determinism(tmp_path, capsys):
         first = _run_cli_pipeline(tmp_path / "run1")
         second = _run_cli_pipeline(tmp_path / "run2")
         for key in first:
-            a = open(first[key], "rb").read()
-            b = open(second[key], "rb").read()
+            a = Path(first[key]).read_bytes()
+            b = Path(second[key]).read_bytes()
             assert a == b, f"{key} differs between identical runs"
 
 
@@ -320,9 +313,9 @@ def test_criterion_9_text_to_text_in_visual_space():
             return metrics.mean_average_precision(retrieval.rank_all(qs, cs), truth)
 
         in_visual_space = map_score(
-            lambda s: nn.encode(result.params, textvec.vectorize_bow(s, vocab))
+            lambda s: nn.encode(result.params, vocab.vectorize(s)[None, :])[0]
         )
-        raw_bag_of_words = map_score(lambda s: textvec.vectorize_bow(s, vocab).values)
+        raw_bag_of_words = map_score(vocab.vectorize)
         assert in_visual_space > raw_bag_of_words, (
             f"visual-space mAP {in_visual_space:.4f} "
             f"not above bag-of-words mAP {raw_bag_of_words:.4f}"

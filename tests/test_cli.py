@@ -120,7 +120,7 @@ class TestTrain:
         model_path = tmp_path / "m.bin"
         assert main(train_args(paths, str(model_path))) == 0
         model = modelio.load_model(str(model_path))
-        vocab_size = len(model.backend)
+        vocab_size = model.vectorizer.dim
         assert [w.shape for w, _ in model.params] == [(6, vocab_size), (4, 6)]
 
     def test_explicit_pairs_equivalent_to_prefix_rule(self, tmp_path, capsys):
@@ -164,10 +164,11 @@ class TestTrain:
                 for item, values in ITEM_TARGETS.items()]
         formats.write_features(paths["features"], huge)
         model = tmp_path / "m.bin"
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(train_args(paths, str(model), ["--lr", "1e150"]))
-        assert code == 2
-        assert "epoch 1: non-finite loss" in capsys.readouterr().err
+        assert main(train_args(paths, str(model), ["--lr", "1e150"])) == 2
+        # the error line alone: no numpy overflow warnings before it
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("textovision: error: epoch 1: non-finite loss (train ")
         assert not model.exists()
 
     def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
@@ -199,6 +200,19 @@ class TestTrain:
         assert "No space left" in capsys.readouterr().err
         assert model.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == files
+
+    def test_sentence_repeated_in_pairs_file_is_data_error(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        pairs_path = tmp_path / "pairs.tsv"
+        lines = [f"{s.id}\t{s.id.rpartition('#')[0]}\n"
+                 for key in ("train_sentences", "val_sentences")
+                 for s in formats.read_sentences(paths[key])]
+        lines.insert(3, "apple#1\tcloud\n")  # line 4 pairs apple#1 a second time
+        pairs_path.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model), ["--pairs", str(pairs_path)])) == 2
+        assert f"{pairs_path}:4: duplicate id 'apple#1'" in capsys.readouterr().err
+        assert not model.exists()
 
     def test_nonexistent_file_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
@@ -257,7 +271,7 @@ class TestEncode:
         "shapes, code, message",
         [
             ([(5, 3), (2, 5)], 0, "encoded 1 sentences"),
-            ([(5, 4), (2, 5)], 2, "layer 1 takes 4 inputs, but the backend dim is 3"),
+            ([(5, 4), (2, 5)], 2, "layer 1 takes 4 inputs, but the vectorizer dim is 3"),
             ([(5, 3), (2, 6)], 2, "layer 2 takes 6 inputs, but layer 1's output width is 5"),
         ],
     )
@@ -468,7 +482,7 @@ class TestVectorizerBackends:
                            "--layers", "5"])
         assert main(args) == 0
         model = modelio.load_model(str(model_path))
-        assert model.kind == "word2vec"
+        assert model.vectorizer.kind == "word2vec"
         # embedding dim 4 in, hidden 5, feature dim 4 out
         assert [w.shape for w, _ in model.params] == [(5, 4), (4, 5)]
         out = tmp_path / "enc.feat"
@@ -483,7 +497,7 @@ class TestVectorizerBackends:
         model_path = tmp_path / "m.bin"
         assert main(train_args(paths, str(model_path), ["--vectorizer", "hashing"])) == 0
         model = modelio.load_model(str(model_path))
-        assert model.kind == "hashing"
+        assert model.vectorizer.kind == "hashing"
         out = tmp_path / "enc.feat"
         assert main(["encode", "--model", str(model_path),
                      "--sentences", paths["val_sentences"], "--out", str(out)]) == 0

@@ -4,12 +4,7 @@ import pytest
 from textovision import formats, modelio
 from textovision.neuralnet import EpochStats, NetworkConfig, init_network
 from textovision.retrieval import Ranking, VisualFeature
-from textovision.textvec import (
-    Sentence,
-    TrigramIndex,
-    Vocabulary,
-    WordEmbeddingTable,
-)
+from textovision.textvec import Sentence, TermIndex, WordEmbeddingTable
 
 
 class TestSentenceFile:
@@ -118,10 +113,17 @@ class TestPairsFile:
             formats.read_pairs(str(path))
 
     def test_item_of_sentence_id(self):
-        assert formats.item_of_sentence_id("img12#4") == "img12"
-        assert formats.item_of_sentence_id("a#b#2") == "a#b"
-        with pytest.raises(ValueError):
-            formats.item_of_sentence_id("nomarker")
+        assert formats.item_id_of("img12#4") == "img12"
+        assert formats.item_id_of("a#b#2") == "a#b"
+        with pytest.raises(ValueError, match="'nomarker'"):
+            formats.item_id_of("nomarker")
+
+    def test_repeated_left_id_rejected_when_unique(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("s#0\ta\n\ns#1\tb\ns#0\tc\n", encoding="utf-8")
+        assert len(formats.read_pairs(str(path))) == 3
+        with pytest.raises(ValueError, match=f"{path}:4: duplicate id 's#0'"):
+            formats.read_pairs(str(path), unique_left=True)
 
 
 class TestRankingFile:
@@ -167,17 +169,16 @@ class TestHistoryFile:
 class TestModelFile:
     def model(self, kind="bow"):
         if kind == "bow":
-            backend = Vocabulary(["a", "cat", "dog"])
-            in_dim = 3
+            vectorizer = TermIndex(kind, ["a", "cat", "dog"])
         elif kind == "hashing":
-            backend = TrigramIndex(["#ca", "at#", "cat"])
-            in_dim = 3
+            vectorizer = TermIndex(kind, ["#ca", "at#", "cat"])
         else:
             rng = np.random.default_rng(2)
-            backend = WordEmbeddingTable(4, {"dog": rng.normal(size=4), "cat": rng.normal(size=4)})
-            in_dim = 4
-        params = init_network(NetworkConfig([in_dim, 5, 2], 0.0), 77)
-        return modelio.TrainedModel(kind, backend, params)
+            vectorizer = WordEmbeddingTable(
+                4, {"dog": rng.normal(size=4), "cat": rng.normal(size=4)}
+            )
+        params = init_network(NetworkConfig([vectorizer.dim, 5, 2], 0.0), 77)
+        return modelio.TrainedModel(vectorizer, params)
 
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
     def test_round_trip_bit_exact(self, tmp_path, kind):
@@ -185,18 +186,16 @@ class TestModelFile:
         model = self.model(kind)
         modelio.save_model(path, model)
         back = modelio.load_model(path)
-        assert back.kind == kind
+        assert back.vectorizer.kind == kind
         for (wa, ba), (wb, bb) in zip(model.params, back.params):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
         if kind == "word2vec":
-            assert back.backend.dim == model.backend.dim
-            for word, vec in model.backend.entries.items():
-                assert np.array_equal(back.backend.entries[word], vec)
-        elif kind == "bow":
-            assert back.backend.words == model.backend.words
+            assert back.vectorizer.dim == model.vectorizer.dim
+            for word, vec in model.vectorizer.entries.items():
+                assert np.array_equal(back.vectorizer.entries[word], vec)
         else:
-            assert back.backend.trigrams == model.backend.trigrams
+            assert back.vectorizer == model.vectorizer
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.bin"

@@ -5,12 +5,13 @@ from oracles import brute_force_metrics
 from textovision.metrics import (
     GroundTruth,
     average_precision,
-    compute_metrics,
+    evaluate,
     first_relevant_rank,
     mean_average_precision,
     mean_inverted_rank,
     mean_rank,
     median_rank,
+    parse_metric_names,
     recall_at_k,
 )
 from textovision.retrieval import Ranking
@@ -173,20 +174,34 @@ class TestMonotonicity:
         assert average_precision(broken, truth) < 1.0
 
 
-class TestComputeMetrics:
+class TestEvaluate:
     def test_full_report(self):
         truth = GroundTruth({"q1": {"a"}, "q2": {"b"}})
         rankings = [ranking("q1", "a", "b", "c"), ranking("q2", "c", "a", "b")]
-        report = compute_metrics(rankings, truth, ks=(1, 2))
-        assert report.r_at == {1: 50.0, 2: 50.0}
-        assert report.median_rank == 2.0
-        assert report.mean_rank == 2.0
-        assert report.mean_inverted_rank == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
-        assert report.map_score == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
+        names = ["r@1", "r@2", "medr", "meanr", "mir", "map"]
+        report = dict(zip(names, evaluate(names, rankings, truth)))
+        assert report["r@1"] == report["r@2"] == 50.0
+        assert report["medr"] == 2.0
+        assert report["meanr"] == 2.0
+        assert report["mir"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
+        assert report["map"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
 
     def test_metric_ranges(self):
         truth = GroundTruth({"q": {"a"}})
-        report = compute_metrics([ranking("q", "b", "a")], truth)
-        assert 0.0 <= report.map_score <= 1.0
-        assert 0.0 < report.mean_inverted_rank <= 1.0
-        assert report.median_rank >= 1.0
+        map_score, mir, medr = evaluate(["map", "mir", "medr"], [ranking("q", "b", "a")], truth)
+        assert 0.0 <= map_score <= 1.0
+        assert 0.0 < mir <= 1.0
+        assert medr >= 1.0
+
+    def test_values_follow_name_order_with_repeats(self):
+        truth = GroundTruth({"q": {"a"}})
+        rankings = [ranking("q", "b", "a")]
+        assert evaluate(["r@1", "medr", "r@1"], rankings, truth) == [0.0, 2.0, 0.0]
+
+    def test_parse_metric_names(self):
+        assert parse_metric_names(" r@5, medr ,,map,r@100") == ["r@5", "medr", "map", "r@100"]
+        for bad in ("ndcg", "r@0", "r@", "r@x", "MAP"):
+            with pytest.raises(ValueError, match=f"unknown metric name '{bad}'"):
+                parse_metric_names(f"r@1,{bad}")
+        with pytest.raises(ValueError, match="no metric"):
+            parse_metric_names(" , ")

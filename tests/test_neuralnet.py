@@ -5,7 +5,6 @@ import pytest
 from oracles import max_relative_error, numeric_gradients, random_net, rmsprop_reference
 
 from textovision import neuralnet as nn
-from textovision.textvec import SentenceVector
 
 
 def identity_params(dim):
@@ -342,23 +341,23 @@ class TestEarlyStopping:
         assert stopper.best_epoch == 1
 
 
-OVERFIT_X = np.array([1.0, 0.5])
-OVERFIT_T = np.array([0.6, 0.4])
+OVERFIT_X = np.array([[1.0, 0.5]])
+OVERFIT_T = np.array([[0.6, 0.4]])
 # seed 7 keeps both initial output preactivations positive; a negative one
 # would be pinned at zero by the output ReLU and never receive gradient
 OVERFIT_SEED = 7
 
 
 def overfit_pair():
-    return nn.TrainingPair(SentenceVector(OVERFIT_X, "bow"), OVERFIT_T)
+    """The single-example training set, also used as its validation set."""
+    return OVERFIT_X, OVERFIT_T
 
 
 class TestTrain:
     def test_single_pair_overfits(self):
-        pair = overfit_pair()
         result = nn.train(
-            [pair],
-            [pair],
+            *overfit_pair(),
+            *overfit_pair(),
             nn.NetworkConfig([2, 2], dropout_rate=0.0),
             nn.OptimizerConfig(seed=OVERFIT_SEED),
         )
@@ -366,10 +365,9 @@ class TestTrain:
         assert result.best_val_loss < 1e-3
 
     def test_train_loss_at_best_epoch_not_above_first_epoch(self):
-        pair = overfit_pair()
         result = nn.train(
-            [pair],
-            [pair],
+            *overfit_pair(),
+            *overfit_pair(),
             nn.NetworkConfig([2, 2], dropout_rate=0.0),
             nn.OptimizerConfig(seed=OVERFIT_SEED),
         )
@@ -378,17 +376,13 @@ class TestTrain:
 
     def test_history_is_bit_identical_across_runs(self):
         rng = np.random.default_rng(0)
-        pairs = [
-            nn.TrainingPair(
-                SentenceVector(np.abs(rng.normal(size=6)), "bow"),
-                np.abs(rng.normal(size=3)),
-            )
-            for _ in range(12)
-        ]
+        rows = [(np.abs(rng.normal(size=6)), np.abs(rng.normal(size=3))) for _ in range(12)]
+        x = np.stack([x for x, _ in rows])
+        t = np.stack([t for _, t in rows])
         net = nn.NetworkConfig([6, 5, 3], dropout_rate=0.25)
         opt = nn.OptimizerConfig(seed=99, batch_size=4, max_epochs=15, patience=50)
-        a = nn.train(pairs[:9], pairs[9:], net, opt)
-        b = nn.train(pairs[:9], pairs[9:], net, opt)
+        a = nn.train(x[:9], t[:9], x[9:], t[9:], net, opt)
+        b = nn.train(x[:9], t[:9], x[9:], t[9:], net, opt)
         assert [(s.epoch, s.train_loss, s.val_loss) for s in a.history] == [
             (s.epoch, s.train_loss, s.val_loss) for s in b.history
         ]
@@ -397,20 +391,30 @@ class TestTrain:
             assert np.array_equal(ba, bb)
 
     def test_rejects_empty_sets(self):
-        with pytest.raises(ValueError):
-            nn.train([], [overfit_pair()], nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig())
-        with pytest.raises(ValueError):
-            nn.train([overfit_pair()], [], nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig())
+        net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
+        empty = (np.empty((0, 2)), np.empty((0, 2)))
+        with pytest.raises(ValueError, match="training"):
+            nn.train(*empty, *overfit_pair(), net, opt)
+        with pytest.raises(ValueError, match="validation"):
+            nn.train(*overfit_pair(), *empty, net, opt)
+
+    def test_rejects_row_count_mismatch(self):
+        net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
+        two_targets = np.vstack([OVERFIT_T, OVERFIT_T])
+        with pytest.raises(ValueError, match="training inputs"):
+            nn.train(OVERFIT_X, two_targets, *overfit_pair(), net, opt)
+        with pytest.raises(ValueError, match="validation inputs"):
+            nn.train(*overfit_pair(), OVERFIT_X[0], OVERFIT_T, net, opt)
 
     def test_rejects_dim_mismatch(self):
-        pair = overfit_pair()
         with pytest.raises(ValueError, match="input width"):
-            nn.train([pair], [pair], nn.NetworkConfig([3, 2], 0.0), nn.OptimizerConfig())
+            nn.train(*overfit_pair(), *overfit_pair(), nn.NetworkConfig([3, 2], 0.0),
+                     nn.OptimizerConfig())
         with pytest.raises(ValueError, match="output width"):
-            nn.train([pair], [pair], nn.NetworkConfig([2, 5], 0.0), nn.OptimizerConfig())
+            nn.train(*overfit_pair(), *overfit_pair(), nn.NetworkConfig([2, 5], 0.0),
+                     nn.OptimizerConfig())
 
     def test_custom_validation_metric_is_monitored(self):
-        pair = overfit_pair()
         calls = []
 
         def metric(params):
@@ -418,8 +422,8 @@ class TestTrain:
             return float(len(calls))  # strictly worsening: stop after patience epochs
 
         result = nn.train(
-            [pair],
-            [pair],
+            *overfit_pair(),
+            *overfit_pair(),
             nn.NetworkConfig([2, 2], 0.0),
             nn.OptimizerConfig(seed=1, patience=3),
             val_metric_fn=metric,
@@ -430,21 +434,33 @@ class TestTrain:
 
 class TestEncode:
     def test_identity_passthrough(self):
-        out = nn.encode(identity_params(2), SentenceVector(np.array([1.0, 2.0]), "bow"))
-        assert out.tolist() == [1.0, 2.0]
+        out = nn.encode(identity_params(2), np.array([[1.0, 2.0], [3.0, 0.5]]))
+        assert out.tolist() == [[1.0, 2.0], [3.0, 0.5]]
 
     def test_pure(self):
         params = nn.init_network(nn.NetworkConfig([4, 3], 0.0), 3)
-        sv = SentenceVector(np.array([1.0, 0.0, 2.0, 1.0]), "bow")
-        assert np.array_equal(nn.encode(params, sv), nn.encode(params, sv))
+        x = np.array([[1.0, 0.0, 2.0, 1.0], [0.0, 3.0, 0.0, 1.0]])
+        assert np.array_equal(nn.encode(params, x), nn.encode(params, x))
+
+    def test_rows_match_single_row_forward_passes_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        params = nn.init_network(nn.NetworkConfig([40, 30, 20], 0.0), 4)
+        x = np.abs(rng.normal(size=(25, 40)))
+        out = nn.encode(params, x)
+        assert out.shape == (25, 20)
+        for row, encoded in zip(x, out):
+            assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
+
+    def test_rejects_a_single_vector(self):
+        with pytest.raises(ValueError, match="2-D"):
+            nn.encode(identity_params(2), np.array([1.0, 2.0]))
 
     def test_overfit_model_reproduces_target(self):
-        pair = overfit_pair()
         result = nn.train(
-            [pair],
-            [pair],
+            *overfit_pair(),
+            *overfit_pair(),
             nn.NetworkConfig([2, 2], dropout_rate=0.0),
             nn.OptimizerConfig(seed=OVERFIT_SEED),
         )
-        pred = nn.encode(result.params, pair.sentence_vector)
+        pred = nn.encode(result.params, OVERFIT_X)
         assert nn.mse_loss(pred, OVERFIT_T) < 1e-3

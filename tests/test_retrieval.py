@@ -76,14 +76,6 @@ class TestRankItems:
         with pytest.raises(ValueError, match="'q'"):
             rank_items(vf("q", 1.0, 2.0, 3.0), [vf("a", 1.0, 2.0)])
 
-    def test_dot_similarity_option(self):
-        # dot prefers the longer vector, cosine the better-aligned one
-        candidates = [vf("long", 10.0, 10.0), vf("aligned", 1.0, 0.0)]
-        by_cos = rank_items(vf("q", 1.0, 0.0), candidates)
-        by_dot = rank_items(vf("q", 1.0, 0.0), candidates, similarity="dot")
-        assert by_cos.item_ids() == ["aligned", "long"]
-        assert by_dot.item_ids() == ["long", "aligned"]
-
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3), st.integers(min_value=0, max_value=4))
     def test_scaling_a_candidate_preserves_the_ranking(self, factor, which):

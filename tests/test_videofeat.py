@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from textovision.formats import item_id_of
 from textovision.retrieval import VisualFeature
 from textovision.videofeat import (
     AudioFeature,
@@ -8,7 +9,6 @@ from textovision.videofeat import (
     concat_visual_audio,
     group_frames,
     mean_pool,
-    video_id_of,
 )
 
 
@@ -87,14 +87,13 @@ class TestConcat:
 
 class TestGrouping:
     def test_prefix_before_last_hash(self):
-        assert video_id_of("vid42#3") == "vid42"
-        assert video_id_of("set#a#7") == "set#a"
+        assert item_id_of("vid42#3") == "vid42"
+        assert item_id_of("set#a#7") == "set#a"
 
     def test_malformed_frame_id(self):
-        with pytest.raises(ValueError):
-            video_id_of("noseparator")
-        with pytest.raises(ValueError):
-            video_id_of("#7")
+        for frame_id in ("noseparator", "#7"):
+            with pytest.raises(ValueError, match=f"'{frame_id}'"):
+                group_frames([VisualFeature(frame_id, np.array([1.0]))])
 
     def test_groups_in_first_appearance_order(self):
         rows = [
