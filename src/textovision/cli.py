@@ -166,7 +166,7 @@ def _training_matrices(vectorizer, sentences, features, pair_map):
 
     from . import formats
 
-    by_id = {f.item_id: f.values for f in features}
+    row_of = {item_id: row for row, item_id in enumerate(features.ids)}
     targets = []
     for sentence in sentences:
         if pair_map is not None:
@@ -175,12 +175,11 @@ def _training_matrices(vectorizer, sentences, features, pair_map):
                 raise ValueError(f"sentence {sentence.id!r} is missing from the pairs file")
         else:
             item = formats.item_id_of(sentence.id)
-        target = by_id.get(item)
-        if target is None:
+        if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
-        targets.append(target)
+        targets.append(row_of[item])
     # np.array, not np.stack: an empty sentence file reaches train's own check
-    return np.array([vectorizer.vectorize(s) for s in sentences]), np.array(targets)
+    return np.array([vectorizer.vectorize(s) for s in sentences]), features.matrix[targets]
 
 
 def cmd_train(args) -> int:
@@ -193,12 +192,10 @@ def cmd_train(args) -> int:
     val_features = formats.read_features(args.val_features)
     vectorizer = build(train_sentences)
 
-    out_dim = train_features[0].values.shape[0]
-    if val_features[0].values.shape[0] != out_dim:
-        raise ValueError(
-            f"validation feature dim {val_features[0].values.shape[0]} "
-            f"does not match training dim {out_dim}"
-        )
+    out_dim = train_features.dim
+    if val_features.dim != out_dim:
+        raise ValueError(f"validation feature dim {val_features.dim} does not match "
+                         f"training dim {out_dim}")
 
     net_cfg = neuralnet.NetworkConfig(
         layer_sizes=[vectorizer.dim, *_parse_hidden_sizes(args.layers), out_dim],
@@ -247,23 +244,20 @@ def cmd_encode(args) -> int:
     if not rows:
         raise ValueError("no sentence could be encoded")
     encoded = neuralnet.encode(model.params, np.stack(rows))
-    formats.write_features(args.out, [retrieval.VisualFeature(i, v) for i, v in zip(ids, encoded)])
-    print(f"encoded {len(ids)} sentences, skipped {len(sentences) - len(ids)}", file=sys.stderr)
+    formats.write_features(args.out, retrieval.Features(ids, encoded))
+    zero, skipped = len(ids) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(ids)
+    print(f"encoded {len(ids)} sentences, skipped {skipped}, {zero} all-zero predictions",
+          file=sys.stderr)
     return 0
 
 
 def cmd_rank(args) -> int:
     from . import formats, retrieval
 
-    queries = formats.read_features(args.queries)
-    items = formats.read_features(args.items)
-    if queries[0].values.shape[0] != items[0].values.shape[0]:
-        raise ValueError(
-            f"query dim {queries[0].values.shape[0]} does not match "
-            f"item dim {items[0].values.shape[0]}"
-        )
     if args.top is not None and args.top < 1:
         raise UsageError("--top must be >= 1")
+    queries = formats.read_features(args.queries)
+    items = formats.read_features(args.items)
     rankings = retrieval.rank_all(queries, items)
     formats.write_ranking(args.out, rankings, top=args.top)
     return 0
@@ -272,23 +266,9 @@ def cmd_rank(args) -> int:
 def cmd_pool(args) -> int:
     from . import formats, videofeat
 
-    frame_rows = formats.read_features(args.features)
-    pooled = [videofeat.mean_pool(group) for group in videofeat.group_frames(frame_rows)]
-
+    pooled = videofeat.mean_pool(formats.read_features(args.features))
     if args.audio:
-        audio_by_id = {f.item_id: f for f in formats.read_features(args.audio)}
-        combined = []
-        for feature in pooled:
-            audio = audio_by_id.get(feature.item_id)
-            if audio is None:
-                raise ValueError(f"video {feature.item_id!r} has no audio feature row")
-            combined.append(
-                videofeat.concat_visual_audio(
-                    feature, videofeat.AudioFeature(audio.item_id, audio.values)
-                )
-            )
-        pooled = combined
-
+        pooled = videofeat.concat_visual_audio(pooled, formats.read_features(args.audio))
     formats.write_features(args.out, pooled)
     return 0
 

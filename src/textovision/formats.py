@@ -5,22 +5,38 @@ history.
 Floats are written with ``repr`` (shortest round-tripping form, up to 17
 significant digits), so write-then-read reproduces values exactly.
 Ranking scores are the one deliberate exception: they are printed with
-six decimal digits.
+six decimal digits. A feature file reads into, and is written from, one
+``retrieval.Features`` table. Feature and ranking files are written
+atomically: a failed write leaves any earlier file at the path intact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import warnings
 from typing import Sequence
 
 import numpy as np
 
 from .neuralnet import EpochStats
-from .retrieval import Ranking, VisualFeature
+from .retrieval import Features, Ranking
 from .textvec import Sentence
 
 
-def _float_text(value: float) -> str:
-    return repr(float(value))
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text file at ``<path>.<pid>.tmp`` that replaces ``path`` once the
+    block completes; on any failure it is removed and ``path`` untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 # -- sentence files: "<sentence_id>\t<text>" ------------------------------
@@ -61,52 +77,77 @@ def write_sentences(path: str, sentences: Sequence[Sentence]) -> None:
 # -- feature files: header "<count> <dim>", rows "<id> v1 ... v_dim" ------
 
 
-def read_features(path: str) -> list[VisualFeature]:
+def read_features(path: str) -> Features:
+    """One ``Features`` table from a feature file, rows in file order.
+
+    The values of all rows go through numpy's C tokenizer in one pass;
+    its double parser rounds correctly, so the matrix equals what
+    ``float`` gives per value. If that parse or a check of its result
+    fails, the file is scanned again line by line only to name the
+    line at fault.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed feature header")
         try:
-            count, dim = int(header[0]), int(header[1])
+            count, dim = map(int, header)
         except ValueError:
             raise ValueError(f"{path}: malformed feature header") from None
         if count < 1 or dim < 1:
             raise ValueError(f"{path}: feature header declares count {count}, dim {dim}")
 
-        rows: list[VisualFeature] = []
-        seen: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
+        ids: list[str] = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a file without rows warns: fail instead
+            try:
+                matrix = np.loadtxt(_value_parts(fh, ids), comments=None, ndmin=2)
+            except (ValueError, UserWarning):
+                matrix = None
+    clean = matrix is not None and matrix.shape == (count, dim) and np.isfinite(matrix).all()
+    if not (clean and len(ids) == len(set(ids)) == count):
+        raise _feature_row_error(path, count, dim)
+    return Features(ids, matrix)
+
+
+def _value_parts(lines, ids: list[str]):
+    """The value part of each non-blank line, appending its id to ``ids``."""
+    for line in lines:
+        parts = line.split(None, 1)
+        if parts:
+            ids.append(parts[0])
+            yield parts[1] if len(parts) == 2 else ""
+
+
+def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
+    """The error naming the first bad line of a feature file whose
+    one-pass parse failed."""
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            item_id = parts[0]
-            if len(parts) - 1 != dim:
-                raise ValueError(
-                    f"{path}:{lineno}: row {item_id!r} has {len(parts) - 1} values, expected {dim}"
-                )
+            if lineno == 1 or not parts:
+                continue
+            item_id, values, at = parts[0], parts[1:], f"{path}:{lineno}:"
+            if len(values) != dim:
+                return ValueError(f"{at} row {item_id!r} has {len(values)} values, expected {dim}")
             if item_id in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+                return ValueError(f"{at} duplicate item id {item_id!r}")
             seen.add(item_id)
-            values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in row {item_id!r}")
-            rows.append(VisualFeature(item_id, values))
-        if len(rows) != count:
-            raise ValueError(f"{path}: header declares {count} rows but file has {len(rows)}")
-    return rows
+            try:
+                if not np.isfinite(np.loadtxt(values, comments=None)).all():
+                    return ValueError(f"{at} non-finite value in row {item_id!r}")
+            except ValueError:
+                return ValueError(f"{at} non-numeric value in row {item_id!r}")
+    return ValueError(f"{path}:{lineno}: header declares {count} rows but file has {len(seen)}")
 
 
-def write_features(path: str, features: Sequence[VisualFeature]) -> None:
-    if not features:
+def write_features(path: str, features: Features) -> None:
+    """Write ``features`` atomically, each value as its ``repr``."""
+    if not len(features):
         raise ValueError("refusing to write an empty feature file")
-    dim = len(features[0].values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(features)} {dim}\n")
-        for f in features:
-            if len(f.values) != dim:
-                raise ValueError(f"row {f.item_id!r} has dim {len(f.values)}, expected {dim}")
-            values = " ".join(_float_text(v) for v in f.values)
-            fh.write(f"{f.item_id} {values}\n")
+    with _atomic_open(path) as fh:
+        fh.write(f"{len(features)} {features.dim}\n")
+        for item_id, row in zip(features.ids, features.matrix):
+            fh.write(f"{item_id} {' '.join(map(repr, row.tolist()))}\n")
 
 
 # -- vocabulary / trigram listings: one entry per line, index order -------
@@ -166,7 +207,8 @@ def item_id_of(member_id: str) -> str:
 
 
 def write_ranking(path: str, rankings: Sequence[Ranking], top: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``rankings`` atomically, at most ``top`` entries per query."""
+    with _atomic_open(path) as fh:
         for ranking in rankings:
             entries = ranking.entries if top is None else ranking.entries[:top]
             for rank, (item_id, score) in enumerate(entries, start=1):
@@ -207,5 +249,5 @@ def write_history(path: str, history: Sequence[EpochStats]) -> None:
         fh.write("epoch\ttrain_loss\tval_loss\n")
         for stats in history:
             fh.write(
-                f"{stats.epoch}\t{_float_text(stats.train_loss)}\t{_float_text(stats.val_loss)}\n"
+                f"{stats.epoch}\t{float(stats.train_loss)!r}\t{float(stats.val_loss)!r}\n"
             )

@@ -1,22 +1,39 @@
 """Rank candidate items against query vectors by cosine similarity.
 
-Pure functions over immutable inputs. Ties are broken by ascending
-item-id byte order so rankings are reproducible across platforms.
+Feature vectors travel as one ``Features`` table: a tuple of ids and a
+float64 matrix with one row per id. Ranking is a pure function of its
+inputs. Ties are broken by ascending item id (code-point order, which
+is UTF-8 byte order), so rankings are reproducible across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-@dataclass(frozen=True)
-class VisualFeature:
-    """A d-dimensional vector attached to an image, video, or sentence id."""
 
-    item_id: str
-    values: np.ndarray
+@dataclass(frozen=True, eq=False)
+class Features:
+    """d-dimensional vectors of images, videos or sentences: ``matrix[i]``
+    (C-contiguous float64) belongs to ``ids[i]``; ``len()`` counts rows."""
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(self.ids):
+            raise ValueError(f"{len(self.ids)} ids need as many matrix rows, got {matrix.shape}")
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "matrix", matrix)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -43,50 +60,39 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _candidate_matrix(candidates: Sequence[VisualFeature]) -> tuple[np.ndarray, np.ndarray]:
-    matrix = np.stack([np.asarray(c.values, dtype=np.float64) for c in candidates])
-    norms = np.linalg.norm(matrix, axis=1)
-    for c, norm in zip(candidates, norms):
-        if norm == 0.0:
-            raise ValueError(f"candidate {c.item_id!r} is a zero vector")
-    return matrix, norms
+def rank_all(queries: Features, candidates: Features) -> list[Ranking]:
+    """One full cosine Ranking of ``candidates`` per query, in query order.
 
-
-def _rank_one(
-    query: VisualFeature,
-    candidates: Sequence[VisualFeature],
-    matrix: np.ndarray,
-    norms: np.ndarray,
-) -> Ranking:
-    q = np.asarray(query.values, dtype=np.float64)
-    if q.shape[0] != matrix.shape[1]:
+    Each query is scored by one matrix-vector product. Its order is by
+    descending score, then ascending id: ``np.lexsort`` on the negated
+    scores and each id's position in ``sorted(ids)``, the same order as
+    sorting on ``(-score, id)`` (``-0.0`` and ``0.0`` tie).
+    """
+    if not len(candidates):
+        raise ValueError("candidate list is empty")
+    if len(queries) and queries.dim != candidates.dim:
         raise ValueError(
-            f"query {query.item_id!r} has dim {q.shape[0]}, candidates have {matrix.shape[1]}"
+            f"query {queries.ids[0]!r} has dim {queries.dim}, candidates have {candidates.dim}"
         )
-    qn = np.linalg.norm(q)
-    if qn == 0.0:
-        raise ValueError(f"query {query.item_id!r} is a zero vector")
-    scores = (matrix @ q) / (norms * qn)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].item_id))
-    return Ranking(
-        query_id=query.item_id,
-        entries=tuple((candidates[i].item_id, float(scores[i])) for i in order),
-    )
+    # overflowing values are reported as such below, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = candidates.matrix
+        norms = np.linalg.norm(matrix, axis=1)
+        for item_id, norm in zip(candidates.ids, norms):
+            if norm == 0.0:
+                raise ValueError(f"candidate {item_id!r} is a zero vector")
+        ids = np.array(candidates.ids, dtype=object)
+        id_rank = np.argsort(np.argsort(ids, kind="stable"))
 
-
-def rank_items(query: VisualFeature, candidates: Sequence[VisualFeature]) -> Ranking:
-    """Full descending cosine ordering of ``candidates`` for one query."""
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    matrix, norms = _candidate_matrix(candidates)
-    return _rank_one(query, candidates, matrix, norms)
-
-
-def rank_all(
-    queries: Sequence[VisualFeature], candidates: Sequence[VisualFeature]
-) -> list[Ranking]:
-    """One cosine Ranking per query, in query order."""
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    matrix, norms = _candidate_matrix(candidates)
-    return [_rank_one(q, candidates, matrix, norms) for q in queries]
+        rankings = []
+        for query_id, q in zip(queries.ids, queries.matrix):
+            qn = np.linalg.norm(q)
+            if qn == 0.0:
+                raise ValueError(f"query {query_id!r} is a zero vector")
+            scores = (matrix @ q) / (norms * qn)
+            if not np.isfinite(scores).all():
+                raise ValueError(f"query {query_id!r}: cosine scores overflow (values too large)")
+            order = np.lexsort((id_rank, -scores))
+            entries = zip(ids[order].tolist(), scores[order].tolist())
+            rankings.append(Ranking(query_id, tuple(entries)))
+        return rankings

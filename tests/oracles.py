@@ -1,11 +1,16 @@
 """Independent reference implementations used to cross-check the library:
-finite-difference gradients, the allocating RMSprop formula and
-loop-based metric recomputation. These deliberately avoid the code paths
-they verify."""
+finite-difference gradients, the allocating RMSprop formula, loop-based
+metric recomputation, and the per-row feature file reader/writer and
+sorted-key cosine ranking that the matrix code replaced. These
+deliberately avoid the code paths they verify."""
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from textovision import neuralnet as nn
+from textovision.retrieval import Ranking
 
 
 def random_net(sizes, rng):
@@ -111,3 +116,108 @@ def brute_force_metrics(scores, relevance, ks):
         "mir": sum(1.0 / r for r in firsts) / n,
         "map": sum(aps) / n,
     }
+
+
+# -- per-row feature files and sorted-key ranking, as they were before
+# -- features became one (ids, matrix) table
+
+
+@dataclass(frozen=True)
+class VisualFeature:
+    """A d-dimensional vector attached to an image, video, or sentence id."""
+
+    item_id: str
+    values: np.ndarray
+
+
+def _float_text(value: float) -> str:
+    return repr(float(value))
+
+
+def read_features(path: str) -> list[VisualFeature]:
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError(f"{path}: malformed feature header")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise ValueError(f"{path}: malformed feature header") from None
+        if count < 1 or dim < 1:
+            raise ValueError(f"{path}: feature header declares count {count}, dim {dim}")
+
+        rows: list[VisualFeature] = []
+        seen: set[str] = set()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            parts = line.split()
+            item_id = parts[0]
+            if len(parts) - 1 != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: row {item_id!r} has {len(parts) - 1} values, expected {dim}"
+                )
+            if item_id in seen:
+                raise ValueError(f"{path}:{lineno}: duplicate item id {item_id!r}")
+            seen.add(item_id)
+            values = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {item_id!r}")
+            rows.append(VisualFeature(item_id, values))
+        if len(rows) != count:
+            raise ValueError(f"{path}: header declares {count} rows but file has {len(rows)}")
+    return rows
+
+
+def write_features(path: str, features: Sequence[VisualFeature]) -> None:
+    if not features:
+        raise ValueError("refusing to write an empty feature file")
+    dim = len(features[0].values)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(features)} {dim}\n")
+        for f in features:
+            if len(f.values) != dim:
+                raise ValueError(f"row {f.item_id!r} has dim {len(f.values)}, expected {dim}")
+            values = " ".join(_float_text(v) for v in f.values)
+            fh.write(f"{f.item_id} {values}\n")
+
+
+def _candidate_matrix(candidates: Sequence[VisualFeature]) -> tuple[np.ndarray, np.ndarray]:
+    matrix = np.stack([np.asarray(c.values, dtype=np.float64) for c in candidates])
+    norms = np.linalg.norm(matrix, axis=1)
+    for c, norm in zip(candidates, norms):
+        if norm == 0.0:
+            raise ValueError(f"candidate {c.item_id!r} is a zero vector")
+    return matrix, norms
+
+
+def _rank_one(
+    query: VisualFeature,
+    candidates: Sequence[VisualFeature],
+    matrix: np.ndarray,
+    norms: np.ndarray,
+) -> Ranking:
+    q = np.asarray(query.values, dtype=np.float64)
+    if q.shape[0] != matrix.shape[1]:
+        raise ValueError(
+            f"query {query.item_id!r} has dim {q.shape[0]}, candidates have {matrix.shape[1]}"
+        )
+    qn = np.linalg.norm(q)
+    if qn == 0.0:
+        raise ValueError(f"query {query.item_id!r} is a zero vector")
+    scores = (matrix @ q) / (norms * qn)
+    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].item_id))
+    return Ranking(
+        query_id=query.item_id,
+        entries=tuple((candidates[i].item_id, float(scores[i])) for i in order),
+    )
+
+
+def rank_all(
+    queries: Sequence[VisualFeature], candidates: Sequence[VisualFeature]
+) -> list[Ranking]:
+    """One cosine Ranking per query, in query order."""
+    if not candidates:
+        raise ValueError("candidate list is empty")
+    matrix, norms = _candidate_matrix(candidates)
+    return [_rank_one(q, candidates, matrix, norms) for q in queries]

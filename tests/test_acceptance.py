@@ -18,7 +18,7 @@ from textovision import neuralnet as nn
 from textovision import retrieval, textvec
 from textovision.cli import main as cli_main
 from textovision.formats import item_id_of
-from textovision.retrieval import Ranking, VisualFeature
+from textovision.retrieval import Features, Ranking
 from textovision.textvec import Sentence
 
 
@@ -107,17 +107,21 @@ def _test_truth(corpus):
     )
 
 
+def _table(ids, rows):
+    return Features(ids, np.stack(rows))
+
+
 def test_criterion_3_synthetic_end_to_end_retrieval():
     with criterion(3, "synthetic end-to-end retrieval"):
         start = time.perf_counter()
         corpus = synthdata.make_corpus()
         truth = _test_truth(corpus)
-        queries = [VisualFeature(item, corpus.targets[item]) for item in corpus.test_items]
+        queries = _table(corpus.test_items, [corpus.targets[item] for item in corpus.test_items])
         pool = corpus.test_sentences + corpus.distractor_sentences
 
         # the task must be solvable from word-cluster lookups alone before
         # the trained network is held to any threshold
-        oracle_candidates = [VisualFeature(s.id, corpus.oracle_vector(s)) for s in pool]
+        oracle_candidates = _table([s.id for s in pool], [corpus.oracle_vector(s) for s in pool])
         oracle_ranks = [
             metrics.first_relevant_rank(r, truth)
             for r in retrieval.rank_all(queries, oracle_candidates)
@@ -132,7 +136,7 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
         assert result.best_val_loss < initial_val_loss
 
         encoded = nn.encode(result.params, np.stack([vocab.vectorize(s) for s in pool]))
-        candidates = [VisualFeature(s.id, row) for s, row in zip(pool, encoded)]
+        candidates = Features([s.id for s in pool], encoded)
         ranks = [
             metrics.first_relevant_rank(r, truth)
             for r in retrieval.rank_all(queries, candidates)
@@ -245,10 +249,10 @@ def _run_cli_pipeline(workdir):
     pool = corpus.test_sentences + corpus.distractor_sentences
     formats.write_sentences(pool_s, pool)
     formats.write_features(
-        item_feats, [VisualFeature(i, corpus.targets[i]) for i in corpus.item_ids]
+        item_feats, _table(corpus.item_ids, [corpus.targets[i] for i in corpus.item_ids])
     )
     formats.write_features(
-        query_feats, [VisualFeature(i, corpus.targets[i]) for i in corpus.test_items]
+        query_feats, _table(corpus.test_items, [corpus.targets[i] for i in corpus.test_items])
     )
     with open(gt, "w", encoding="utf-8") as fh:
         for item in corpus.test_items:
@@ -308,8 +312,8 @@ def test_criterion_9_text_to_text_in_visual_space():
         )
 
         def map_score(vectorize):
-            qs = [VisualFeature(s.id, vectorize(s)) for s in queries]
-            cs = [VisualFeature(s.id, vectorize(s)) for s in pool]
+            qs = _table([s.id for s in queries], [vectorize(s) for s in queries])
+            cs = _table([s.id for s in pool], [vectorize(s) for s in pool])
             return metrics.mean_average_precision(retrieval.rank_all(qs, cs), truth)
 
         in_visual_space = map_score(

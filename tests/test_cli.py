@@ -6,7 +6,7 @@ import pytest
 
 from textovision import formats
 from textovision.cli import main
-from textovision.retrieval import VisualFeature
+from textovision.retrieval import Features
 from textovision.textvec import Sentence
 
 # three items with disjoint word pools and separated non-negative targets
@@ -20,6 +20,15 @@ ITEM_TARGETS = {
     "brick": [0.0, 1.0, 0.1, 0.0],
     "cloud": [0.1, 0.0, 1.0, 0.2],
 }
+
+
+def table(rows):
+    """A Features table from ``{id: values}``."""
+    return Features(list(rows), np.array(list(rows.values()), dtype=np.float64))
+
+
+def rows_of(features):
+    return {item_id: row.tolist() for item_id, row in zip(features.ids, features.matrix)}
 
 
 def write_corpus(dirpath):
@@ -37,10 +46,7 @@ def write_corpus(dirpath):
     }
     formats.write_sentences(paths["train_sentences"], train)
     formats.write_sentences(paths["val_sentences"], val)
-    features = [
-        VisualFeature(item, np.array(values)) for item, values in ITEM_TARGETS.items()
-    ]
-    formats.write_features(paths["features"], features)
+    formats.write_features(paths["features"], table(ITEM_TARGETS))
     return paths
 
 
@@ -160,9 +166,8 @@ class TestTrain:
 
     def test_diverging_loss_is_data_error_naming_the_epoch(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
-        huge = [VisualFeature(item, np.array(values) * 1e150)
-                for item, values in ITEM_TARGETS.items()]
-        formats.write_features(paths["features"], huge)
+        huge = table(ITEM_TARGETS)
+        formats.write_features(paths["features"], Features(huge.ids, huge.matrix * 1e150))
         model = tmp_path / "m.bin"
         assert main(train_args(paths, str(model), ["--lr", "1e150"])) == 2
         # the error line alone: no numpy overflow warnings before it
@@ -237,7 +242,7 @@ class TestEncode:
                      "--out", str(out)]) == 0
         rows = formats.read_features(str(out))
         assert len(rows) == 3
-        assert rows[0].values.shape == (4,)  # model output dim
+        assert rows.dim == 4  # model output dim
 
     def test_reencode_identical(self, tmp_path, capsys, trained):
         paths, model = trained
@@ -291,11 +296,33 @@ class TestEncode:
         assert message in capsys.readouterr().err
 
 
+    def test_all_zero_predictions_counted(self, tmp_path, capsys):
+        # a hand-built bow model whose every weight and bias is zero
+        words = ["a", "cat", "dog"]
+        raw = [b"W2VV", struct.pack("<BBQ", 1, 0, len(words))]
+        raw += [struct.pack("<Q", len(w)) + w.encode() for w in words]
+        raw.append(struct.pack("<Q", 2))
+        raw += [struct.pack("<QQ", r, c) + bytes(8 * (r * c + r)) for r, c in [(5, 3), (2, 5)]]
+        model = tmp_path / "zero.bin"
+        model.write_bytes(b"".join(raw))
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("s#0\ta cat\ns#1\tzebra\ns#2\tdog\n", encoding="utf-8")
+        out = tmp_path / "o.feat"
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "encoded 2 sentences, skipped 1, 2 all-zero predictions"
+        )
+        assert out.read_text(encoding="utf-8") == "2 2\ns#0 0.0 0.0\ns#2 0.0 0.0\n"
+
+
 class TestRank:
     def write_pool(self, tmp_path):
         rng = np.random.default_rng(77)
-        items = [VisualFeature(f"i{j}", rng.normal(size=3) + 2.0) for j in range(5)]
-        queries = [VisualFeature(f"q{j}", rng.normal(size=3) + 2.0) for j in range(3)]
+        items = table({f"i{j}": rng.normal(size=3) + 2.0 for j in range(5)})
+        queries = table({f"q{j}": rng.normal(size=3) + 2.0 for j in range(3)})
         items_path = tmp_path / "items.feat"
         queries_path = tmp_path / "queries.feat"
         formats.write_features(str(items_path), items)
@@ -320,9 +347,9 @@ class TestRank:
         queries_path = tmp_path / "q.feat"
         formats.write_features(
             str(items_path),
-            [VisualFeature("zz", np.array([1.0, 1.0])), VisualFeature("aa", np.array([2.0, 2.0]))],
+            table({"zz": [1.0, 1.0], "aa": [2.0, 2.0]}),
         )
-        formats.write_features(str(queries_path), [VisualFeature("q", np.array([1.0, 1.0]))])
+        formats.write_features(str(queries_path), table({"q": [1.0, 1.0]}))
         out = tmp_path / "rank.tsv"
         assert main(["rank", "--queries", str(queries_path), "--items", str(items_path),
                      "--out", str(out)]) == 0
@@ -335,17 +362,36 @@ class TestRank:
                      "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 6
 
+    def test_bad_top_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.feat")
+        for top in ("0", "-3"):
+            assert main(["rank", "--queries", missing, "--items", missing, "--top", top,
+                         "--out", str(tmp_path / "r.tsv")]) == 1
+            assert "--top must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_overflowing_scores_are_data_error_without_warnings(self, tmp_path, capsys):
+        huge = tmp_path / "huge.feat"
+        formats.write_features(str(huge), table({"h": [1e200, 1e200], "k": [1e200, -1e200]}))
+        out = tmp_path / "r.tsv"
+        assert main(["rank", "--queries", str(huge), "--items", str(huge),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "textovision: error: query 'h': cosine scores overflow (values too large)\n"
+        )
+        assert not out.exists()
+
     def test_dim_mismatch_is_data_error(self, tmp_path, capsys):
         queries, _ = self.write_pool(tmp_path)
         other = tmp_path / "other.feat"
-        formats.write_features(str(other), [VisualFeature("x", np.array([1.0, 2.0]))])
+        formats.write_features(str(other), table({"x": [1.0, 2.0]}))
         assert main(["rank", "--queries", queries, "--items", str(other),
                      "--out", str(tmp_path / "r.tsv")]) == 2
 
     def test_zero_vector_is_data_error(self, tmp_path, capsys):
         queries, _ = self.write_pool(tmp_path)
         bad = tmp_path / "bad.feat"
-        formats.write_features(str(bad), [VisualFeature("z", np.array([0.0, 0.0, 0.0]))])
+        formats.write_features(str(bad), table({"z": [0.0, 0.0, 0.0]}))
         assert main(["rank", "--queries", queries, "--items", str(bad),
                      "--out", str(tmp_path / "r.tsv")]) == 2
         assert "'z'" in capsys.readouterr().err
@@ -353,12 +399,9 @@ class TestRank:
 
 class TestPool:
     def write_frames(self, tmp_path):
-        frames = [
-            VisualFeature("v1#0", np.array([1.0, 3.0])),
-            VisualFeature("v1#1", np.array([3.0, 5.0])),
-            VisualFeature("v2#0", np.array([2.0, 2.0])),
-            VisualFeature("v2#1", np.array([4.0, 0.0])),
-        ]
+        frames = table(
+            {"v1#0": [1.0, 3.0], "v1#1": [3.0, 5.0], "v2#0": [2.0, 2.0], "v2#1": [4.0, 0.0]}
+        )
         path = tmp_path / "frames.feat"
         formats.write_features(str(path), frames)
         return str(path)
@@ -367,7 +410,7 @@ class TestPool:
         frames = self.write_frames(tmp_path)
         out = tmp_path / "pooled.feat"
         assert main(["pool", "--features", frames, "--out", str(out)]) == 0
-        rows = {f.item_id: f.values.tolist() for f in formats.read_features(str(out))}
+        rows = rows_of(formats.read_features(str(out)))
         assert rows == {"v1": [2.0, 4.0], "v2": [3.0, 1.0]}
 
     def test_audio_concatenation_adds_dims(self, tmp_path, capsys):
@@ -375,18 +418,18 @@ class TestPool:
         audio = tmp_path / "audio.feat"
         formats.write_features(
             str(audio),
-            [VisualFeature("v1", np.array([9.0])), VisualFeature("v2", np.array([8.0]))],
+            table({"v1": [9.0], "v2": [8.0]}),
         )
         out = tmp_path / "pooled.feat"
         assert main(["pool", "--features", frames, "--audio", str(audio),
                      "--out", str(out)]) == 0
-        rows = {f.item_id: f.values.tolist() for f in formats.read_features(str(out))}
+        rows = rows_of(formats.read_features(str(out)))
         assert rows["v1"] == [2.0, 4.0, 9.0]
 
     def test_missing_audio_names_video(self, tmp_path, capsys):
         frames = self.write_frames(tmp_path)
         audio = tmp_path / "audio.feat"
-        formats.write_features(str(audio), [VisualFeature("v1", np.array([9.0]))])
+        formats.write_features(str(audio), table({"v1": [9.0]}))
         assert main(["pool", "--features", frames, "--audio", str(audio),
                      "--out", str(tmp_path / "p.feat")]) == 2
         assert "v2" in capsys.readouterr().err
@@ -502,7 +545,7 @@ class TestVectorizerBackends:
         assert main(["encode", "--model", str(model_path),
                      "--sentences", paths["val_sentences"], "--out", str(out)]) == 0
         rows = formats.read_features(str(out))
-        assert len(rows) == 3 and rows[0].values.shape == (4,)
+        assert len(rows) == 3 and rows.dim == 4
 
 
 class TestThreadCap:

@@ -1,9 +1,15 @@
+import errno
+import math
+
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textovision import formats, modelio
 from textovision.neuralnet import EpochStats, NetworkConfig, init_network
-from textovision.retrieval import Ranking, VisualFeature
+from textovision.retrieval import Features, Ranking
 from textovision.textvec import Sentence, TermIndex, WordEmbeddingTable
 
 
@@ -33,24 +39,51 @@ class TestSentenceFile:
             formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence("", "x")])
 
 
+class FullDiskFile:
+    """Opens the real file, then fails every write as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def finite_floats():
+    """Any finite float64 bit pattern, with subnormals and the edge values
+    drawn often."""
+    from_bits = st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+    ).filter(math.isfinite)
+    edges = st.sampled_from(
+        [0.0, -0.0, 1e16, -1e16, 1e-5, 5e-324, -5e-324, 2.2250738585072014e-308,
+         2.225073858507201e-308, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012345680.0]
+    )
+    subnormals = st.integers(-(2**52) + 1, 2**52 - 1).map(lambda m: m * 5e-324)
+    return st.one_of(edges, subnormals, from_bits)
+
+
 class TestFeatureFile:
     def test_values_round_trip_exactly(self, tmp_path):
         path = str(tmp_path / "f.txt")
         rng = np.random.default_rng(12)
-        rows = [
-            VisualFeature(f"item{i}", rng.normal(size=5) * 10.0 ** float(rng.integers(-8, 8)))
-            for i in range(20)
-        ]
+        scales = 10.0 ** rng.integers(-8, 8, size=(20, 1)).astype(np.float64)
+        rows = Features([f"item{i}" for i in range(20)], rng.normal(size=(20, 5)) * scales)
         formats.write_features(path, rows)
         back = formats.read_features(path)
-        assert [r.item_id for r in back] == [r.item_id for r in rows]
-        for a, b in zip(rows, back):
-            assert np.array_equal(a.values, b.values)
+        assert back.ids == rows.ids
+        assert back.matrix.tobytes() == rows.matrix.tobytes()
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
-        rows = [VisualFeature("x", np.array([1.0 / 3.0, 2e-17, -4.625]))]
+        rows = Features(["x"], [[1.0 / 3.0, 2e-17, -4.625]])
         formats.write_features(str(first), rows)
         formats.write_features(str(second), formats.read_features(str(first)))
         assert first.read_bytes() == second.read_bytes()
@@ -84,6 +117,83 @@ class TestFeatureFile:
         path.write_text("2 1\na 1.0\na 2.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="duplicate"):
             formats.read_features(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a 1 2\nb 1 2 3\nc 1 2\n", ":3: row 'b' has 3 values, expected 2"),
+            ("a 1 2\nb 1\nc 1 2\n", ":3: row 'b' has 1 values, expected 2"),
+            ("a 1 2 3\nb 1 2 3\nc 1 2 3\n", ":2: row 'a' has 3 values, expected 2"),
+            ("a 1 2\nb\nc 1 2\n", ":3: row 'b' has 0 values, expected 2"),
+            ("a 1 2\n\nb 1 x\nc 1 2\n", ":4: non-numeric value in row 'b'"),
+            ("a 1 2\nb 1 #2\nc 1 2\n", ":3: non-numeric value in row 'b'"),
+            ("a 1 2\nb 1_0 2\nc 1 2\n", ":3: non-numeric value in row 'b'"),
+            ("a 1 2\nb \u0661 2\nc 1 2\n", ":3: non-numeric value in row 'b'"),
+            ("a 1 2\nb 1 inf\nc 1 2\n", ":3: non-finite value in row 'b'"),
+            ("a 1 2\nb -Infinity 2\nc 1 2\n", ":3: non-finite value in row 'b'"),
+            ("a 1 2\nb nan 2\nc 1 2\n", ":3: non-finite value in row 'b'"),
+            ("a 1 2\nb 1e400 2\nc 1 2\n", ":3: non-finite value in row 'b'"),
+            ("a 1 2\nb 1 2\na 1 2\n", ":4: duplicate item id 'a'"),
+            ("a 1 2\nb 1 2\n\n", ":4: header declares 3 rows but file has 2"),
+            ("a 1 2\nb 1 2\nc 1 2\nd 1 2\n", ":5: header declares 3 rows but file has 4"),
+            ("", ":1: header declares 3 rows but file has 0"),
+            ("\n  \n", ":3: header declares 3 rows but file has 0"),
+        ],
+    )
+    def test_malformed_rows_name_path_and_line(self, tmp_path, body, message):
+        path = tmp_path / "f.txt"
+        path.write_text("3 2\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            formats.read_features(str(path))
+        assert str(exc.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize("header", ["", "3\n", "3 2 1\n", "3 x\n", "1.0 2\n"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "f.txt"
+        path.write_text(header + "a 1 2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="malformed feature header"):
+            formats.read_features(str(path))
+
+    def test_blank_lines_and_any_whitespace_separate_values(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("2 2\n\n  a\t1.5 \x0b-2\r\n\nb 1e3\u30002.5e-3  \n", encoding="utf-8")
+        back = formats.read_features(str(path))
+        assert back.ids == ("a", "b")
+        assert back.matrix.tolist() == [[1.5, -2.0], [1000.0, 0.0025]]
+        expected = oracles.read_features(str(path))
+        assert back.matrix.tobytes() == np.stack([r.values for r in expected]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda dim: st.lists(st.lists(finite_floats(), min_size=dim, max_size=dim),
+                             min_size=1, max_size=6)
+    ))
+    def test_bytes_and_values_match_per_row_oracle(self, tmp_path_factory, rows):
+        tmp = tmp_path_factory.mktemp("feat")
+        ids = [f"r{i}" for i in range(len(rows))]
+        matrix = np.array(rows, dtype=np.float64)
+        ours, theirs = tmp / "ours.txt", tmp / "theirs.txt"
+        formats.write_features(str(ours), Features(ids, matrix))
+        oracles.write_features(
+            str(theirs), [oracles.VisualFeature(i, row) for i, row in zip(ids, matrix)]
+        )
+        assert ours.read_bytes() == theirs.read_bytes()
+        back = formats.read_features(str(ours))
+        expected = oracles.read_features(str(ours))
+        assert back.ids == tuple(r.item_id for r in expected) == tuple(ids)
+        assert back.matrix.flags.c_contiguous and back.matrix.dtype == np.float64
+        assert back.matrix.tobytes() == np.stack([r.values for r in expected]).tobytes()
+        assert back.matrix.tobytes() == matrix.tobytes()
+
+    def test_failed_write_leaves_earlier_file_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.txt"
+        formats.write_features(str(path), Features(["a"], [[1.0, 2.0]]))
+        earlier = path.read_bytes()
+        monkeypatch.setattr(formats, "open", FullDiskFile, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            formats.write_features(str(path), Features(["b"], [[3.0, 4.0]]))
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
 
 class TestWordListFile:
@@ -148,6 +258,16 @@ class TestRankingFile:
         path = tmp_path / "rank.tsv"
         formats.write_ranking(str(path), self.rankings(), top=2)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+
+    def test_failed_write_leaves_earlier_file_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "rank.tsv"
+        formats.write_ranking(str(path), self.rankings())
+        earlier = path.read_bytes()
+        monkeypatch.setattr(formats, "open", FullDiskFile, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            formats.write_ranking(str(path), self.rankings()[::-1])
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rank.tsv"]
 
     def test_rank_order_enforced(self, tmp_path):
         path = tmp_path / "rank.tsv"

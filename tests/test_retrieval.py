@@ -1,9 +1,10 @@
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textovision.retrieval import VisualFeature, cosine, rank_all, rank_items
+from textovision.retrieval import Features, cosine, rank_all
 
 nonzero_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=3, max_size=3
@@ -11,7 +12,21 @@ nonzero_vectors = st.lists(
 
 
 def vf(item_id, *values):
-    return VisualFeature(item_id, np.array(values, dtype=np.float64))
+    """A one-row Features table."""
+    return Features((item_id,), np.array([values], dtype=np.float64))
+
+
+def stack(rows):
+    """One Features table from one-row tables, in list order."""
+    if not rows:
+        return Features((), np.zeros((0, 1)))
+    return Features([r.ids[0] for r in rows], np.vstack([r.matrix for r in rows]))
+
+
+def rank_items(query, candidates):
+    """The Ranking of one query row against a list of one-row tables."""
+    (ranking,) = rank_all(query, stack(candidates))
+    return ranking
 
 
 class TestCosine:
@@ -84,9 +99,7 @@ class TestRankItems:
         query = vf("q", *rng.normal(size=4))
         before = rank_items(query, candidates)
         scaled = list(candidates)
-        scaled[which] = VisualFeature(
-            candidates[which].item_id, candidates[which].values * factor
-        )
+        scaled[which] = Features(candidates[which].ids, candidates[which].matrix * factor)
         after = rank_items(query, scaled)
         assert before.item_ids() == after.item_ids()
         assert dict(before.entries)[f"c{which}"] == pytest.approx(
@@ -96,8 +109,8 @@ class TestRankItems:
     def test_self_retrieval_ranks_first(self):
         rng = np.random.default_rng(23)
         candidates = [vf(f"c{i}", *rng.normal(size=6)) for i in range(10)]
-        query = VisualFeature("probe", candidates[4].values.copy())
-        candidates.append(VisualFeature("self", query.values.copy()))
+        query = Features(("probe",), candidates[4].matrix.copy())
+        candidates.append(Features(("self",), query.matrix.copy()))
         ranking = rank_items(query, candidates)
         # 'c4' shares the vector and wins the tie on id byte order
         assert ranking.item_ids()[:2] == ["c4", "self"]
@@ -107,23 +120,24 @@ class TestRankItems:
 
 
 class TestRankAll:
-    def test_single_query_matches_rank_items(self):
-        candidates = [vf("a", 1.0, 0.0), vf("b", 0.0, 1.0)]
+    def test_single_query_matches_batched_query(self):
+        candidates = stack([vf("a", 1.0, 0.0), vf("b", 0.0, 1.0)])
         query = vf("q", 1.0, 0.5)
-        assert rank_all([query], candidates) == [rank_items(query, candidates)]
+        batch = stack([query, vf("p", -1.0, 2.0)])
+        assert rank_all(query, candidates) == rank_all(batch, candidates)[:1]
 
     def test_query_order_preserved_under_permutation(self):
         rng = np.random.default_rng(31)
-        candidates = [vf(f"c{i}", *rng.normal(size=3)) for i in range(6)]
+        candidates = stack([vf(f"c{i}", *rng.normal(size=3)) for i in range(6)])
         queries = [vf(f"q{i}", *rng.normal(size=3)) for i in range(4)]
-        forward_order = rank_all(queries, candidates)
-        reversed_order = rank_all(queries[::-1], candidates)
+        forward_order = rank_all(stack(queries), candidates)
+        reversed_order = rank_all(stack(queries[::-1]), candidates)
         assert forward_order == reversed_order[::-1]
 
     def test_totality_on_large_pool(self):
         rng = np.random.default_rng(47)
-        candidates = [vf(f"c{i:03d}", *rng.normal(size=8)) for i in range(500)]
-        queries = [vf(f"q{i:03d}", *rng.normal(size=8)) for i in range(100)]
+        candidates = Features([f"c{i:03d}" for i in range(500)], rng.normal(size=(500, 8)))
+        queries = Features([f"q{i:03d}" for i in range(100)], rng.normal(size=(100, 8)))
         rankings = rank_all(queries, candidates)
         assert len(rankings) == 100
         for ranking in rankings:
@@ -131,3 +145,61 @@ class TestRankAll:
             assert len(set(ranking.item_ids())) == 500
             scores = [s for _, s in ranking.entries]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+    def test_overflowing_scores_are_rejected_naming_the_query(self):
+        # finite values whose norms overflow: the cosine would be inf/inf
+        with pytest.raises(ValueError, match="query 'q': cosine scores overflow"):
+            rank_all(vf("q", 1e200, 1e200), stack([vf("a", 1e200, 1e200)]))
+
+
+# candidate rows from a small set, so duplicates (exact score ties) and
+# rows orthogonal to the query (zero scores) are common; the last two
+# queries score (±1, 0) rows -0.0 and +0.0 (the cosine underflows)
+TIE_ROWS = [(1.0, 0.0), (2.0, 0.0), (0.0, 1.0), (0.0, -3.0), (-1.0, 0.0), (-0.0, 2.0),
+            (1.0, 1.0), (3.0, 3.0), (0.5, -0.5)]
+TIE_QUERIES = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-0.0, -2.0), (0.25, -0.25),
+               (-1e-200, 1e150), (1e-200, 1e150)]
+
+
+class TestRankAllMatchesSortedKeyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(TIE_ROWS), min_size=1, max_size=12),
+        st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_forced_ties(self, rows, query_rows, random):
+        # ids whose sorted order differs from file order, with common prefixes
+        ids = [f"{name}{i}" for i, name in enumerate(["b", "a", "ab", "B", "é", "a#1"] * 2)]
+        ids = ids[: len(rows)]
+        random.shuffle(ids)
+        candidates = Features(ids, np.array(rows))
+        queries = Features([f"q{i}" for i in range(len(query_rows))], np.array(query_rows))
+        expected = oracles.rank_all(
+            [oracles.VisualFeature(i, np.array(v)) for i, v in zip(queries.ids, query_rows)],
+            [oracles.VisualFeature(i, np.array(v)) for i, v in zip(ids, rows)],
+        )
+        got = rank_all(queries, candidates)
+        assert got == expected
+        # bit for bit, including the sign of zero scores
+        for a, b in zip(got, expected):
+            assert np.array(a.entries)[:, 1].astype(float).tobytes() == \
+                np.array(b.entries)[:, 1].astype(float).tobytes()
+
+    def test_signed_zero_scores_tie_and_order_by_id(self):
+        candidates = Features(["z", "m", "a"], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        (ranking,) = rank_all(Features(["q"], [[-1e-200, 1e150]]), candidates)
+        assert ranking.item_ids() == ["a", "m", "z"]
+        scores = [s for _, s in ranking.entries]
+        assert scores[0] == 1.0 and np.signbit(scores[1:]).tolist() == [False, True]
+
+    def test_random_pool_matches_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        ids = [f"v{i:03d}" for i in rng.permutation(250)]
+        candidates = Features(ids, rng.normal(size=(250, 64)))
+        queries = Features([f"s{i}" for i in range(40)], rng.normal(size=(40, 64)))
+        expected = oracles.rank_all(
+            [oracles.VisualFeature(i, row) for i, row in zip(queries.ids, queries.matrix)],
+            [oracles.VisualFeature(i, row) for i, row in zip(candidates.ids, candidates.matrix)],
+        )
+        assert rank_all(queries, candidates) == expected

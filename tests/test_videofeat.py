@@ -2,87 +2,99 @@ import numpy as np
 import pytest
 
 from textovision.formats import item_id_of
-from textovision.retrieval import VisualFeature
-from textovision.videofeat import (
-    AudioFeature,
-    FrameFeatureSet,
-    concat_visual_audio,
-    group_frames,
-    mean_pool,
-)
+from textovision.retrieval import Features
+from textovision.videofeat import concat_visual_audio, group_frames, mean_pool
+
+
+def frames_of(video_id, frames):
+    """A frame table for one video: rows '<video_id>#0', '<video_id>#1', ..."""
+    frames = np.asarray(frames, dtype=np.float64)
+    return Features([f"{video_id}#{k}" for k in range(len(frames))], frames)
+
+
+def one_row(item_id, values):
+    return Features((item_id,), np.asarray(values, dtype=np.float64)[None, :])
 
 
 class TestMeanPool:
     def test_two_frames(self):
-        pooled = mean_pool(FrameFeatureSet("v", np.array([[1.0, 3.0], [3.0, 5.0]])))
-        assert pooled.item_id == "v"
-        assert pooled.values.tolist() == [2.0, 4.0]
+        pooled = mean_pool(frames_of("v", [[1.0, 3.0], [3.0, 5.0]]))
+        assert pooled.ids == ("v",)
+        assert pooled.matrix.tolist() == [[2.0, 4.0]]
 
     def test_single_frame_identity(self):
         frame = np.array([[0.5, 1.5, 2.5]])
-        pooled = mean_pool(FrameFeatureSet("v", frame))
-        assert np.array_equal(pooled.values, frame[0])
+        pooled = mean_pool(frames_of("v", frame))
+        assert np.array_equal(pooled.matrix, frame)
 
     def test_three_frames(self):
-        pooled = mean_pool(FrameFeatureSet("v", np.array([[0.0, 0.0], [0.0, 0.0], [6.0, 3.0]])))
-        assert pooled.values.tolist() == [2.0, 1.0]
+        pooled = mean_pool(frames_of("v", [[0.0, 0.0], [0.0, 0.0], [6.0, 3.0]]))
+        assert pooled.matrix.tolist() == [[2.0, 1.0]]
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ValueError):
-            FrameFeatureSet("v", np.zeros((0, 3)))
+            Features(("v",), np.zeros((0, 3)))
 
     def test_ragged_frames_rejected(self):
         with pytest.raises(ValueError):
-            FrameFeatureSet("v", [[1.0, 2.0], [1.0]])
+            Features(("v#0", "v#1"), [[1.0, 2.0], [1.0]])
 
     def test_permutation_invariant_and_bounded(self):
         rng = np.random.default_rng(9)
         frames = rng.normal(size=(7, 5))
-        pooled = mean_pool(FrameFeatureSet("v", frames)).values
-        shuffled = mean_pool(FrameFeatureSet("v", frames[rng.permutation(7)])).values
+        pooled = mean_pool(frames_of("v", frames)).matrix[0]
+        shuffled = mean_pool(frames_of("v", frames[rng.permutation(7)])).matrix[0]
         assert np.allclose(pooled, shuffled, atol=1e-12)
         assert np.all(pooled >= frames.min(axis=0) - 1e-12)
         assert np.all(pooled <= frames.max(axis=0) + 1e-12)
 
     def test_idempotent_on_identical_frames(self):
         frame = np.array([1.0, 2.0, 3.0])
-        pooled = mean_pool(FrameFeatureSet("v", np.stack([frame] * 4)))
-        assert np.array_equal(pooled.values, frame)
+        pooled = mean_pool(frames_of("v", np.stack([frame] * 4)))
+        assert np.array_equal(pooled.matrix[0], frame)
+
+    def test_interleaved_videos_pool_bit_for_bit_like_per_video_slices(self):
+        rng = np.random.default_rng(3)
+        ids = [f"v{k % 3}#{k}" for k in range(12)]
+        matrix = rng.normal(size=(12, 7)) * 10.0 ** rng.integers(-5, 5, size=(12, 1))
+        pooled = mean_pool(Features(ids, matrix))
+        assert pooled.ids == ("v0", "v1", "v2")
+        for v in range(3):
+            assert pooled.matrix[v].tobytes() == np.stack(matrix[v::3]).mean(axis=0).tobytes()
 
 
 class TestConcat:
     def test_visual_first_audio_second(self):
-        out = concat_visual_audio(
-            VisualFeature("v", np.array([1.0, 2.0])), AudioFeature("v", np.array([3.0]))
-        )
-        assert out.values.tolist() == [1.0, 2.0, 3.0]
+        out = concat_visual_audio(one_row("v", [1.0, 2.0]), one_row("v", [3.0]))
+        assert out.matrix.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_empty_audio_is_identity(self):
-        visual = VisualFeature("v", np.array([1.0, 2.0]))
-        out = concat_visual_audio(visual, AudioFeature("v", np.zeros(0)))
-        assert np.array_equal(out.values, visual.values)
+        visual = one_row("v", [1.0, 2.0])
+        out = concat_visual_audio(visual, Features(("v",), np.zeros((1, 0))))
+        assert np.array_equal(out.matrix, visual.matrix)
 
     def test_dims_add(self):
-        out = concat_visual_audio(
-            VisualFeature("v", np.zeros(2048)), AudioFeature("v", np.zeros(1024))
-        )
-        assert out.values.shape == (3072,)
+        out = concat_visual_audio(one_row("v", np.zeros(2048)), one_row("v", np.zeros(1024)))
+        assert out.matrix.shape == (1, 3072)
 
     def test_id_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            concat_visual_audio(
-                VisualFeature("v1", np.zeros(2)), AudioFeature("v2", np.zeros(2))
-            )
+        with pytest.raises(ValueError, match="'v1' has no audio feature row"):
+            concat_visual_audio(one_row("v1", np.zeros(2)), one_row("v2", np.zeros(2)))
 
     def test_slicing_recovers_both_parts(self):
         rng = np.random.default_rng(4)
         visual = rng.normal(size=6)
         audio = rng.normal(size=3)
-        out = concat_visual_audio(
-            VisualFeature("v", visual), AudioFeature("v", audio)
-        ).values
+        out = concat_visual_audio(one_row("v", visual), one_row("v", audio)).matrix[0]
         assert np.array_equal(out[:6], visual)
         assert np.array_equal(out[6:], audio)
+
+    def test_audio_rows_follow_visual_order(self):
+        visual = Features(("a", "b"), [[1.0], [2.0]])
+        audio = Features(("b", "a", "c"), [[20.0], [10.0], [30.0]])
+        out = concat_visual_audio(visual, audio)
+        assert out.ids == ("a", "b")
+        assert out.matrix.tolist() == [[1.0, 10.0], [2.0, 20.0]]
 
 
 class TestGrouping:
@@ -93,14 +105,10 @@ class TestGrouping:
     def test_malformed_frame_id(self):
         for frame_id in ("noseparator", "#7"):
             with pytest.raises(ValueError, match=f"'{frame_id}'"):
-                group_frames([VisualFeature(frame_id, np.array([1.0]))])
+                group_frames(one_row(frame_id, [1.0]))
 
     def test_groups_in_first_appearance_order(self):
-        rows = [
-            VisualFeature("b#0", np.array([1.0])),
-            VisualFeature("a#0", np.array([2.0])),
-            VisualFeature("b#1", np.array([3.0])),
-        ]
+        rows = Features(("b#0", "a#0", "b#1"), [[1.0], [2.0], [3.0]])
         groups = group_frames(rows)
-        assert [g.video_id for g in groups] == ["b", "a"]
-        assert groups[0].frames.tolist() == [[1.0], [3.0]]
+        assert list(groups) == ["b", "a"]
+        assert rows.matrix[groups["b"]].tolist() == [[1.0], [3.0]]
