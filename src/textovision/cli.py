@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 data error. The environment
 variable ``TEXTOVISION_THREADS`` caps internal parallelism; it is applied
 before numpy loads, so heavyweight imports stay inside the command
-handlers.
+handlers. ``evaluate`` and ``build-vocab`` do no array math and never
+import numpy, which is most of a short command's start-up time;
+``formats``, ``metrics`` and ``textvec`` load it only where they use it.
 """
 
 from __future__ import annotations

@@ -15,13 +15,14 @@ from __future__ import annotations
 import contextlib
 import os
 import warnings
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .neuralnet import EpochStats
-from .retrieval import Features, Ranking
+from .metrics import Ranking
 from .textvec import Sentence
+
+if TYPE_CHECKING:
+    from .neuralnet import EpochStats
+    from .retrieval import Features
 
 
 @contextlib.contextmanager
@@ -55,6 +56,8 @@ def read_sentences(path: str) -> list[Sentence]:
                 raise ValueError(f"{path}:{lineno}: expected '<sentence_id>\\t<text>'")
             if not sid:
                 raise ValueError(f"{path}:{lineno}: empty sentence id")
+            if sid.split() != [sid]:
+                raise ValueError(f"{path}:{lineno}: sentence id {sid!r} contains whitespace")
             if "\t" in text:
                 raise ValueError(f"{path}:{lineno}: text field contains a tab")
             if sid in seen:
@@ -67,7 +70,7 @@ def read_sentences(path: str) -> list[Sentence]:
 def write_sentences(path: str, sentences: Sequence[Sentence]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for s in sentences:
-            if not s.id or "\t" in s.id or "\n" in s.id:
+            if s.id.split() != [s.id]:
                 raise ValueError(f"invalid sentence id {s.id!r}")
             if "\t" in s.text or "\n" in s.text:
                 raise ValueError(f"sentence {s.id!r}: text must not contain tabs or newlines")
@@ -86,6 +89,10 @@ def read_features(path: str) -> Features:
     fails, the file is scanned again line by line only to name the
     line at fault.
     """
+    import numpy as np
+
+    from .retrieval import Features
+
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         try:
@@ -120,6 +127,8 @@ def _value_parts(lines, ids: list[str]):
 def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
     """The error naming the first bad line of a feature file whose
     one-pass parse failed."""
+    import numpy as np
+
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -173,10 +182,11 @@ def write_word_list(path: str, entries: Sequence[str]) -> None:
 
 
 def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
-    """All pairs in file order; with ``unique_left`` a repeated left id
-    (say, a sentence paired with two items) is an error naming the line."""
+    """All pairs in file order. A repeated pair is an error naming the
+    line, and so, with ``unique_left``, is a repeated left id (say, a
+    sentence paired with two items)."""
     pairs: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    seen: set[str | tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -185,9 +195,11 @@ def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
             left, sep, right = line.partition("\t")
             if not sep or not left or not right:
                 raise ValueError(f"{path}:{lineno}: expected '<query_id>\\t<item_id>'")
-            if unique_left and left in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {left!r}")
-            seen.add(left)
+            key = left if unique_left else (left, right)
+            if key in seen:
+                kind = "id" if unique_left else "pair"
+                raise ValueError(f"{path}:{lineno}: duplicate {kind} {key!r}")
+            seen.add(key)
             pairs.append((left, right))
     if not pairs:
         raise ValueError(f"{path}: no pairs found")
@@ -231,11 +243,20 @@ def read_ranking(path: str) -> list[Ranking]:
                 grouped[query_id] = []
                 order.append(query_id)
             entries = grouped[query_id]
-            if int(rank_text) != len(entries) + 1:
+            try:
+                rank = int(rank_text)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric rank {rank_text!r} "
+                                 f"for query {query_id!r}") from None
+            if rank != len(entries) + 1:
                 raise ValueError(
                     f"{path}:{lineno}: rank {rank_text} out of order for query {query_id!r}"
                 )
-            entries.append((item_id, float(score_text)))
+            try:
+                entries.append((item_id, float(score_text)))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric score {score_text!r} "
+                                 f"for query {query_id!r}") from None
     if not order:
         raise ValueError(f"{path}: empty ranking file")
     return [Ranking(query_id, tuple(grouped[query_id])) for query_id in order]

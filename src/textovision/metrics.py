@@ -1,6 +1,7 @@
 """Rank-based retrieval metrics: R@K, median/mean rank, mean inverted
-rank, and mean average precision. Stateless and loop-based; pools at
-evaluation scale are small.
+rank, and mean average precision, over ``Ranking`` records. Stateless,
+loop-based and pure Python (no numpy); pools at evaluation scale are
+small.
 
 Metrics are also named: ``r@K`` for any K >= 1, ``medr``, ``meanr``,
 ``mir`` and ``map``. ``parse_metric_names`` checks a comma-separated
@@ -12,7 +13,17 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .retrieval import Ranking
+
+@dataclass(frozen=True)
+class Ranking:
+    """Descending ordering of candidates for one query: all of them, or
+    the best ``L`` under ``rank --top L``."""
+
+    query_id: str
+    entries: tuple[tuple[str, float], ...]
+
+    def item_ids(self) -> list[str]:
+        return [item_id for item_id, _ in self.entries]
 
 
 @dataclass(frozen=True)
@@ -105,8 +116,9 @@ def _metric(name: str) -> Callable[[list[int], Sequence[Ranking], GroundTruth], 
     ranks, the rankings and the ground truth. It is made per call and
     looks up the module's metric functions when it runs, so a replaced
     module attribute (a profiler's wrapper, say) is the one called."""
-    if name.startswith("r@") and name[2:].isdigit() and int(name[2:]) >= 1:
-        return lambda ranks, rankings, truth: recall_at_k(ranks, int(name[2:]))
+    k = _recall_k(name)
+    if k is not None:
+        return lambda ranks, rankings, truth: recall_at_k(ranks, k)
     functions = {
         "medr": lambda ranks, rankings, truth: median_rank(ranks),
         "meanr": lambda ranks, rankings, truth: mean_rank(ranks),
@@ -116,6 +128,13 @@ def _metric(name: str) -> Callable[[list[int], Sequence[Ranking], GroundTruth], 
     if name not in functions:
         raise ValueError(f"unknown metric name {name!r}")
     return functions[name]
+
+
+def _recall_k(name: str) -> int | None:
+    """K of a metric named ``r@K``; None for any other name."""
+    if name.startswith("r@") and name[2:].isdigit() and int(name[2:]) >= 1:
+        return int(name[2:])
+    return None
 
 
 def parse_metric_names(text: str) -> list[str]:
@@ -130,9 +149,32 @@ def parse_metric_names(text: str) -> list[str]:
 
 
 def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTruth) -> list[float]:
-    """The value of each named metric over ``rankings``, in ``names`` order."""
-    ranks = [first_relevant_rank(r, truth) for r in rankings]
-    return [_metric(name)(ranks, rankings, truth) for name in names]
+    """The value of each named metric over ``rankings``, in ``names`` order.
+
+    A ranking of length L may hold none of its query's relevant items, as
+    after ``rank --top L``. Such a query counts as a miss for ``r@K`` with
+    K <= L; any other metric of it is undefined and raises ``ValueError``.
+    """
+    functions = [_metric(name) for name in names]
+    ranks, missed = [], []
+    for ranking in rankings:
+        try:
+            ranks.append(first_relevant_rank(ranking, truth))
+        except ValueError:
+            if ranking.query_id not in truth.relevance:
+                raise
+            missed.append(ranking)
+            ranks.append(len(ranking.entries) + 1)  # past its end: a miss for every K <= L
+    shortest = min(missed, key=lambda r: len(r.entries), default=None)
+    for name in names:
+        k = _recall_k(name)
+        if shortest is not None and (k is None or k > len(shortest.entries)):
+            raise ValueError(
+                f"{name} is undefined for query {shortest.query_id!r}: none of its relevant "
+                f"items is among its {len(shortest.entries)} ranked items "
+                f"(the ranking may be truncated, as by rank --top)"
+            )
+    return [function(ranks, rankings, truth) for function in functions]
 
 
 def _check_ranks(ranks: Sequence[int]) -> None:

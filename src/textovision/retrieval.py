@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import Ranking
+
 
 @dataclass(frozen=True, eq=False)
 class Features:
@@ -34,17 +36,6 @@ class Features:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class Ranking:
-    """Full descending ordering of candidates for one query."""
-
-    query_id: str
-    entries: tuple[tuple[str, float], ...]
-
-    def item_ids(self) -> list[str]:
-        return [item_id for item_id, _ in self.entries]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: maximal runs of letters/digits; underscore and everything else separates
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -103,6 +104,8 @@ class TermIndex:
 
     def vectorize(self, sentence: Sentence) -> np.ndarray:
         """Count occurrences of each indexed term; unknown terms contribute nothing."""
+        import numpy as np
+
         values = np.zeros(self.dim, dtype=np.float64)
         hits = 0
         for term in self._terms(sentence.text):
@@ -138,6 +141,8 @@ class WordEmbeddingTable:
         denominator, so a sentence with a single known word maps exactly
         to that word's embedding.
         """
+        import numpy as np
+
         total = np.zeros(self.dim, dtype=np.float64)
         count = 0
         for token in tokenize(sentence.text):
@@ -176,6 +181,8 @@ def load_embeddings(source: Union[str, TextIO]) -> WordEmbeddingTable:
 
 
 def _parse_embeddings(fh: TextIO) -> WordEmbeddingTable:
+    import numpy as np
+
     header = fh.readline()
     fields = header.split()
     if len(fields) != 2:

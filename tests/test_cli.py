@@ -265,6 +265,19 @@ class TestEncode:
         assert "skipped 1" in err
         assert len(formats.read_features(str(out))) == 1
 
+    def test_sentence_id_with_whitespace_is_data_error(self, tmp_path, capsys, trained):
+        # a feature file splits on whitespace: 'apple 1#0' would come back
+        # from the encoded file as a row 'apple' with one value too many
+        _, model = trained
+        sentences = tmp_path / "spaced.tsv"
+        sentences.write_text("apple#0\talpha beta\napple 1#0\talpha gamma\n", encoding="utf-8")
+        out = tmp_path / "enc.feat"
+        assert main(["encode", "--model", model, "--sentences", str(sentences),
+                     "--out", str(out)]) == 2
+        assert (f"{sentences}:2: sentence id 'apple 1#0' contains whitespace"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_corrupt_model_is_data_error(self, tmp_path, capsys, trained):
         paths, _ = trained
         broken = tmp_path / "broken.bin"
@@ -501,6 +514,53 @@ class TestEvaluate:
         gt_path.write_text("qa\tqa-rel\n", encoding="utf-8")
         assert main(["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path)]) == 2
 
+    @pytest.mark.parametrize("field, line", [
+        ("rank 'x' for query 'qa'", "qa\tjunka02\tx\t0.980000"),
+        ("score 'zz' for query 'qa'", "qa\tjunka02\t2\tzz"),
+    ])
+    def test_non_numeric_ranking_field_is_data_error_naming_the_line(self, tmp_path, capsys,
+                                                                      field, line):
+        rank_path, gt_path = self.write_fixture(tmp_path)
+        lines = (tmp_path / "rank.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = line + "\n"
+        (tmp_path / "rank.tsv").write_text("".join(lines), encoding="utf-8")
+        assert main(["evaluate", "--rankings", rank_path, "--ground-truth", gt_path]) == 2
+        assert f"{rank_path}:2: non-numeric {field}\n" in capsys.readouterr().err
+
+    def test_repeated_ground_truth_pair_is_data_error(self, tmp_path, capsys):
+        rank_path, _ = self.write_fixture(tmp_path)
+        gt_path = tmp_path / "gt2.tsv"
+        gt_path.write_text("qa\tqa-rel\nqb\tqb-rel\nqc\tqc-rel\nqd\tqd-rel\n"
+                           "qb\tjunkb01\nqb\tqb-rel\n", encoding="utf-8")
+        assert main(["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path)]) == 2
+        assert f"{gt_path}:6: duplicate pair ('qb', 'qb-rel')" in capsys.readouterr().err
+        # several distinct relevant items per query stay allowed
+        gt_path.write_text(gt_path.read_text(encoding="utf-8").rsplit("qb\t", 1)[0],
+                           encoding="utf-8")
+        assert main(["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path),
+                     "--metrics", "r@1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "r@1\t50.0"
+
+    def test_top_truncated_ranking(self, tmp_path, capsys):
+        # each item ranks itself first, so under --top 1 'c' never sees 'a'
+        items = tmp_path / "items.feat"
+        formats.write_features(str(items), table({"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0],
+                                                  "c": [0.0, 0.0, 1.0]}))
+        rank_path = str(tmp_path / "rank.tsv")
+        assert main(["rank", "--queries", str(items), "--items", str(items), "--top", "1",
+                     "--out", rank_path]) == 0
+        gt_path = tmp_path / "gt.tsv"
+        gt_path.write_text("a\ta\nb\tb\nc\ta\n", encoding="utf-8")
+        args = ["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path)]
+        assert main([*args, "--metrics", "r@1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"r@1\t{100.0 * 2 / 3!r}"
+        for name in ("r@2", "medr", "meanr", "mir", "map"):
+            assert main([*args, "--metrics", f"r@1,{name}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{name} is undefined for query 'c'" in captured.err
+            assert "may be truncated" in captured.err
+
 
 class TestVectorizerBackends:
     def embeddings_file(self, tmp_path):
@@ -583,6 +643,57 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "evaluate" in proc.stdout
+
+
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter with this checkout's package on
+    the path; its last line of standard output."""
+    import os
+    import subprocess
+    import sys
+
+    import textovision
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(textovision.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+class TestImportGraph:
+    """``evaluate`` and ``build-vocab`` do no array math and never load numpy."""
+
+    MAIN_THEN_REPORT_NUMPY = (
+        "import sys\n"
+        "from textovision.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    def test_evaluate_runs_without_numpy(self, tmp_path):
+        rank_path, gt_path = TestEvaluate().write_fixture(tmp_path)
+        assert run_fresh(self.MAIN_THEN_REPORT_NUMPY, "evaluate", "--rankings", rank_path,
+                         "--ground-truth", gt_path) == "False"
+
+    def test_build_vocab_runs_without_numpy(self, tmp_path):
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("a#0\ta red car\nb#0\tthe blue sky\n", encoding="utf-8")
+        for kind in ("bow", "hashing"):
+            assert run_fresh(self.MAIN_THEN_REPORT_NUMPY, "build-vocab", "--sentences",
+                             str(sentences), "--vectorizer", kind,
+                             "--out", str(tmp_path / "vocab.txt")) == "False"
+
+    def test_ranking_still_loads_numpy(self):
+        code = (
+            "import numpy as np\n"
+            "from textovision.retrieval import Features, Ranking, rank_all\n"
+            "items = Features(['a', 'b'], np.eye(2))\n"
+            "[ranking] = rank_all(Features(['q'], np.array([[0.0, 2.0]])), items)\n"
+            "assert type(ranking) is Ranking, ranking\n"
+            "print(ranking.item_ids())\n"
+        )
+        assert run_fresh(code) == "['b', 'a']"
 
 
 class TestUsageSurface:

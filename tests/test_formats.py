@@ -1,5 +1,6 @@
 import errno
 import math
+import re
 
 import numpy as np
 import oracles
@@ -26,6 +27,16 @@ class TestSentenceFile:
         with pytest.raises(ValueError, match="duplicate"):
             formats.read_sentences(str(path))
 
+    @pytest.mark.parametrize("sid", ["img 1#0", "img\x0b1#0", "img\u00a01#0"])
+    def test_whitespace_in_id_rejected_naming_line(self, tmp_path, sid):
+        # a feature file splits rows on any whitespace, so such an id
+        # could not be read back from the features encode writes
+        path = tmp_path / "s.tsv"
+        path.write_text(f"a#0\tx\n{sid}\ty\n", encoding="utf-8")
+        message = re.escape(f"{path}:2: sentence id {sid!r} contains whitespace")
+        with pytest.raises(ValueError, match=message):
+            formats.read_sentences(str(path))
+
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "s.tsv"
         path.write_text("justtext\n", encoding="utf-8")
@@ -35,8 +46,9 @@ class TestSentenceFile:
     def test_tab_in_text_rejected_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence("a#0", "x\ty")])
-        with pytest.raises(ValueError):
-            formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence("", "x")])
+        for bad_id in ("", "a #0", "a\t#0", "a\n#0"):
+            with pytest.raises(ValueError, match="invalid sentence id"):
+                formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence(bad_id, "x")])
 
 
 class FullDiskFile:

@@ -198,6 +198,34 @@ class TestEvaluate:
         rankings = [ranking("q", "b", "a")]
         assert evaluate(["r@1", "medr", "r@1"], rankings, truth) == [0.0, 2.0, 0.0]
 
+    def truncated(self):
+        """q1 finds its item at rank 2; q2's item is not among its 3 entries,
+        as after ``rank --top 3``."""
+        truth = GroundTruth({"q1": {"a"}, "q2": {"z"}})
+        return [ranking("q1", "b", "a", "c"), ranking("q2", "a", "b", "c")], truth
+
+    def test_truncated_ranking_counts_a_miss_for_r_at_k_within_its_length(self):
+        rankings, truth = self.truncated()
+        assert evaluate(["r@1", "r@2", "r@3"], rankings, truth) == [0.0, 50.0, 50.0]
+
+    @pytest.mark.parametrize("name", ["r@4", "medr", "meanr", "mir", "map"])
+    def test_truncated_ranking_refuses_metrics_it_cannot_decide(self, name):
+        rankings, truth = self.truncated()
+        with pytest.raises(ValueError, match=f"{name} is undefined for query 'q2': .* among "
+                                             f"its 3 ranked items .*may be truncated"):
+            evaluate(["r@1", name], rankings, truth)
+
+    def test_shortest_truncated_ranking_decides(self):
+        truth = GroundTruth({"q1": {"z"}, "q2": {"z"}})
+        rankings = [ranking("q1", "a", "b", "c"), ranking("q2", "a", "b")]
+        assert evaluate(["r@2"], rankings, truth) == [0.0]
+        with pytest.raises(ValueError, match="query 'q2'.* its 2 ranked items"):
+            evaluate(["r@3"], rankings, truth)
+
+    def test_query_absent_from_truth_still_rejected(self):
+        with pytest.raises(ValueError, match="'q' is absent from the ground truth"):
+            evaluate(["r@1"], [ranking("q", "a")], GroundTruth({"other": {"a"}}))
+
     def test_parse_metric_names(self):
         assert parse_metric_names(" r@5, medr ,,map,r@100") == ["r@5", "medr", "map", "r@100"]
         for bad in ("ndcg", "r@0", "r@", "r@x", "MAP"):
