@@ -121,13 +121,13 @@ def _vectorizer_builder(args):
     """Map ``--vectorizer`` to a function that builds that vectorizer from
     the training sentences. A missing ``--embeddings`` is reported here,
     before any file is read."""
-    from . import textvec
+    from . import formats, textvec
 
     if args.vectorizer != "word2vec":
         return lambda sentences: textvec.build_vocab(args.vectorizer, sentences)
     if not args.embeddings:
         raise UsageError("--vectorizer word2vec requires --embeddings")
-    return lambda sentences: textvec.load_embeddings(args.embeddings)
+    return lambda sentences: textvec.WordEmbeddingTable(formats.read_features(args.embeddings))
 
 
 def cmd_build_vocab(args) -> int:

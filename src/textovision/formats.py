@@ -6,8 +6,9 @@ Floats are written with ``repr`` (shortest round-tripping form, up to 17
 significant digits), so write-then-read reproduces values exactly.
 Ranking scores are the one deliberate exception: they are printed with
 six decimal digits. A feature file reads into, and is written from, one
-``retrieval.Features`` table. Feature and ranking files are written
-atomically: a failed write leaves any earlier file at the path intact.
+``retrieval.Features`` table; so is an embedding file, whose ids are
+words. Feature, ranking and (through ``atomic_open``) model files are
+written atomically: a failed write leaves any earlier file intact.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ if TYPE_CHECKING:
 
 
 @contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text file at ``<path>.<pid>.tmp`` that replaces ``path`` once the
-    block completes; on any failure it is removed and ``path`` untouched."""
+def atomic_open(path: str, mode: str = "w"):
+    """A file at ``<path>.<pid>.tmp`` (UTF-8 text, or binary for ``"wb"``)
+    that replaces ``path`` once the block completes; on any failure it is
+    removed and ``path`` untouched."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -65,16 +67,6 @@ def read_sentences(path: str) -> list[Sentence]:
             seen.add(sid)
             sentences.append(Sentence(sid, text))
     return sentences
-
-
-def write_sentences(path: str, sentences: Sequence[Sentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in sentences:
-            if s.id.split() != [s.id]:
-                raise ValueError(f"invalid sentence id {s.id!r}")
-            if "\t" in s.text or "\n" in s.text:
-                raise ValueError(f"sentence {s.id!r}: text must not contain tabs or newlines")
-            fh.write(f"{s.id}\t{s.text}\n")
 
 
 # -- feature files: header "<count> <dim>", rows "<id> v1 ... v_dim" ------
@@ -153,23 +145,13 @@ def write_features(path: str, features: Features) -> None:
     """Write ``features`` atomically, each value as its ``repr``."""
     if not len(features):
         raise ValueError("refusing to write an empty feature file")
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         fh.write(f"{len(features)} {features.dim}\n")
         for item_id, row in zip(features.ids, features.matrix):
             fh.write(f"{item_id} {' '.join(map(repr, row.tolist()))}\n")
 
 
 # -- vocabulary / trigram listings: one entry per line, index order -------
-
-
-def read_word_list(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        entries = [line.rstrip("\n") for line in fh]
-    while entries and entries[-1] == "":
-        entries.pop()
-    if not entries:
-        raise ValueError(f"{path}: empty vocabulary file")
-    return entries
 
 
 def write_word_list(path: str, entries: Sequence[str]) -> None:
@@ -220,7 +202,7 @@ def item_id_of(member_id: str) -> str:
 
 def write_ranking(path: str, rankings: Sequence[Ranking], top: int | None = None) -> None:
     """Write ``rankings`` atomically, at most ``top`` entries per query."""
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         for ranking in rankings:
             entries = ranking.entries if top is None else ranking.entries[:top]
             for rank, (item_id, score) in enumerate(entries, start=1):
@@ -228,8 +210,9 @@ def write_ranking(path: str, rankings: Sequence[Ranking], top: int | None = None
 
 
 def read_ranking(path: str) -> list[Ranking]:
+    """One ``Ranking`` per query, in order of first appearance. A bad line,
+    out-of-order rank or item ranked twice for a query names its line."""
     grouped: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -239,10 +222,7 @@ def read_ranking(path: str) -> list[Ranking]:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             query_id, item_id, rank_text, score_text = fields
-            if query_id not in grouped:
-                grouped[query_id] = []
-                order.append(query_id)
-            entries = grouped[query_id]
+            entries = grouped.setdefault(query_id, [])
             try:
                 rank = int(rank_text)
             except ValueError:
@@ -257,9 +237,25 @@ def read_ranking(path: str) -> list[Ranking]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric score {score_text!r} "
                                  f"for query {query_id!r}") from None
-    if not order:
+    if not grouped:
         raise ValueError(f"{path}: empty ranking file")
-    return [Ranking(query_id, tuple(grouped[query_id])) for query_id in order]
+    if any(len(dict(entries)) != len(entries) for entries in grouped.values()):
+        raise _repeated_item_error(path)
+    return [Ranking(query_id, tuple(entries)) for query_id, entries in grouped.items()]
+
+
+def _repeated_item_error(path: str) -> ValueError:
+    """The error naming the first line of a ranking file that ranks an
+    item a second time for its query."""
+    seen: set[tuple[str, ...]] = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            key = tuple(line.split("\t", 2)[:2])
+            if key in seen and len(key) == 2:  # a blank line gives a 1-tuple
+                return ValueError(f"{path}:{lineno}: item {key[1]!r} ranked twice "
+                                  f"for query {key[0]!r}")
+            seen.add(key)
+    return ValueError(f"{path}: an item is ranked twice for one query")
 
 
 # -- training history: "epoch\ttrain_loss\tval_loss" ----------------------

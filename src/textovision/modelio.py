@@ -10,20 +10,20 @@ A term index's payload is its 64-bit term count and terms; an embedding
 table's is its 64-bit dim and word count, the words, and the embedding
 matrix as 64-bit floats with rows in sorted word order, so identical
 tables serialize identically. Strings are length-prefixed (64-bit)
-UTF-8.
+UTF-8. A loaded model's arrays are read-only views of the file's bytes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import struct
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from .formats import atomic_open
 from .neuralnet import NetworkParams
+from .retrieval import Features
 from .textvec import TERM_KINDS, TermIndex, WordEmbeddingTable
 
 MAGIC = b"W2VV"
@@ -42,31 +42,21 @@ class TrainedModel:
 
 
 def save_model(path: str, model: TrainedModel) -> None:
-    """Write ``model`` to ``path`` atomically.
-
-    The payload streams into a temporary file beside ``path``, which
-    then replaces it, so a failed write leaves any earlier file intact.
-    """
+    """Write ``model`` to ``path`` atomically: a failed write leaves any
+    earlier file intact."""
     kind = model.vectorizer.kind
     if kind not in _KIND_TAGS:
         raise ValueError(f"unknown vectorizer kind {kind!r}")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[kind]))
-            fh.write(_pack_vectorizer(model.vectorizer))
-            fh.write(struct.pack("<Q", len(model.params)))
-            for weight, bias in model.params:
-                rows, cols = weight.shape
-                fh.write(struct.pack("<QQ", rows, cols))
-                fh.write(np.ascontiguousarray(weight, dtype="<f8"))
-                fh.write(np.ascontiguousarray(bias, dtype="<f8"))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[kind]))
+        fh.write(_pack_vectorizer(model.vectorizer))
+        fh.write(struct.pack("<Q", len(model.params)))
+        for weight, bias in model.params:
+            rows, cols = weight.shape
+            fh.write(struct.pack("<QQ", rows, cols))
+            fh.write(np.ascontiguousarray(weight, dtype="<f8"))
+            fh.write(np.ascontiguousarray(bias, dtype="<f8"))
 
 
 def load_model(path: str) -> TrainedModel:
@@ -88,7 +78,7 @@ def load_model(path: str) -> TrainedModel:
         rows, cols = struct.unpack("<QQ", reader.take(16))
         weight = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         bias = np.frombuffer(reader.take(rows * 8), dtype="<f8")
-        params.append((weight.astype(np.float64), bias.astype(np.float64)))
+        params.append((weight, bias))
     if not params:
         raise ValueError(f"{path}: model has no layers")
     reader.expect_end()
@@ -149,6 +139,8 @@ def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbed
         (count,) = struct.unpack("<Q", reader.take(8))
         return TermIndex(kind, [_unpack_string(reader) for _ in range(count)])
     dim, count = struct.unpack("<QQ", reader.take(16))
+    if not (count and dim):
+        raise ValueError(f"{reader.path}: embedding table declares {count} words of dim {dim}")
     words = [_unpack_string(reader) for _ in range(count)]
     matrix = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
-    return WordEmbeddingTable(dim, {w: matrix[i].astype(np.float64) for i, w in enumerate(words)})
+    return WordEmbeddingTable(Features(words, matrix))

@@ -9,8 +9,9 @@ from seeded ``numpy.random.Generator`` streams, so a (seed, data,
 config) triple fully determines parameters, masks, shuffles and the
 loss history.
 
-``train`` takes input and target matrices, one row per example, and
-``encode`` maps an input matrix to a matrix of predicted features.
+``train`` takes input and target matrices, one row per example.
+``encode`` maps an input matrix to a matrix of predicted features; it
+only reads its params (a loaded model's arrays are read-only).
 ``rmsprop_step`` mutates the ``params`` and ``state`` it is given and
 only reads ``grads``. ``EarlyStopping`` keeps a copy of the best
 epoch's parameters, so later in-place steps never change what
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -309,7 +310,6 @@ def train(
     t_val: np.ndarray,
     net_cfg: NetworkConfig,
     opt_cfg: OptimizerConfig,
-    val_metric_fn: Optional[Callable[[NetworkParams], float]] = None,
 ) -> TrainResult:
     """Mini-batch RMSprop training with early stopping.
 
@@ -319,12 +319,8 @@ def train(
     steps once per mini-batch (the last batch may be smaller), then
     scores the validation set in inference mode. The parameters of the
     best validation epoch are returned together with the full per-epoch
-    (train loss, validation loss) history.
-
-    ``val_metric_fn`` may replace the monitored quantity (lower is
-    better); the recorded ``val_loss`` column then holds that metric.
-    A non-finite training or validation loss raises ``ValueError``
-    naming the epoch.
+    (train loss, validation loss) history. A non-finite training or
+    validation loss raises ``ValueError`` naming the epoch.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
@@ -350,11 +346,6 @@ def train(
     history: list[EpochStats] = []
     n = x_train.shape[0]
 
-    def validation_loss(p: NetworkParams) -> float:
-        if val_metric_fn is not None:
-            return float(val_metric_fn(p))
-        return mse_loss(forward(p, x_val).output, t_val)
-
     # a diverging run overflows long before the epoch ends; the finite-loss
     # check below reports it, so numpy's own warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -375,7 +366,7 @@ def train(
                 params, state = rmsprop_step(params, grads, state, opt_cfg)
 
             train_loss = loss_sum / n
-            val_loss = validation_loss(params)
+            val_loss = mse_loss(forward(params, x_val).output, t_val)
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise ValueError(
                     f"epoch {epoch}: non-finite loss (train {train_loss!r}, "

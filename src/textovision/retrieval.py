@@ -38,19 +38,6 @@ class Features:
         return self.matrix.shape[1]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|); undefined (and rejected) for zero-norm inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero vectors")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def rank_all(queries: Features, candidates: Features) -> list[Ranking]:
     """One full cosine Ranking of ``candidates`` per query, in query order.
 

@@ -2,23 +2,26 @@
 word-embedding mean pooling.
 
 A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
-``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``, read by
-``load_embeddings``). Each knows its ``kind`` and ``dim``, and its
-``vectorize`` turns a ``Sentence`` into a float64 row, raising
-``ValueError`` naming the sentence when none of its terms is known.
-Vectorizers are immutable after construction and safe for concurrent
-read-only use. Term lists are kept sorted by byte order so that
-serialized vocabularies are identical across platforms.
+``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``, built from
+the ``Features`` table ``formats.read_features`` reads from an embedding
+file). Each knows its ``kind`` and ``dim``, and its ``vectorize`` turns
+a ``Sentence`` into a float64 row, raising ``ValueError`` naming the
+sentence when none of its terms is known. Vectorizers are immutable
+after construction and safe for concurrent read-only use. Term lists are
+kept sorted by byte order so that serialized vocabularies are identical
+across platforms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, TextIO, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .retrieval import Features
 
 #: maximal runs of letters/digits; underscore and everything else separates
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -119,20 +122,13 @@ class TermIndex:
 
 
 class WordEmbeddingTable:
-    """Word to dense-vector map with a single fixed dimensionality."""
+    """Word to dense-vector map: ``entries[word]`` is a row view of ``table.matrix``."""
 
     kind = "word2vec"
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray]):
-        if dim < 1:
-            raise ValueError("embedding dimension must be >= 1")
-        if not entries:
-            raise ValueError("embedding table is empty")
-        for word, vec in entries.items():
-            if vec.shape != (dim,):
-                raise ValueError(f"embedding for {word!r} has length {vec.shape[0]}, expected {dim}")
-        self.dim = dim
-        self.entries = entries
+    def __init__(self, table: Features):
+        self.dim = table.dim
+        self.entries: dict[str, np.ndarray] = dict(zip(table.ids, table.matrix))
 
     def vectorize(self, sentence: Sentence) -> np.ndarray:
         """Mean-pool the embeddings of in-table tokens.
@@ -166,50 +162,3 @@ def build_vocab(kind: str, sentences: Sequence[Sentence]) -> TermIndex:
     if not seen:
         raise ValueError(f"no token survived tokenization; {noun} would be empty")
     return TermIndex(kind, sorted(seen))
-
-
-def load_embeddings(source: Union[str, TextIO]) -> WordEmbeddingTable:
-    """Parse a word2vec-style text file.
-
-    Line 1 is ``"<count> <dim>"``; each following line is a word followed
-    by ``dim`` decimal floats, all space separated.
-    """
-    if hasattr(source, "read"):
-        return _parse_embeddings(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return _parse_embeddings(fh)
-
-
-def _parse_embeddings(fh: TextIO) -> WordEmbeddingTable:
-    import numpy as np
-
-    header = fh.readline()
-    fields = header.split()
-    if len(fields) != 2:
-        raise ValueError(f"malformed embedding header: {header.strip()!r}")
-    try:
-        count, dim = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise ValueError(f"malformed embedding header: {header.strip()!r}") from None
-    if count < 1 or dim < 1:
-        raise ValueError(f"embedding header must declare positive count and dim, got {count} {dim}")
-
-    entries: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(fh, start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        word = parts[0]
-        if len(parts) - 1 != dim:
-            raise ValueError(
-                f"line {lineno}: embedding for {word!r} has {len(parts) - 1} values, expected {dim}"
-            )
-        if word in entries:
-            raise ValueError(f"line {lineno}: duplicate word {word!r}")
-        vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"line {lineno}: embedding for {word!r} has a non-finite value")
-        entries[word] = vec
-    if len(entries) != count:
-        raise ValueError(f"header declares {count} entries but file has {len(entries)}")
-    return WordEmbeddingTable(dim, entries)

@@ -68,6 +68,12 @@ class SyntheticCorpus:
         return centroid / np.linalg.norm(centroid)
 
 
+def write_sentences(path, sentences) -> None:
+    """Write a sentence file: one ``<id>\t<text>`` line per sentence."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{s.id}\t{s.text}\n" for s in sentences)
+
+
 def _mix_sentence(rng, cluster_words, clusters, sid):
     words = []
     for cluster in clusters:

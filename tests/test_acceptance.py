@@ -244,10 +244,10 @@ def _run_cli_pipeline(workdir):
     query_feats = str(workdir / "queries.feat")
     gt = str(workdir / "gt.tsv")
 
-    formats.write_sentences(train_s, corpus.train_sentences)
-    formats.write_sentences(val_s, corpus.val_sentences)
+    synthdata.write_sentences(train_s, corpus.train_sentences)
+    synthdata.write_sentences(val_s, corpus.val_sentences)
     pool = corpus.test_sentences + corpus.distractor_sentences
-    formats.write_sentences(pool_s, pool)
+    synthdata.write_sentences(pool_s, pool)
     formats.write_features(
         item_feats, _table(corpus.item_ids, [corpus.targets[i] for i in corpus.item_ids])
     )

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from synthdata import write_sentences
 
 from textovision import formats
 from textovision.cli import main
@@ -44,8 +45,8 @@ def write_corpus(dirpath):
         "val_sentences": str(dirpath / "val.tsv"),
         "features": str(dirpath / "items.feat"),
     }
-    formats.write_sentences(paths["train_sentences"], train)
-    formats.write_sentences(paths["val_sentences"], val)
+    write_sentences(paths["train_sentences"], train)
+    write_sentences(paths["val_sentences"], val)
     formats.write_features(paths["features"], table(ITEM_TARGETS))
     return paths
 
@@ -178,8 +179,6 @@ class TestTrain:
 
     def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
                                                                monkeypatch):
-        from textovision import modelio
-
         class FullDiskFile:
             """Opens the real file, then fails every write as a full disk does."""
 
@@ -195,12 +194,17 @@ class TestTrain:
             def __exit__(self, *exc):
                 self.fh.close()
 
+        def open_full_disk(file, mode="r", **kwargs):
+            """The real ``open`` for reading; for writing, a full disk."""
+            return (FullDiskFile if "w" in mode else open)(file, mode, **kwargs)
+
         paths = write_corpus(tmp_path)
         model = tmp_path / "m.bin"
         assert main(train_args(paths, str(model))) == 0
         earlier = model.read_bytes()
         files = sorted(tmp_path.iterdir())
-        monkeypatch.setattr(modelio, "open", FullDiskFile, raising=False)
+        # models are written through the atomic writer of formats
+        monkeypatch.setattr(formats, "open", open_full_disk, raising=False)
         assert main(train_args(paths, str(model), ["--seed", "6"])) == 2
         assert "No space left" in capsys.readouterr().err
         assert model.read_bytes() == earlier
@@ -308,6 +312,24 @@ class TestEncode:
                      "--out", str(tmp_path / "o.feat")]) == code
         assert message in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("dim, words", [(2, []), (0, ["dog"])])
+    def test_empty_embedding_table_is_data_error(self, tmp_path, capsys, dim, words):
+        # a hand-built word2vec model whose table has no word, or no dimension
+        raw = [b"W2VV", struct.pack("<BBQQ", 1, 2, dim, len(words))]
+        raw += [struct.pack("<Q", len(w)) + w.encode() for w in words]
+        raw.append(struct.pack("<QQQ", 1, 2, dim) + bytes(8 * (2 * dim + 2)))
+        model = tmp_path / "empty.bin"
+        model.write_bytes(b"".join(raw))
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("s#0\tdog\n", encoding="utf-8")
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(tmp_path / "o.feat")]) == 2
+        assert capsys.readouterr().err == (
+            f"textovision: error: {model}: embedding table declares {len(words)} words "
+            f"of dim {dim}\n"
+        )
+        assert not (tmp_path / "o.feat").exists()
 
     def test_all_zero_predictions_counted(self, tmp_path, capsys):
         # a hand-built bow model whose every weight and bias is zero
@@ -526,6 +548,26 @@ class TestEvaluate:
         (tmp_path / "rank.tsv").write_text("".join(lines), encoding="utf-8")
         assert main(["evaluate", "--rankings", rank_path, "--ground-truth", gt_path]) == 2
         assert f"{rank_path}:2: non-numeric {field}\n" in capsys.readouterr().err
+
+    def test_item_ranked_twice_for_a_query_is_data_error_naming_the_line(self, tmp_path,
+                                                                          capsys):
+        # counted twice, the relevant 'a' of 'x, a, a' would give map 0.583, not 0.5;
+        # one item under two queries, interleaved lines and a blank line stay allowed
+        rank_path = tmp_path / "rank.tsv"
+        rank_path.write_text("p\ta\t1\t0.9\nq\tx\t1\t0.9\n\nq\ta\t2\t0.8\np\tx\t2\t0.7\n"
+                             "q\ta\t3\t0.7\n", encoding="utf-8")
+        gt_path = tmp_path / "gt.tsv"
+        gt_path.write_text("p\ta\nq\ta\n", encoding="utf-8")
+        args = ["evaluate", "--rankings", str(rank_path), "--ground-truth", str(gt_path),
+                "--metrics", "map"]
+        assert main(args) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: {rank_path}:6: item 'a' ranked twice for query 'q'\n"
+        )
+        rank_path.write_text(rank_path.read_text(encoding="utf-8").rsplit("q\t", 1)[0],
+                             encoding="utf-8")
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "map\t0.75"
 
     def test_repeated_ground_truth_pair_is_data_error(self, tmp_path, capsys):
         rank_path, _ = self.write_fixture(tmp_path)

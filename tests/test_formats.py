@@ -5,6 +5,7 @@ import re
 import numpy as np
 import oracles
 import pytest
+import synthdata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ class TestSentenceFile:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "s.tsv")
         sentences = [Sentence("img1#0", "A dog leaps."), Sentence("img1#1", "")]
-        formats.write_sentences(path, sentences)
+        synthdata.write_sentences(path, sentences)
         assert formats.read_sentences(path) == sentences
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -43,12 +44,19 @@ class TestSentenceFile:
         with pytest.raises(ValueError):
             formats.read_sentences(str(path))
 
-    def test_tab_in_text_rejected_on_write(self, tmp_path):
-        with pytest.raises(ValueError):
-            formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence("a#0", "x\ty")])
-        for bad_id in ("", "a #0", "a\t#0", "a\n#0"):
-            with pytest.raises(ValueError, match="invalid sentence id"):
-                formats.write_sentences(str(tmp_path / "s.tsv"), [Sentence(bad_id, "x")])
+    def test_tab_in_text_or_bad_id_rejected_on_read(self, tmp_path):
+        # what a sentence line holds is checked where a file is read
+        path = tmp_path / "s.tsv"
+        for sid, text, message in [
+            ("a#0", "x\ty", "text field contains a tab"),
+            ("", "x", "empty sentence id"),
+            ("a #0", "x", "sentence id 'a #0' contains whitespace"),
+            ("a\t#0", "x", "text field contains a tab"),
+            ("a\n#0", "x", "expected '<sentence_id>\\t<text>'"),
+        ]:
+            synthdata.write_sentences(path, [Sentence("b#0", "y"), Sentence(sid, text)])
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+                formats.read_sentences(str(path))
 
 
 class FullDiskFile:
@@ -210,16 +218,20 @@ class TestFeatureFile:
 
 class TestWordListFile:
     def test_round_trip_in_index_order(self, tmp_path):
-        path = str(tmp_path / "vocab.txt")
-        entries = ["a", "cat", "dog"]
-        formats.write_word_list(path, entries)
-        assert formats.read_word_list(path) == entries
-
-    def test_empty_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(ValueError):
-            formats.read_word_list(str(path))
+        formats.write_word_list(str(path), ["a", "cat", "dog"])
+        assert path.read_text(encoding="utf-8") == "a\ncat\ndog\n"
+
+    def test_empty_rejected(self, tmp_path, capsys):
+        # an empty listing is never written: build-vocab refuses the corpus
+        from textovision.cli import main
+
+        sentences, path = tmp_path / "s.tsv", tmp_path / "vocab.txt"
+        sentences.write_text("a#0\t...\n", encoding="utf-8")
+        assert main(["build-vocab", "--sentences", str(sentences), "--vectorizer", "bow",
+                     "--out", str(path)]) == 2
+        assert "vocabulary would be empty" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestPairsFile:
@@ -306,9 +318,7 @@ class TestModelFile:
             vectorizer = TermIndex(kind, ["#ca", "at#", "cat"])
         else:
             rng = np.random.default_rng(2)
-            vectorizer = WordEmbeddingTable(
-                4, {"dog": rng.normal(size=4), "cat": rng.normal(size=4)}
-            )
+            vectorizer = WordEmbeddingTable(Features(["dog", "cat"], rng.normal(size=(2, 4))))
         params = init_network(NetworkConfig([vectorizer.dim, 5, 2], 0.0), 77)
         return modelio.TrainedModel(vectorizer, params)
 

@@ -414,22 +414,17 @@ class TestTrain:
             nn.train(*overfit_pair(), *overfit_pair(), nn.NetworkConfig([2, 5], 0.0),
                      nn.OptimizerConfig())
 
-    def test_custom_validation_metric_is_monitored(self):
-        calls = []
-
-        def metric(params):
-            calls.append(1)
-            return float(len(calls))  # strictly worsening: stop after patience epochs
-
-        result = nn.train(
-            *overfit_pair(),
-            *overfit_pair(),
-            nn.NetworkConfig([2, 2], 0.0),
-            nn.OptimizerConfig(seed=1, patience=3),
-            val_metric_fn=metric,
-        )
+    def test_patience_counts_epochs_without_a_lower_validation_loss(self):
+        # all-zero inputs: every activation and gradient is zero, so the
+        # parameters never move and the validation loss repeats exactly
+        net_cfg = nn.NetworkConfig([3, 4, 2], 0.2)
+        x, t = np.zeros((6, 3)), np.full((6, 2), 0.5)
+        result = nn.train(x, t, x[:2], t[:2], net_cfg, nn.OptimizerConfig(seed=1, patience=3))
+        assert [stats.val_loss for stats in result.history] == [0.25] * 4
         assert len(result.history) == 4  # epoch 1 improves over inf, then 3 strikes
         assert result.best_epoch == 1
+        for (w, b), (w0, b0) in zip(result.params, nn.init_network(net_cfg, 1)):
+            assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 class TestEncode:

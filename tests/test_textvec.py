@@ -1,17 +1,18 @@
-import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textovision import textvec
+from textovision import formats
+from textovision.retrieval import Features
 from textovision.textvec import (
     Sentence,
     TermIndex,
+    WordEmbeddingTable,
     build_vocab,
     letter_trigrams,
-    load_embeddings,
     tokenize,
 )
 
@@ -220,44 +221,67 @@ class TestVectorizeHashing:
 EMBEDDINGS_2D = "2 2\ndog 1 0\ncat 0 1\n"
 
 
+def load_embeddings(tmp_path, text):
+    """The table ``train --embeddings`` builds from a file holding ``text``."""
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    return WordEmbeddingTable(formats.read_features(str(path)))
+
+
 class TestLoadEmbeddings:
-    def test_parse(self):
-        table = load_embeddings(io.StringIO(EMBEDDINGS_2D))
+    """An embedding file is a feature file whose ids are words, read by
+    ``read_features``: its errors name ``<path>:<line>`` and the word."""
+
+    def raises(self, tmp_path, text, message):
+        path = tmp_path / "emb.txt"
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            load_embeddings(tmp_path, text)
+
+    def test_parse(self, tmp_path):
+        table = load_embeddings(tmp_path, EMBEDDINGS_2D)
         assert table.dim == 2
         assert table.kind == "word2vec"
         assert len(table.entries) == 2
         assert table.entries["dog"].tolist() == [1.0, 0.0]
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="expected 3"):
-            load_embeddings(io.StringIO("1 3\ndog 1 0\n"))
+    def test_length_mismatch(self, tmp_path):
+        self.raises(tmp_path, "1 3\ndog 1 0\n", ":2: row 'dog' has 2 values, expected 3")
 
-    def test_duplicate_word(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            load_embeddings(io.StringIO("2 2\ndog 1 0\ndog 0 1\n"))
+    def test_duplicate_word(self, tmp_path):
+        self.raises(tmp_path, "2 2\ndog 1 0\ndog 0 1\n", ":3: duplicate item id 'dog'")
 
-    def test_malformed_header(self):
-        with pytest.raises(ValueError, match="header"):
-            load_embeddings(io.StringIO("dog 1 0\n"))
+    def test_malformed_header(self, tmp_path):
+        self.raises(tmp_path, "dog 1 0\n", ": malformed feature header")
 
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError, match="declares 3"):
-            load_embeddings(io.StringIO("3 2\ndog 1 0\ncat 0 1\n"))
+    def test_count_mismatch(self, tmp_path):
+        self.raises(tmp_path, "3 2\ndog 1 0\ncat 0 1\n",
+                    ":3: header declares 3 rows but file has 2")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-    def test_non_finite_value_names_line_and_word(self, value):
-        with pytest.raises(ValueError, match="line 3: embedding for 'cat' has a non-finite"):
-            load_embeddings(io.StringIO(f"2 2\ndog 1 0\ncat 0 {value}\n"))
+    def test_non_finite_value_names_line_and_word(self, tmp_path, value):
+        self.raises(tmp_path, f"2 2\ndog 1 0\ncat 0 {value}\n",
+                    ":3: non-finite value in row 'cat'")
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_underscore_and_non_ascii_digits_rejected(self, tmp_path, value):
+        self.raises(tmp_path, f"2 2\ndog 1 0\ncat 0 {value}\n",
+                    ":3: non-numeric value in row 'cat'")
 
     def test_from_path(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text(EMBEDDINGS_2D, encoding="utf-8")
-        assert load_embeddings(str(path)).dim == 2
+        # blank lines are skipped and any whitespace separates values
+        table = load_embeddings(tmp_path, "2 2\n\ndog  1 0\ncat\t0 1\n\n")
+        assert {w: v.tolist() for w, v in table.entries.items()} == {"dog": [1.0, 0.0],
+                                                                     "cat": [0.0, 1.0]}
+
+    def test_entries_are_rows_of_the_table(self):
+        table = Features(["dog", "cat"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        entries = WordEmbeddingTable(table).entries
+        assert all(np.shares_memory(entries[w], table.matrix) for w in ("dog", "cat"))
 
 
 class TestVectorizeW2v:
     def table(self):
-        return load_embeddings(io.StringIO(EMBEDDINGS_2D))
+        return WordEmbeddingTable(Features(["dog", "cat"], np.array([[1.0, 0.0], [0.0, 1.0]])))
 
     def test_arithmetic_mean(self):
         assert self.table().vectorize(sent("dog cat")).tolist() == [0.5, 0.5]
@@ -280,9 +304,7 @@ class TestVectorizeW2v:
     @given(st.lists(st.sampled_from(["dog", "cat", "fish"]), min_size=1, max_size=12))
     def test_output_in_convex_hull(self, sentence_words):
         rng = np.random.default_rng(3)
-        table = textvec.WordEmbeddingTable(
-            4, {w: rng.normal(size=4) for w in ("dog", "cat", "fish")}
-        )
+        table = WordEmbeddingTable(Features(["dog", "cat", "fish"], rng.normal(size=(3, 4))))
         row = table.vectorize(sent(" ".join(sentence_words)))
         used = np.stack([table.entries[w] for w in sentence_words])
         assert np.all(row >= used.min(axis=0) - 1e-12)
