@@ -260,8 +260,7 @@ def cmd_rank(args) -> int:
         raise UsageError("--top must be >= 1")
     queries = formats.read_features(args.queries)
     items = formats.read_features(args.items)
-    rankings = retrieval.rank_all(queries, items)
-    formats.write_ranking(args.out, rankings, top=args.top)
+    formats.write_ranking(args.out, retrieval.rank_all(queries, items, top=args.top))
     return 0
 
 

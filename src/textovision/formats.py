@@ -143,8 +143,8 @@ def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
 
 def write_features(path: str, features: Features) -> None:
     """Write ``features`` atomically, each value as its ``repr``."""
-    if not len(features):
-        raise ValueError("refusing to write an empty feature file")
+    if not (len(features) and features.dim):
+        raise ValueError(f"refusing to write an empty feature file, shape {features.matrix.shape}")
     with atomic_open(path) as fh:
         fh.write(f"{len(features)} {features.dim}\n")
         for item_id, row in zip(features.ids, features.matrix):
@@ -200,19 +200,58 @@ def item_id_of(member_id: str) -> str:
 # -- ranking files: "<query_id>\t<item_id>\t<rank>\t<score>" --------------
 
 
-def write_ranking(path: str, rankings: Sequence[Ranking], top: int | None = None) -> None:
-    """Write ``rankings`` atomically, at most ``top`` entries per query."""
+_BLOCK_LINES = 1 << 16
+
+
+def write_ranking(path: str, rankings: Sequence[Ranking]) -> None:
+    """Write every entry of ``rankings`` atomically, joining at most
+    ``_BLOCK_LINES`` lines at a time from columns of str: query field,
+    item id, rank field (each made once) and ``_score_texts``."""
+    import numpy as np
+
+    longest = max([len(r.item_ids) for r in rankings] + [1])
+    rank_fields = np.array([f"\t{rank}\t" for rank in range(1, longest + 1)], dtype=object)
+    step = max(1, _BLOCK_LINES // longest)
     with atomic_open(path) as fh:
-        for ranking in rankings:
-            entries = ranking.entries if top is None else ranking.entries[:top]
-            for rank, (item_id, score) in enumerate(entries, start=1):
-                fh.write(f"{ranking.query_id}\t{item_id}\t{rank}\t{score:.6f}\n")
+        for batch in (rankings[i : i + step] for i in range(0, len(rankings), step)):
+            lengths = [len(r.item_ids) for r in batch]
+            columns = np.empty((sum(lengths), 6), dtype=object)
+            columns[:, 0] = np.repeat(np.array([f"{r.query_id}\t" for r in batch], object), lengths)
+            columns[:, 1] = np.concatenate([np.asarray(r.item_ids, dtype=object) for r in batch])
+            columns[:, 2] = np.concatenate([rank_fields[:n] for n in lengths])
+            columns[:, 3:] = _score_texts(np.concatenate([r.scores for r in batch], dtype=float))
+            for start in range(0, len(columns), _BLOCK_LINES):
+                fh.write("".join(columns[start : start + _BLOCK_LINES].ravel().tolist()))
+
+
+def _score_texts(scores):
+    """``f"{s:.6f}\\n"`` of each float64 score as three str columns: sign and
+    units ("-0."), three digits, three digits and line end. For |s| < 9 they
+    come from ``np.signbit`` and ``rint(|s| * 1e6)``, correctly rounded unless
+    the product's fraction is within 2**-30 (its error bound) of one half.
+    Those near ties, |s| >= 9, inf and nan go through the f-string."""
+    import numpy as np
+
+    units = np.array([f"{sign}{digit}." for sign in ("", "-") for digit in range(10)], object)
+    triples = np.array([f"{k:03d}" for k in range(1000)], dtype=object)
+    texts = np.empty((len(scores), 3), dtype=object)
+    fast = np.abs(scores) < 9.0
+    scaled = np.abs(scores[fast]) * 1e6
+    clear = np.abs(scaled - np.floor(scaled) - 0.5) > 2.0**-30
+    fast[fast] = clear
+    texts[~fast, 1:] = ""
+    digits = np.rint(scaled[clear]).astype(np.int64)
+    texts[fast, 0] = units[digits // 10**6 + 10 * np.signbit(scores[fast])]
+    texts[fast, 1] = triples[digits // 1000 % 1000]
+    texts[fast, 2] = (triples + "\n")[digits % 1000]
+    texts[~fast, 0] = [f"{s:.6f}\n" for s in scores[~fast].tolist()]
+    return texts
 
 
 def read_ranking(path: str) -> list[Ranking]:
     """One ``Ranking`` per query, in order of first appearance. A bad line,
     out-of-order rank or item ranked twice for a query names its line."""
-    grouped: dict[str, list[tuple[str, float]]] = {}
+    grouped: dict[str, tuple[list[str], list[float]]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -222,26 +261,27 @@ def read_ranking(path: str) -> list[Ranking]:
             if len(fields) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
             query_id, item_id, rank_text, score_text = fields
-            entries = grouped.setdefault(query_id, [])
+            items, scores = grouped.setdefault(query_id, ([], []))
             try:
                 rank = int(rank_text)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric rank {rank_text!r} "
                                  f"for query {query_id!r}") from None
-            if rank != len(entries) + 1:
+            if rank != len(items) + 1:
                 raise ValueError(
                     f"{path}:{lineno}: rank {rank_text} out of order for query {query_id!r}"
                 )
             try:
-                entries.append((item_id, float(score_text)))
+                scores.append(float(score_text))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric score {score_text!r} "
                                  f"for query {query_id!r}") from None
+            items.append(item_id)
     if not grouped:
         raise ValueError(f"{path}: empty ranking file")
-    if any(len(dict(entries)) != len(entries) for entries in grouped.values()):
+    if any(len(set(items)) != len(items) for items, _ in grouped.values()):
         raise _repeated_item_error(path)
-    return [Ranking(query_id, tuple(entries)) for query_id, entries in grouped.items()]
+    return [Ranking(query_id, items, scores) for query_id, (items, scores) in grouped.items()]
 
 
 def _repeated_item_error(path: str) -> ValueError:

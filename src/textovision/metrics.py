@@ -14,16 +14,21 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
-    """Descending ordering of candidates for one query: all of them, or
-    the best ``L`` under ``rank --top L``."""
+    """Descending ordering of candidates for one query (all, or the best ``L``
+    under ``rank --top L``) as two parallel columns: lists when read from a
+    file, numpy rows from ``retrieval.rank_all``; ``==`` compares identity."""
 
     query_id: str
-    entries: tuple[tuple[str, float], ...]
+    item_ids: Sequence[str]
+    scores: Sequence[float]
 
-    def item_ids(self) -> list[str]:
-        return [item_id for item_id, _ in self.entries]
+    @property
+    def entries(self) -> tuple[tuple[str, float], ...]:
+        """``(item_id, score)`` pairs, built on each access; only
+        ``perfbench/tracer.py`` reads them, to count ranking lines."""
+        return tuple(zip(self.item_ids, self.scores))
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,22 @@ class GroundTruth:
         return cls(relevance)
 
 
-def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
-    """1-based position of the highest-ranked relevant item."""
+def _relevant_positions(ranking: Ranking, truth: GroundTruth):
+    """1-based positions of the query's relevant items, best first; at least one."""
     relevant = truth.relevance.get(ranking.query_id)
     if relevant is None:
         raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
-    for pos, (item_id, _) in enumerate(ranking.entries, start=1):
-        if item_id in relevant:
-            return pos
-    raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
+    positions = (pos for pos, item_id in enumerate(ranking.item_ids, 1) if item_id in relevant)
+    first = next(positions, None)
+    if first is None:
+        raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
+    yield first
+    yield from positions
+
+
+def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
+    """1-based position of the highest-ranked relevant item."""
+    return next(_relevant_positions(ranking, truth))
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -91,18 +103,8 @@ def average_precision(ranking: Ranking, truth: GroundTruth) -> float:
     Only relevant items present in the ranking contribute; the ranking
     must contain at least one.
     """
-    relevant = truth.relevance.get(ranking.query_id)
-    if relevant is None:
-        raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
-    hits = 0
-    precisions = []
-    for pos, (item_id, _) in enumerate(ranking.entries, start=1):
-        if item_id in relevant:
-            hits += 1
-            precisions.append(hits / pos)
-    if not precisions:
-        raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
-    return statistics.fmean(precisions)
+    positions = _relevant_positions(ranking, truth)
+    return statistics.fmean(hits / pos for hits, pos in enumerate(positions, start=1))
 
 
 def mean_average_precision(rankings: Sequence[Ranking], truth: GroundTruth) -> float:
@@ -164,14 +166,14 @@ def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTru
             if ranking.query_id not in truth.relevance:
                 raise
             missed.append(ranking)
-            ranks.append(len(ranking.entries) + 1)  # past its end: a miss for every K <= L
-    shortest = min(missed, key=lambda r: len(r.entries), default=None)
+            ranks.append(len(ranking.item_ids) + 1)  # past its end: a miss for every K <= L
+    shortest = min(missed, key=lambda r: len(r.item_ids), default=None)
     for name in names:
         k = _recall_k(name)
-        if shortest is not None and (k is None or k > len(shortest.entries)):
+        if shortest is not None and (k is None or k > len(shortest.item_ids)):
             raise ValueError(
                 f"{name} is undefined for query {shortest.query_id!r}: none of its relevant "
-                f"items is among its {len(shortest.entries)} ranked items "
+                f"items is among its {len(shortest.item_ids)} ranked items "
                 f"(the ranking may be truncated, as by rank --top)"
             )
     return [function(ranks, rankings, truth) for function in functions]

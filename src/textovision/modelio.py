@@ -74,8 +74,10 @@ def load_model(path: str) -> TrainedModel:
 
     (layer_count,) = struct.unpack("<Q", reader.take(8))
     params: NetworkParams = []
-    for _ in range(layer_count):
+    for number in range(1, layer_count + 1):
         rows, cols = struct.unpack("<QQ", reader.take(16))
+        if not (rows and cols):
+            raise ValueError(f"{path}: layer {number} has {rows} rows and {cols} cols")
         weight = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
         bias = np.frombuffer(reader.take(rows * 8), dtype="<f8")
         params.append((weight, bias))
@@ -142,5 +144,7 @@ def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbed
     if not (count and dim):
         raise ValueError(f"{reader.path}: embedding table declares {count} words of dim {dim}")
     words = [_unpack_string(reader) for _ in range(count)]
+    if any(a >= b for a, b in zip(words, words[1:])):
+        raise ValueError(f"{reader.path}: embedding table words are not unique and sorted")
     matrix = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
     return WordEmbeddingTable(Features(words, matrix))

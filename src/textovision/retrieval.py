@@ -38,14 +38,12 @@ class Features:
         return self.matrix.shape[1]
 
 
-def rank_all(queries: Features, candidates: Features) -> list[Ranking]:
-    """One full cosine Ranking of ``candidates`` per query, in query order.
-
-    Each query is scored by one matrix-vector product. Its order is by
-    descending score, then ascending id: ``np.lexsort`` on the negated
-    scores and each id's position in ``sorted(ids)``, the same order as
-    sorting on ``(-score, id)`` (``-0.0`` and ``0.0`` tie).
-    """
+def rank_all(queries: Features, candidates: Features, top: int | None = None) -> list[Ranking]:
+    """One cosine Ranking of ``candidates`` per query, in query order: all, or
+    the best ``top``, by descending score, then ascending id (``-0.0`` ties
+    ``0.0``). One gemv per query fills its row of one score matrix. Equal
+    scores are ordered by ``np.lexsort`` on negated score and id rank; under
+    ``top`` it sees only scores >= the row's ``top``-th best (``np.partition``)."""
     if not len(candidates):
         raise ValueError("candidate list is empty")
     if len(queries) and queries.dim != candidates.dim:
@@ -62,15 +60,25 @@ def rank_all(queries: Features, candidates: Features) -> list[Ranking]:
         ids = np.array(candidates.ids, dtype=object)
         id_rank = np.argsort(np.argsort(ids, kind="stable"))
 
-        rankings = []
-        for query_id, q in zip(queries.ids, queries.matrix):
+        scores = np.empty((len(queries), len(candidates)))
+        for row, query_id, q in zip(scores, queries.ids, queries.matrix):
             qn = np.linalg.norm(q)
             if qn == 0.0:
                 raise ValueError(f"query {query_id!r} is a zero vector")
-            scores = (matrix @ q) / (norms * qn)
-            if not np.isfinite(scores).all():
+            np.divide(matrix @ q, norms * qn, out=row)
+            if not np.isfinite(row).all():
                 raise ValueError(f"query {query_id!r}: cosine scores overflow (values too large)")
-            order = np.lexsort((id_rank, -scores))
-            entries = zip(ids[order].tolist(), scores[order].tolist())
-            rankings.append(Ranking(query_id, tuple(entries)))
-        return rankings
+    if top is None or top >= len(candidates):
+        order = np.argsort(-scores, axis=1)  # equal scores in any order: redone below
+        ranked = np.take_along_axis(scores, order, axis=1)
+        for row in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+            order[row] = np.lexsort((id_rank, -scores[row]))
+            ranked[row] = scores[row, order[row]]
+    else:
+        kth = np.partition(scores, -top, axis=1)[:, -top]
+        rows, cols = np.nonzero(scores >= kth[:, None])
+        kept = np.lexsort((id_rank[cols], -scores[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(len(queries)))
+        order = cols[kept][starts[:, None] + np.arange(top)]
+        ranked = np.take_along_axis(scores, order, axis=1)
+    return [Ranking(q, i, s) for q, i, s in zip(queries.ids, ids[order], ranked)]

@@ -209,7 +209,8 @@ def _rank_one(
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i].item_id))
     return Ranking(
         query_id=query.item_id,
-        entries=tuple((candidates[i].item_id, float(scores[i])) for i in order),
+        item_ids=[candidates[i].item_id for i in order],
+        scores=[float(scores[i]) for i in order],
     )
 
 

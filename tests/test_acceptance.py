@@ -200,7 +200,7 @@ def test_criterion_6_metric_oracle_equivalence():
                 scores[query_id] = row
                 relevance[query_id] = {pool[c] for c in chosen}
                 ordered = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
-                rankings.append(Ranking(query_id, tuple(ordered)))
+                rankings.append(Ranking(query_id, *zip(*ordered)))
 
             truth = metrics.GroundTruth(relevance)
             expected = brute_force_metrics(scores, relevance, ks)

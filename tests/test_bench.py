@@ -42,3 +42,19 @@ def test_outputs_match_golden_digests(workload):
         pytest.skip(f"perfbench/golden.json has no {workload} seed 1 digests "
                     f"under {golden_key(report)!r}")
     assert golden.endswith(": checked"), golden
+
+
+def test_traced_run_counts_ranking_lines():
+    # the tracer counts ranking lines through Ranking.entries
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "retrieve_video", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    metrics = result["metrics"]
+    assert metrics["formats.write_ranking.lines"]["value"] > 0, metrics
+    assert metrics["formats.read_ranking.lines"]["value"] > 0, metrics

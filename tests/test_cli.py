@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from synthdata import write_sentences
 
 from textovision import formats
@@ -331,6 +333,46 @@ class TestEncode:
         )
         assert not (tmp_path / "o.feat").exists()
 
+    @pytest.mark.parametrize("words", [["dog", "dog"], ["dog", "cat"]])
+    def test_repeated_or_unsorted_embedding_word_is_data_error(self, tmp_path, capsys, words):
+        # a hand-built word2vec model with rows (1, 0) and (0, 1) and an identity layer
+        raw = [b"W2VV", struct.pack("<BBQQ", 1, 2, 2, len(words))]
+        raw += [struct.pack("<Q", len(w)) + w.encode() for w in words]
+        raw.append(np.eye(2).tobytes() + struct.pack("<QQQ", 1, 2, 2) + np.eye(2).tobytes())
+        raw.append(bytes(16))
+        model = tmp_path / "w2v.bin"
+        model.write_bytes(b"".join(raw))
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("s#0\tdog\n", encoding="utf-8")
+        out = tmp_path / "o.feat"
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"textovision: error: {model}: embedding table words are not unique and sorted\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shapes, number, rows, cols",
+                             [([(0, 3)], 1, 0, 3), ([(5, 3), (2, 0)], 2, 2, 0)])
+    def test_layer_without_rows_or_cols_is_data_error(self, tmp_path, capsys, shapes, number,
+                                                      rows, cols):
+        words = ["a", "cat", "dog"]
+        raw = [b"W2VV", struct.pack("<BBQ", 1, 0, len(words))]
+        raw += [struct.pack("<Q", len(w)) + w.encode() for w in words]
+        raw.append(struct.pack("<Q", len(shapes)))
+        raw += [struct.pack("<QQ", r, c) + bytes(8 * (r * c + r)) for r, c in shapes]
+        model = tmp_path / "hand.bin"
+        model.write_bytes(b"".join(raw))
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("x#0\ta cat\n", encoding="utf-8")
+        out = tmp_path / "o.feat"
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"textovision: error: {model}: layer {number} has {rows} rows and {cols} cols\n"
+        )
+        assert not out.exists()
+
     def test_all_zero_predictions_counted(self, tmp_path, capsys):
         # a hand-built bow model whose every weight and bias is zero
         words = ["a", "cat", "dog"]
@@ -351,6 +393,109 @@ class TestEncode:
             "encoded 2 sentences, skipped 1, 2 all-zero predictions"
         )
         assert out.read_text(encoding="utf-8") == "2 2\ns#0 0.0 0.0\ns#2 0.0 0.0\n"
+
+
+class HandModel:
+    """Model file bytes built field by field, noting where each header or
+    length field lies."""
+
+    def __init__(self):
+        self.data, self.fields = b"", []
+
+    def field(self, fmt, *values):
+        self.fields.append((len(self.data), struct.calcsize(fmt)))
+        self.data += struct.pack(fmt, *values)
+
+    def payload(self, raw):
+        self.data += raw
+
+    def words(self, words):
+        for word in words:
+            self.field("<Q", len(word.encode()))
+            self.payload(word.encode())
+
+    def layers(self, rng, shapes):
+        self.field("<Q", len(shapes))
+        for rows, cols in shapes:
+            self.field("<QQ", rows, cols)
+            self.payload(rng.normal(size=rows * cols + rows).tobytes())
+
+
+def fuzz_models():
+    """A bow model and a word2vec model, both valid."""
+    rng = np.random.default_rng(3)
+    bow = HandModel()
+    bow.field("<4sBB", b"W2VV", 1, 0)
+    bow.field("<Q", 3)
+    bow.words(["a", "cat", "dog"])
+    bow.layers(rng, [(4, 3), (2, 4)])
+    w2v = HandModel()
+    w2v.field("<4sBB", b"W2VV", 1, 2)
+    w2v.field("<QQ", 2, 3)
+    w2v.words(["cat", "dog", "émeu"])
+    w2v.payload(rng.normal(size=6).tobytes())
+    w2v.layers(rng, [(3, 2)])
+    return {"bow": bow, "word2vec": w2v}
+
+
+FUZZ_MODELS = fuzz_models()
+
+
+def encode_model_bytes(dirpath, data):
+    """Exit code and stderr of ``encode`` with a model file holding ``data``;
+    the directory must hold only its inputs afterwards, or the output."""
+    import contextlib
+    import io
+
+    model, sentences, out = dirpath / "m.bin", dirpath / "s.tsv", dirpath / "o.feat"
+    model.write_bytes(data)
+    sentences.write_text("x#0\tthe cat\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(out)])
+    left = sorted(p.name for p in dirpath.iterdir())
+    assert left == (["m.bin", "o.feat", "s.tsv"] if code == 0 else ["m.bin", "s.tsv"]), left
+    out.unlink(missing_ok=True)
+    return code, err.getvalue()
+
+
+class TestModelFileFuzz:
+    def test_fuzz_models_encode(self, tmp_path):
+        for model in FUZZ_MODELS.values():
+            assert encode_model_bytes(tmp_path, model.data)[0] == 0
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_MODELS))
+    def test_every_truncation_is_data_error(self, tmp_path, kind):
+        data = FUZZ_MODELS[kind].data
+        for cut in range(len(data)):
+            code, err = encode_model_bytes(tmp_path, data[:cut])
+            assert code == 2, cut
+            assert err.startswith("textovision: error: ") and err.count("\n") == 1, (cut, err)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_MODELS)), st.data())
+    def test_flipped_header_or_length_bit_is_data_error(self, tmp_path_factory, kind, data):
+        model = FUZZ_MODELS[kind]
+        offset, size = data.draw(st.sampled_from(model.fields))
+        bit = data.draw(st.integers(0, 8 * size - 1))
+        flipped = bytearray(model.data)
+        flipped[offset + bit // 8] ^= 1 << (bit % 8)
+        code, err = encode_model_bytes(tmp_path_factory.mktemp("flip"), bytes(flipped))
+        assert code == 2
+        assert "Traceback" not in err and err.splitlines()[-1].startswith("textovision: error: ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(FUZZ_MODELS)), st.data())
+    def test_flipped_bit_anywhere_exits_cleanly(self, tmp_path_factory, kind, data):
+        # a flip inside a float payload may leave a valid model
+        model = FUZZ_MODELS[kind]
+        bit = data.draw(st.integers(0, 8 * len(model.data) - 1))
+        flipped = bytearray(model.data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        code, err = encode_model_bytes(tmp_path_factory.mktemp("flip"), bytes(flipped))
+        assert code in (0, 2)
+        assert "Traceback" not in err, err
 
 
 class TestRank:
@@ -375,7 +520,7 @@ class TestRank:
         out = tmp_path / "rank.tsv"
         assert main(["rank", "--queries", items, "--items", items, "--out", str(out)]) == 0
         for ranking in formats.read_ranking(str(out)):
-            assert ranking.entries[0][0] == ranking.query_id
+            assert ranking.item_ids[0] == ranking.query_id
 
     def test_ties_ordered_by_id(self, tmp_path, capsys):
         items_path = tmp_path / "items.feat"
@@ -388,7 +533,7 @@ class TestRank:
         out = tmp_path / "rank.tsv"
         assert main(["rank", "--queries", str(queries_path), "--items", str(items_path),
                      "--out", str(out)]) == 0
-        assert formats.read_ranking(str(out))[0].item_ids() == ["aa", "zz"]
+        assert formats.read_ranking(str(out))[0].item_ids == ["aa", "zz"]
 
     def test_top_limits_lines(self, tmp_path, capsys):
         queries, items = self.write_pool(tmp_path)
@@ -396,6 +541,24 @@ class TestRank:
         assert main(["rank", "--queries", queries, "--items", items, "--top", "2",
                      "--out", str(out)]) == 0
         assert len(out.read_text(encoding="utf-8").splitlines()) == 6
+
+    def test_top_gives_the_first_lines_of_each_query(self, tmp_path, capsys):
+        # repeated rows tie; the cut must fall inside a run of ties
+        rows = {"i4": [1.0, 0.0], "i2": [1.0, 0.0], "i0": [0.0, 1.0], "i3": [1.0, 0.0],
+                "i1": [-1.0, 0.5], "i5": [0.0, 1.0]}
+        queries, items = tmp_path / "q.feat", tmp_path / "i.feat"
+        formats.write_features(str(items), table(rows))
+        formats.write_features(str(queries), table({"q": [1.0, 0.0], "p": [0.0, -2.0]}))
+        full = tmp_path / "full.tsv"
+        assert main(["rank", "--queries", str(queries), "--items", str(items),
+                     "--out", str(full)]) == 0
+        lines = full.read_text(encoding="utf-8").splitlines()
+        for top in (1, 2, 5, 6, 9):
+            out = tmp_path / f"top{top}.tsv"
+            assert main(["rank", "--queries", str(queries), "--items", str(items),
+                         "--top", str(top), "--out", str(out)]) == 0
+            kept = min(top, 6)
+            assert out.read_text(encoding="utf-8").splitlines() == lines[:kept] + lines[6:6 + kept]
 
     def test_bad_top_is_usage_error_before_any_file_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.feat")
@@ -733,7 +896,7 @@ class TestImportGraph:
             "items = Features(['a', 'b'], np.eye(2))\n"
             "[ranking] = rank_all(Features(['q'], np.array([[0.0, 2.0]])), items)\n"
             "assert type(ranking) is Ranking, ranking\n"
-            "print(ranking.item_ids())\n"
+            "print(list(ranking.item_ids))\n"
         )
         assert run_fresh(code) == "['b', 'a']"
 

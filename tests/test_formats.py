@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from textovision import formats, modelio
 from textovision.neuralnet import EpochStats, NetworkConfig, init_network
-from textovision.retrieval import Features, Ranking
+from textovision.retrieval import Features, Ranking, rank_all
 from textovision.textvec import Sentence, TermIndex, WordEmbeddingTable
 
 
@@ -215,6 +215,13 @@ class TestFeatureFile:
         assert path.read_bytes() == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
 
+    @pytest.mark.parametrize("shape", [(0, 2), (1, 0)])
+    def test_empty_or_dimensionless_table_is_not_written(self, tmp_path, shape):
+        path = tmp_path / "f.txt"
+        with pytest.raises(ValueError, match=re.escape(f"empty feature file, shape {shape}")):
+            formats.write_features(str(path), Features(["x#0"][: shape[0]], np.zeros(shape)))
+        assert not path.exists()
+
 
 class TestWordListFile:
     def test_round_trip_in_index_order(self, tmp_path):
@@ -263,8 +270,8 @@ class TestPairsFile:
 class TestRankingFile:
     def rankings(self):
         return [
-            Ranking("q1", (("a", 0.9), ("b", 0.5), ("c", -0.25))),
-            Ranking("q2", (("b", 1.0), ("a", 0.0), ("c", -1.0))),
+            Ranking("q1", ["a", "b", "c"], [0.9, 0.5, -0.25]),
+            Ranking("q2", ["b", "a", "c"], [1.0, 0.0, -1.0]),
         ]
 
     def test_format_and_round_trip(self, tmp_path):
@@ -275,13 +282,18 @@ class TestRankingFile:
         assert len(lines) == 6
         back = formats.read_ranking(str(path))
         assert [r.query_id for r in back] == ["q1", "q2"]
-        assert back[0].item_ids() == ["a", "b", "c"]
-        assert back[0].entries[2][1] == pytest.approx(-0.25)
+        assert back[0].item_ids == ["a", "b", "c"]
+        assert back[0].scores == [0.9, 0.5, -0.25]
 
     def test_top_truncation(self, tmp_path):
-        path = tmp_path / "rank.tsv"
-        formats.write_ranking(str(path), self.rankings(), top=2)
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+        # rank_all cuts a ranking to its top entries; the file holds what it is given
+        queries = Features(["q1", "q2"], [[1.0, 0.0], [0.0, 1.0]])
+        items = Features(["a", "b", "c"], [[1.0, 0.1], [0.5, 0.5], [0.1, 1.0]])
+        full, top = tmp_path / "full.tsv", tmp_path / "top.tsv"
+        formats.write_ranking(str(full), rank_all(queries, items))
+        formats.write_ranking(str(top), rank_all(queries, items, top=2))
+        lines = full.read_text(encoding="utf-8").splitlines()
+        assert top.read_text(encoding="utf-8").splitlines() == lines[0:2] + lines[3:5]
 
     def test_failed_write_leaves_earlier_file_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "rank.tsv"
@@ -292,6 +304,37 @@ class TestRankingFile:
             formats.write_ranking(str(path), self.rankings()[::-1])
         assert path.read_bytes() == earlier
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rank.tsv"]
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 2, 2, 1, 2), (7, 20, 3, 1, 0, 8)])
+    def test_lines_match_per_line_format_across_blocks(self, tmp_path, monkeypatch, lengths):
+        # blocks of 8 lines: several short rankings share one; a long one spans several
+        monkeypatch.setattr(formats, "_BLOCK_LINES", 8)
+        rng = np.random.default_rng(8)
+        rankings = [Ranking(f"q{i}", [f"é{j}" for j in range(n)], rng.normal(size=n) * 5)
+                    for i, n in enumerate(lengths)]
+        path = tmp_path / "rank.tsv"
+        formats.write_ranking(str(path), rankings)
+        assert path.read_text(encoding="utf-8") == "".join(
+            f"{r.query_id}\t{item_id}\t{rank}\t{score:.6f}\n"
+            for r in rankings for rank, (item_id, score) in enumerate(r.entries, start=1)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.floats(min_value=-20, max_value=20),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+                         1.0000000000000002, 0.0078125, -0.0078125, 9.0, -9.0, 8.9999995,
+                         -8.9999995, 1e300]),
+        # exact ties at the seventh digit: dyadic fractions, (k + 0.5) / 1e6 and neighbours
+        st.integers(-9 * 2**20, 9 * 2**20).map(lambda k: k / 2**20),
+        st.tuples(st.integers(-9_000_000, 9_000_000), st.sampled_from([-np.inf, None, np.inf]))
+        .map(lambda t: (t[0] + 0.5) / 1e6 if t[1] is None
+             else float(np.nextafter((t[0] + 0.5) / 1e6, t[1]))),
+    ), max_size=40))
+    def test_score_texts_match_the_fstring(self, scores):
+        texts = formats._score_texts(np.array(scores, dtype=np.float64))
+        assert ["".join(parts) for parts in texts.tolist()] == [f"{s:.6f}\n" for s in scores]
 
     def test_rank_order_enforced(self, tmp_path):
         path = tmp_path / "rank.tsv"

@@ -19,7 +19,7 @@ from textovision.retrieval import Ranking
 
 def ranking(query_id, *item_ids):
     scores = np.linspace(1.0, 0.0, num=len(item_ids))
-    return Ranking(query_id, tuple(zip(item_ids, scores)))
+    return Ranking(query_id, list(item_ids), scores)
 
 
 class TestFirstRelevantRank:
@@ -132,7 +132,7 @@ class TestOracleEquivalence:
                 scores[query_id] = row
                 relevance[query_id] = {pool[c] for c in chosen}
                 ordered = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
-                rankings.append(Ranking(query_id, tuple(ordered)))
+                rankings.append(Ranking(query_id, *zip(*ordered)))
 
             truth = GroundTruth(relevance)
             expected = brute_force_metrics(scores, relevance, ks)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textovision.retrieval import Features, rank_all
+from textovision.retrieval import Features, Ranking, rank_all
 
 nonzero_vectors = st.lists(
     st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=3, max_size=3
@@ -32,8 +32,14 @@ def rank_items(query, candidates):
 def cosine(a, b):
     """The score ``rank_all`` gives one-row candidate ``b`` against query ``a``."""
     (ranking,) = rank_all(vf("a", *a), vf("b", *b))
-    ((_, score),) = ranking.entries
+    (score,) = ranking.scores
     return score
+
+
+def columns(rankings):
+    """Each ranking's query id, item ids and score bits, to compare rankings."""
+    return [(r.query_id, list(r.item_ids), np.asarray(r.scores, float).tobytes())
+            for r in rankings]
 
 
 class TestCosine:
@@ -70,19 +76,17 @@ class TestRankItems:
         ranking = rank_items(
             vf("q", 1.0, 0.0), [vf("a", 1.0, 0.0), vf("b", 0.0, 1.0), vf("c", -1.0, 0.0)]
         )
-        assert ranking.item_ids() == ["a", "b", "c"]
-        scores = [s for _, s in ranking.entries]
-        assert scores == pytest.approx([1.0, 0.0, -1.0])
+        assert list(ranking.item_ids) == ["a", "b", "c"]
+        assert list(ranking.scores) == pytest.approx([1.0, 0.0, -1.0])
 
     def test_tie_break_by_id(self):
         ranking = rank_items(vf("q", 1.0, 1.0), [vf("zz", 2.0, 2.0), vf("aa", 1.0, 1.0)])
-        assert ranking.item_ids() == ["aa", "zz"]
+        assert list(ranking.item_ids) == ["aa", "zz"]
 
     def test_hand_computed_scores(self):
         ranking = rank_items(vf("q", 3.0, 4.0), [vf("u", 3.0, 4.0), vf("v", 4.0, 3.0)])
-        assert ranking.item_ids() == ["u", "v"]
-        assert dict(ranking.entries)["v"] == pytest.approx(24.0 / 25.0)
-        assert dict(ranking.entries)["u"] == pytest.approx(1.0)
+        assert list(ranking.item_ids) == ["u", "v"]
+        assert list(ranking.scores) == pytest.approx([1.0, 24.0 / 25.0])
 
     def test_zero_candidate_named(self):
         with pytest.raises(ValueError, match="'bad'"):
@@ -110,10 +114,8 @@ class TestRankItems:
         scaled = list(candidates)
         scaled[which] = Features(candidates[which].ids, candidates[which].matrix * factor)
         after = rank_items(query, scaled)
-        assert before.item_ids() == after.item_ids()
-        assert dict(before.entries)[f"c{which}"] == pytest.approx(
-            dict(after.entries)[f"c{which}"], abs=1e-12
-        )
+        assert list(before.item_ids) == list(after.item_ids)
+        assert before.scores == pytest.approx(after.scores, abs=1e-12)
 
     def test_self_retrieval_ranks_first(self):
         rng = np.random.default_rng(23)
@@ -122,10 +124,9 @@ class TestRankItems:
         candidates.append(Features(("self",), query.matrix.copy()))
         ranking = rank_items(query, candidates)
         # 'c4' shares the vector and wins the tie on id byte order
-        assert ranking.item_ids()[:2] == ["c4", "self"]
-        top_score = ranking.entries[0][1]
-        assert top_score == pytest.approx(1.0, abs=1e-12)
-        assert all(s <= 1.0 + 1e-12 for _, s in ranking.entries)
+        assert list(ranking.item_ids[:2]) == ["c4", "self"]
+        assert ranking.scores[0] == pytest.approx(1.0, abs=1e-12)
+        assert all(s <= 1.0 + 1e-12 for s in ranking.scores)
 
 
 class TestRankAll:
@@ -133,7 +134,7 @@ class TestRankAll:
         candidates = stack([vf("a", 1.0, 0.0), vf("b", 0.0, 1.0)])
         query = vf("q", 1.0, 0.5)
         batch = stack([query, vf("p", -1.0, 2.0)])
-        assert rank_all(query, candidates) == rank_all(batch, candidates)[:1]
+        assert columns(rank_all(query, candidates)) == columns(rank_all(batch, candidates)[:1])
 
     def test_query_order_preserved_under_permutation(self):
         rng = np.random.default_rng(31)
@@ -141,7 +142,7 @@ class TestRankAll:
         queries = [vf(f"q{i}", *rng.normal(size=3)) for i in range(4)]
         forward_order = rank_all(stack(queries), candidates)
         reversed_order = rank_all(stack(queries[::-1]), candidates)
-        assert forward_order == reversed_order[::-1]
+        assert columns(forward_order) == columns(reversed_order[::-1])
 
     def test_totality_on_large_pool(self):
         rng = np.random.default_rng(47)
@@ -150,10 +151,9 @@ class TestRankAll:
         rankings = rank_all(queries, candidates)
         assert len(rankings) == 100
         for ranking in rankings:
-            assert len(ranking.entries) == 500
-            assert len(set(ranking.item_ids())) == 500
-            scores = [s for _, s in ranking.entries]
-            assert all(a >= b for a, b in zip(scores, scores[1:]))
+            assert len(ranking.scores) == 500
+            assert len(set(ranking.item_ids)) == 500
+            assert all(a >= b for a, b in zip(ranking.scores, ranking.scores[1:]))
 
     def test_overflowing_scores_are_rejected_naming_the_query(self):
         # finite values whose norms overflow: the cosine would be inf/inf
@@ -188,18 +188,32 @@ class TestRankAllMatchesSortedKeyOracle:
             [oracles.VisualFeature(i, np.array(v)) for i, v in zip(queries.ids, query_rows)],
             [oracles.VisualFeature(i, np.array(v)) for i, v in zip(ids, rows)],
         )
-        got = rank_all(queries, candidates)
-        assert got == expected
         # bit for bit, including the sign of zero scores
-        for a, b in zip(got, expected):
-            assert np.array(a.entries)[:, 1].astype(float).tobytes() == \
-                np.array(b.entries)[:, 1].astype(float).tobytes()
+        assert columns(rank_all(queries, candidates)) == columns(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(TIE_ROWS), min_size=2, max_size=12),
+        st.lists(st.sampled_from(TIE_QUERIES), min_size=1, max_size=4),
+        st.sampled_from(["1", "N-1", "N", "N+5"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_top_is_the_head_of_the_full_ranking(self, rows, query_rows, which, random):
+        ids = [f"{name}{i}" for i, name in enumerate(["b", "a", "ab", "B", "é", "a#1"] * 2)]
+        ids = ids[: len(rows)]
+        random.shuffle(ids)
+        candidates = Features(ids, np.array(rows))
+        queries = Features([f"q{i}" for i in range(len(query_rows))], np.array(query_rows))
+        top = {"1": 1, "N-1": len(rows) - 1, "N": len(rows), "N+5": len(rows) + 5}[which]
+        heads = [Ranking(r.query_id, r.item_ids[:top], r.scores[:top])
+                 for r in rank_all(queries, candidates)]
+        assert columns(rank_all(queries, candidates, top=top)) == columns(heads)
 
     def test_signed_zero_scores_tie_and_order_by_id(self):
         candidates = Features(["z", "m", "a"], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         (ranking,) = rank_all(Features(["q"], [[-1e-200, 1e150]]), candidates)
-        assert ranking.item_ids() == ["a", "m", "z"]
-        scores = [s for _, s in ranking.entries]
+        assert list(ranking.item_ids) == ["a", "m", "z"]
+        scores = ranking.scores
         assert scores[0] == 1.0 and np.signbit(scores[1:]).tolist() == [False, True]
 
     def test_random_pool_matches_bit_for_bit(self):
@@ -211,4 +225,4 @@ class TestRankAllMatchesSortedKeyOracle:
             [oracles.VisualFeature(i, row) for i, row in zip(queries.ids, queries.matrix)],
             [oracles.VisualFeature(i, row) for i, row in zip(candidates.ids, candidates.matrix)],
         )
-        assert rank_all(queries, candidates) == expected
+        assert columns(rank_all(queries, candidates)) == columns(expected)
