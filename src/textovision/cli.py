@@ -235,17 +235,20 @@ def cmd_encode(args) -> int:
     sentences = formats.read_sentences(args.sentences)
 
     ids, rows = [], []
-    for sentence in sentences:
-        try:
-            rows.append(model.vectorizer.vectorize(sentence))
-        except ValueError as exc:
-            print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
-            continue
-        ids.append(sentence.id)
+    with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
+        for sentence in sentences:
+            try:
+                rows.append(model.vectorizer.vectorize(sentence))
+            except ValueError as exc:
+                print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
+                continue
+            ids.append(sentence.id)
 
-    if not rows:
-        raise ValueError("no sentence could be encoded")
-    encoded = neuralnet.encode(model.params, np.stack(rows))
+        if not rows:
+            raise ValueError("no sentence could be encoded")
+        encoded = neuralnet.encode(model.params, np.stack(rows))
+    if not np.isfinite(encoded).all():
+        raise ValueError(f"{args.model}: the model predicts non-finite features")
     formats.write_features(args.out, retrieval.Features(ids, encoded))
     zero, skipped = len(ids) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(ids)
     print(f"encoded {len(ids)} sentences, skipped {skipped}, {zero} all-zero predictions",

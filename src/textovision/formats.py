@@ -204,9 +204,9 @@ _BLOCK_LINES = 1 << 16
 
 
 def write_ranking(path: str, rankings: Sequence[Ranking]) -> None:
-    """Write every entry of ``rankings`` atomically, joining at most
-    ``_BLOCK_LINES`` lines at a time from columns of str: query field,
-    item id, rank field (each made once) and ``_score_texts``."""
+    """Write every entry of ``rankings`` atomically, joining the lines of as many
+    whole rankings as fit in ``_BLOCK_LINES`` (at least one) at a time from str
+    columns: query field, item id, rank field (each made once), ``_score_texts``."""
     import numpy as np
 
     longest = max([len(r.item_ids) for r in rankings] + [1])
@@ -220,8 +220,7 @@ def write_ranking(path: str, rankings: Sequence[Ranking]) -> None:
             columns[:, 1] = np.concatenate([np.asarray(r.item_ids, dtype=object) for r in batch])
             columns[:, 2] = np.concatenate([rank_fields[:n] for n in lengths])
             columns[:, 3:] = _score_texts(np.concatenate([r.scores for r in batch], dtype=float))
-            for start in range(0, len(columns), _BLOCK_LINES):
-                fh.write("".join(columns[start : start + _BLOCK_LINES].ravel().tolist()))
+            fh.write("".join(columns.ravel().tolist()))
 
 
 def _score_texts(scores):
@@ -234,12 +233,11 @@ def _score_texts(scores):
 
     units = np.array([f"{sign}{digit}." for sign in ("", "-") for digit in range(10)], object)
     triples = np.array([f"{k:03d}" for k in range(1000)], dtype=object)
-    texts = np.empty((len(scores), 3), dtype=object)
+    texts = np.full((len(scores), 3), "", dtype=object)
     fast = np.abs(scores) < 9.0
     scaled = np.abs(scores[fast]) * 1e6
     clear = np.abs(scaled - np.floor(scaled) - 0.5) > 2.0**-30
     fast[fast] = clear
-    texts[~fast, 1:] = ""
     digits = np.rint(scaled[clear]).astype(np.int64)
     texts[fast, 0] = units[digits // 10**6 + 10 * np.signbit(scores[fast])]
     texts[fast, 1] = triples[digits // 1000 % 1000]

@@ -16,9 +16,8 @@ from typing import Callable, Iterable, Sequence
 
 @dataclass(frozen=True, eq=False)
 class Ranking:
-    """Descending ordering of candidates for one query (all, or the best ``L``
-    under ``rank --top L``) as two parallel columns: lists when read from a
-    file, numpy rows from ``retrieval.rank_all``; ``==`` compares identity."""
+    """Descending ordering of candidates for one query (all, or the best ``L`` under
+    ``rank --top L``) as parallel columns: lists, or numpy rows; ``==`` is identity."""
 
     query_id: str
     item_ids: Sequence[str]
@@ -26,8 +25,7 @@ class Ranking:
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
-        """``(item_id, score)`` pairs, built on each access; only
-        ``perfbench/tracer.py`` reads them, to count ranking lines."""
+        """``(item_id, score)`` pairs, built per access for ``perfbench/tracer.py``."""
         return tuple(zip(self.item_ids, self.scores))
 
 
@@ -54,22 +52,15 @@ class GroundTruth:
         return cls(relevance)
 
 
-def _relevant_positions(ranking: Ranking, truth: GroundTruth):
-    """1-based positions of the query's relevant items, best first; at least one."""
+def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
+    """1-based position of the highest-ranked relevant item."""
     relevant = truth.relevance.get(ranking.query_id)
     if relevant is None:
         raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
-    positions = (pos for pos, item_id in enumerate(ranking.item_ids, 1) if item_id in relevant)
-    first = next(positions, None)
-    if first is None:
-        raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
-    yield first
-    yield from positions
-
-
-def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
-    """1-based position of the highest-ranked relevant item."""
-    return next(_relevant_positions(ranking, truth))
+    for pos, item_id in enumerate(ranking.item_ids, start=1):
+        if item_id in relevant:
+            return pos
+    raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
 
 
 def recall_at_k(ranks: Sequence[int], k: int) -> float:
@@ -103,8 +94,18 @@ def average_precision(ranking: Ranking, truth: GroundTruth) -> float:
     Only relevant items present in the ranking contribute; the ranking
     must contain at least one.
     """
-    positions = _relevant_positions(ranking, truth)
-    return statistics.fmean(hits / pos for hits, pos in enumerate(positions, start=1))
+    relevant = truth.relevance.get(ranking.query_id)
+    if relevant is None:
+        raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
+    hits = 0
+    precisions = []
+    for pos, item_id in enumerate(ranking.item_ids, start=1):
+        if item_id in relevant:
+            hits += 1
+            precisions.append(hits / pos)
+    if not precisions:
+        raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
+    return statistics.fmean(precisions)
 
 
 def mean_average_precision(rankings: Sequence[Ranking], truth: GroundTruth) -> float:

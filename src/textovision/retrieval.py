@@ -41,9 +41,9 @@ class Features:
 def rank_all(queries: Features, candidates: Features, top: int | None = None) -> list[Ranking]:
     """One cosine Ranking of ``candidates`` per query, in query order: all, or
     the best ``top``, by descending score, then ascending id (``-0.0`` ties
-    ``0.0``). One gemv per query fills its row of one score matrix. Equal
-    scores are ordered by ``np.lexsort`` on negated score and id rank; under
-    ``top`` it sees only scores >= the row's ``top``-th best (``np.partition``)."""
+    ``0.0``). One gemv per query fills its row of a score matrix with columns
+    in id order, which one stable sort of each row keeps for equal scores;
+    ``top`` sorts only the scores >= the row's ``top``-th best (``np.partition``)."""
     if not len(candidates):
         raise ValueError("candidate list is empty")
     if len(queries) and queries.dim != candidates.dim:
@@ -57,28 +57,23 @@ def rank_all(queries: Features, candidates: Features, top: int | None = None) ->
         for item_id, norm in zip(candidates.ids, norms):
             if norm == 0.0:
                 raise ValueError(f"candidate {item_id!r} is a zero vector")
-        ids = np.array(candidates.ids, dtype=object)
-        id_rank = np.argsort(np.argsort(ids, kind="stable"))
+        by_id = np.argsort(np.array(candidates.ids, dtype=object), kind="stable")
+        ids, norms = np.array(candidates.ids, dtype=object)[by_id], norms[by_id]
 
         scores = np.empty((len(queries), len(candidates)))
         for row, query_id, q in zip(scores, queries.ids, queries.matrix):
             qn = np.linalg.norm(q)
             if qn == 0.0:
                 raise ValueError(f"query {query_id!r} is a zero vector")
-            np.divide(matrix @ q, norms * qn, out=row)
+            np.divide((matrix @ q)[by_id], norms * qn, out=row)  # gathered columns: same bits
             if not np.isfinite(row).all():
                 raise ValueError(f"query {query_id!r}: cosine scores overflow (values too large)")
     if top is None or top >= len(candidates):
-        order = np.argsort(-scores, axis=1)  # equal scores in any order: redone below
-        ranked = np.take_along_axis(scores, order, axis=1)
-        for row in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
-            order[row] = np.lexsort((id_rank, -scores[row]))
-            ranked[row] = scores[row, order[row]]
+        order = np.argsort(-scores, axis=1, kind="stable")
     else:
         kth = np.partition(scores, -top, axis=1)[:, -top]
         rows, cols = np.nonzero(scores >= kth[:, None])
-        kept = np.lexsort((id_rank[cols], -scores[rows, cols], rows))
-        starts = np.searchsorted(rows, np.arange(len(queries)))
-        order = cols[kept][starts[:, None] + np.arange(top)]
-        ranked = np.take_along_axis(scores, order, axis=1)
+        kept = cols[np.lexsort((-scores[rows, cols], rows))]  # stable: cols stay ascending
+        order = kept[np.searchsorted(rows, np.arange(len(queries)))[:, None] + np.arange(top)]
+    ranked = np.take_along_axis(scores, order, axis=1)
     return [Ranking(q, i, s) for q, i, s in zip(queries.ids, ids[order], ranked)]

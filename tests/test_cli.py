@@ -498,6 +498,22 @@ class TestModelFileFuzz:
         assert "Traceback" not in err, err
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_non_finite_prediction_is_data_error(self, tmp_path, value):
+        # one 2 x 3 layer of ``value``: nan, 0 * inf, or 1e308 + 1e308 overflowing
+        model = HandModel()
+        model.field("<4sBB", b"W2VV", 1, 0)
+        model.field("<Q", 3)
+        model.words(["a", "cat", "dog"])
+        model.field("<Q", 1)
+        model.field("<QQ", 2, 3)
+        model.payload(np.full(8, value).tobytes())
+        code, err = encode_model_bytes(tmp_path, model.data)
+        assert code == 2
+        assert err == (f"textovision: error: {tmp_path / 'm.bin'}: "
+                       "the model predicts non-finite features\n")
+
+
 class TestRank:
     def write_pool(self, tmp_path):
         rng = np.random.default_rng(77)

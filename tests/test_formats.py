@@ -307,7 +307,7 @@ class TestRankingFile:
 
     @pytest.mark.parametrize("lengths", [(2, 1, 2, 2, 1, 2), (7, 20, 3, 1, 0, 8)])
     def test_lines_match_per_line_format_across_blocks(self, tmp_path, monkeypatch, lengths):
-        # blocks of 8 lines: several short rankings share one; a long one spans several
+        # blocks of 8 lines: several short rankings share one; a longer one is a block alone
         monkeypatch.setattr(formats, "_BLOCK_LINES", 8)
         rng = np.random.default_rng(8)
         rankings = [Ranking(f"q{i}", [f"é{j}" for j in range(n)], rng.normal(size=n) * 5)
