@@ -156,9 +156,9 @@ def _parse_hidden_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _training_matrices(vectorizer, sentences, features, pair_map):
-    """Input and target matrices with one row per sentence: its vector and
-    the feature row of its item.
+def _training_rows(vectorizer, sentences, features, pair_map):
+    """Inputs and targets with one row per sentence: its vector, compressed
+    one sentence at a time, and the feature row of its item, by index.
 
     The item is looked up in ``pair_map`` (from an explicit pairs file)
     if given, otherwise derived from the '<item_id>#<n>' sentence id
@@ -166,7 +166,7 @@ def _training_matrices(vectorizer, sentences, features, pair_map):
     """
     import numpy as np
 
-    from . import formats
+    from . import formats, neuralnet
 
     row_of = {item_id: row for row, item_id in enumerate(features.ids)}
     targets = []
@@ -180,8 +180,8 @@ def _training_matrices(vectorizer, sentences, features, pair_map):
         if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
         targets.append(row_of[item])
-    # np.array, not np.stack: an empty sentence file reaches train's own check
-    return np.array([vectorizer.vectorize(s) for s in sentences]), features.matrix[targets]
+    inputs = neuralnet.SparseRows(vectorizer.dim, map(vectorizer.vectorize, sentences))
+    return inputs, neuralnet.SelectedRows(features.matrix, np.array(targets, dtype=np.intp))
 
 
 def cmd_train(args) -> int:
@@ -213,8 +213,8 @@ def cmd_train(args) -> int:
         seed=args.seed,
     )
     pair_map = dict(formats.read_pairs(args.pairs, unique_left=True)) if args.pairs else None
-    x_train, t_train = _training_matrices(vectorizer, train_sentences, train_features, pair_map)
-    x_val, t_val = _training_matrices(vectorizer, val_sentences, val_features, pair_map)
+    x_train, t_train = _training_rows(vectorizer, train_sentences, train_features, pair_map)
+    x_val, t_val = _training_rows(vectorizer, val_sentences, val_features, pair_map)
     result = neuralnet.train(x_train, t_train, x_val, t_val, net_cfg, opt_cfg)
 
     modelio.save_model(args.out, modelio.TrainedModel(vectorizer, result.params))
@@ -234,19 +234,23 @@ def cmd_encode(args) -> int:
     model = modelio.load_model(args.model)
     sentences = formats.read_sentences(args.sentences)
 
-    ids, rows = [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
+    ids = []
+
+    def vectors():
         for sentence in sentences:
             try:
-                rows.append(model.vectorizer.vectorize(sentence))
+                row = model.vectorizer.vectorize(sentence)
             except ValueError as exc:
                 print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
                 continue
             ids.append(sentence.id)
+            yield row
 
-        if not rows:
+    with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
+        rows = neuralnet.SparseRows(model.vectorizer.dim, vectors())
+        if not ids:
             raise ValueError("no sentence could be encoded")
-        encoded = neuralnet.encode(model.params, np.stack(rows))
+        encoded = neuralnet.encode(model.params, rows)
     if not np.isfinite(encoded).all():
         raise ValueError(f"{args.model}: the model predicts non-finite features")
     formats.write_features(args.out, retrieval.Features(ids, encoded))
@@ -294,7 +298,7 @@ def cmd_evaluate(args) -> int:
     for name, value in zip(names, values):
         print(f"{name:<{width}}  {value:.6f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with formats.atomic_open(args.out) as fh:
             fh.write(tsv_line + "\n")
     return 0
 

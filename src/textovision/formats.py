@@ -7,8 +7,8 @@ significant digits), so write-then-read reproduces values exactly.
 Ranking scores are the one deliberate exception: they are printed with
 six decimal digits. A feature file reads into, and is written from, one
 ``retrieval.Features`` table; so is an embedding file, whose ids are
-words. Feature, ranking and (through ``atomic_open``) model files are
-written atomically: a failed write leaves any earlier file intact.
+words. Every file is written through ``atomic_open``: a failed write
+leaves any earlier file intact.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def write_features(path: str, features: Features) -> None:
 
 
 def write_word_list(path: str, entries: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for entry in entries:
             fh.write(entry + "\n")
 
@@ -300,7 +300,7 @@ def _repeated_item_error(path: str) -> ValueError:
 
 
 def write_history(path: str, history: Sequence[EpochStats]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch\ttrain_loss\tval_loss\n")
         for stats in history:
             fh.write(

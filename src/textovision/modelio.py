@@ -10,7 +10,11 @@ A term index's payload is its 64-bit term count and terms; an embedding
 table's is its 64-bit dim and word count, the words, and the embedding
 matrix as 64-bit floats with rows in sorted word order, so identical
 tables serialize identically. Strings are length-prefixed (64-bit)
-UTF-8. A loaded model's arrays are read-only views of the file's bytes.
+UTF-8. A loaded model's arrays are read-only views, each of its own
+``bytes`` copy of its payload. The copies keep them 8-byte aligned: a
+payload's file offset follows the term lengths before it, and on an
+unaligned view numpy's matmul bypasses BLAS, which is slower and sums
+in another order.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ class _Reader:
         self.offset = 0
 
     def take(self, n: int) -> bytes:
+        """The next ``n`` bytes, as a new (so 8-byte aligned) ``bytes`` object."""
         end = self.offset + n
         if end > len(self.data):
             raise ValueError(f"{self.path}: truncated model file")

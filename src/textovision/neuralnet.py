@@ -9,12 +9,15 @@ from seeded ``numpy.random.Generator`` streams, so a (seed, data,
 config) triple fully determines parameters, masks, shuffles and the
 loss history.
 
-``train`` takes input and target matrices, one row per example.
-``encode`` maps an input matrix to a matrix of predicted features; it
-only reads its params (a loaded model's arrays are read-only).
-``rmsprop_step`` mutates the ``params`` and ``state`` it is given and
-only reads ``grads``. ``EarlyStopping`` keeps a copy of the best
-epoch's parameters, so later in-place steps never change what
+``train`` takes inputs as ``SparseRows`` and targets as
+``SelectedRows``, one row per example, and makes each dense only one
+mini-batch at a time, so a corpus of any size never exists as one dense
+matrix; dense matrices are wrapped into those types first. ``encode``
+maps ``SparseRows`` (or a dense matrix) to a matrix of predicted
+features; it only reads its params (a loaded model's arrays are
+read-only). ``rmsprop_step`` mutates the ``params`` and ``state`` it is
+given and only reads ``grads``. ``EarlyStopping`` keeps a copy of the
+best epoch's parameters, so later in-place steps never change what
 ``train`` returns.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +39,66 @@ OptimizerState = list[tuple[np.ndarray, np.ndarray]]
 #: gradient plus the two scratch buffers (5 x 256 KiB) stay in L2 cache
 #: across the update's nine passes
 RMSPROP_SLICE = 32768
+
+
+class SparseRows:
+    """Rows of a float64 matrix in compressed form: row i keeps the columns
+    ``indices[indptr[i]:indptr[i + 1]]`` (ascending) with the same slice of
+    ``values``. Every entry whose bit pattern is not +0.0 is kept, -0.0
+    included, so ``take`` gives back the dense rows bit for bit."""
+
+    def __init__(self, dim: int, rows: Iterable[np.ndarray]):
+        """Compress dense rows of width ``dim``, taking one at a time."""
+        counts, indices, values = [0], [np.empty(0, np.intp)], [np.empty(0)]
+        for row in rows:
+            row = np.asarray(row, dtype=np.float64)
+            if row.shape != (dim,):
+                raise ValueError(f"row of shape {row.shape} in rows of width {dim}")
+            columns = np.flatnonzero(row.view(np.uint64) != 0)
+            counts.append(columns.size)
+            indices.append(columns)
+            values.append(row[columns])
+        self.dim = dim
+        self.indptr = np.cumsum(counts)
+        self.indices = np.concatenate(indices)
+        self.values = np.concatenate(values)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.indptr) - 1, self.dim)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The dense (len(rows), dim) matrix of rows ``rows``, in that order."""
+        dense = np.zeros((len(rows), self.dim))
+        for out, row in zip(dense, rows.tolist()):
+            start, end = self.indptr[row], self.indptr[row + 1]
+            out[self.indices[start:end]] = self.values[start:end]
+        return dense
+
+
+@dataclass(frozen=True)
+class SelectedRows:
+    """Rows ``index`` of ``matrix``, in that order, gathered only by ``take``."""
+
+    matrix: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (len(self.index), self.matrix.shape[1])
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        return self.matrix[self.index[rows]]
+
+
+def _sparse_rows(inputs) -> SparseRows:
+    """``inputs`` itself if it is ``SparseRows``, else a 2-D matrix compressed."""
+    if isinstance(inputs, SparseRows):
+        return inputs
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 2:
+        raise ValueError("expected a 2-D (rows, dim) input")
+    return SparseRows(inputs.shape[1], inputs)
 
 
 @dataclass(frozen=True)
@@ -304,10 +367,10 @@ class EarlyStopping:
 
 
 def train(
-    x_train: np.ndarray,
-    t_train: np.ndarray,
-    x_val: np.ndarray,
-    t_val: np.ndarray,
+    x_train: SparseRows | np.ndarray,
+    t_train: SelectedRows | np.ndarray,
+    x_val: SparseRows | np.ndarray,
+    t_val: SelectedRows | np.ndarray,
     net_cfg: NetworkConfig,
     opt_cfg: OptimizerConfig,
 ) -> TrainResult:
@@ -321,23 +384,34 @@ def train(
     best validation epoch are returned together with the full per-epoch
     (train loss, validation loss) history. A non-finite training or
     validation loss raises ``ValueError`` naming the epoch.
+
+    Only the current mini-batch, or the validation set while it is
+    scored, is ever dense; each gets the same float64 operands a dense
+    matrix's rows would, so the result does not depend on the form of
+    the inputs. Dense inputs are compressed into ``SparseRows`` and dense
+    targets wrapped as ``SelectedRows`` of themselves.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
-        if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
+        x_shape, t_shape = np.shape(x), np.shape(t)
+        if len(x_shape) != 2 or len(t_shape) != 2 or not 0 < x_shape[0] == t_shape[0]:
             raise ValueError(
-                f"{name} inputs {x.shape} and targets {t.shape} must be non-empty "
+                f"{name} inputs {x_shape} and targets {t_shape} must be non-empty "
                 "matrices with one row per example"
             )
-    if x_train.shape[1] != net_cfg.layer_sizes[0]:
+    (_, x_dim), (_, t_dim) = np.shape(x_train), np.shape(t_train)
+    if x_dim != net_cfg.layer_sizes[0]:
         raise ValueError(
-            f"sentence vector dim {x_train.shape[1]} does not match input width {net_cfg.layer_sizes[0]}"
+            f"sentence vector dim {x_dim} does not match input width {net_cfg.layer_sizes[0]}"
         )
-    if t_train.shape[1] != net_cfg.layer_sizes[-1]:
-        raise ValueError(
-            f"target dim {t_train.shape[1]} does not match output width {net_cfg.layer_sizes[-1]}"
-        )
-    if x_val.shape[1] != x_train.shape[1] or t_val.shape[1] != t_train.shape[1]:
+    if t_dim != net_cfg.layer_sizes[-1]:
+        raise ValueError(f"target dim {t_dim} does not match output width {net_cfg.layer_sizes[-1]}")
+    if np.shape(x_val)[1] != x_dim or np.shape(t_val)[1] != t_dim:
         raise ValueError("validation dims do not match training dims")
+    x_train, x_val = _sparse_rows(x_train), _sparse_rows(x_val)
+    t_train, t_val = (
+        t if isinstance(t, SelectedRows) else SelectedRows(np.asarray(t), np.arange(len(t)))
+        for t in (t_train, t_val)
+    )
 
     params = init_network(net_cfg, opt_cfg.seed)
     state = zero_state(params)
@@ -345,6 +419,7 @@ def train(
     stopper = EarlyStopping(opt_cfg.patience)
     history: list[EpochStats] = []
     n = x_train.shape[0]
+    val_rows = np.arange(x_val.shape[0])
 
     # a diverging run overflows long before the epoch ends; the finite-loss
     # check below reports it, so numpy's own warnings would only be noise
@@ -354,19 +429,12 @@ def train(
             loss_sum = 0.0
             for start in range(0, n, opt_cfg.batch_size):
                 batch = order[start : start + opt_cfg.batch_size]
-                cache = forward(
-                    params,
-                    x_train[batch],
-                    train=True,
-                    dropout_rate=net_cfg.dropout_rate,
-                    rng=rng,
-                )
-                loss_sum += mse_loss(cache.output, t_train[batch]) * batch.size
-                grads = backward(params, cache, t_train[batch])
-                params, state = rmsprop_step(params, grads, state, opt_cfg)
+                loss_sum += _step(params, state, x_train.take(batch), t_train.take(batch),
+                                  net_cfg, opt_cfg, rng) * batch.size
 
             train_loss = loss_sum / n
-            val_loss = mse_loss(forward(params, x_val).output, t_val)
+            val_loss = mse_loss(forward(params, x_val.take(val_rows)).output,
+                                t_val.take(val_rows))
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise ValueError(
                     f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
@@ -385,14 +453,26 @@ def train(
     )
 
 
-def encode(params: NetworkParams, inputs: np.ndarray) -> np.ndarray:
+def _step(params, state, inputs, targets, net_cfg, opt_cfg, rng) -> float:
+    """One RMSprop step on a dense mini-batch; its loss before the step.
+    The batch's activations and gradients die on return, so no step
+    allocates while the previous step's are alive."""
+    cache = forward(params, inputs, train=True, dropout_rate=net_cfg.dropout_rate, rng=rng)
+    loss = mse_loss(cache.output, targets)
+    rmsprop_step(params, backward(params, cache, targets), state, opt_cfg)
+    return loss
+
+
+def encode(params: NetworkParams, inputs: SparseRows | np.ndarray) -> np.ndarray:
     """Predicted visual features, one row per input row (inference mode).
 
-    Each row gets its own forward pass: BLAS sums a batched product in
-    another order, which changes the last bits of every row (by up to
-    4.4e-16 on the benchmark's inputs) and so the encoded files.
+    Each row is made dense and gets its own forward pass: BLAS sums a
+    batched product in another order, which changes the last bits of
+    every row (by up to 4.4e-16 on the benchmark's inputs) and so the
+    encoded files.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError("encode expects a 2-D (rows, dim) input")
-    return np.stack([forward(params, row[None, :]).output[0] for row in inputs])
+    inputs = _sparse_rows(inputs)
+    encoded = np.empty((inputs.shape[0], params[-1][0].shape[0]))
+    for row in np.arange(inputs.shape[0])[:, None]:
+        encoded[row] = forward(params, inputs.take(row)).output
+    return encoded

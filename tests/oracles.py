@@ -1,11 +1,14 @@
 """Independent reference implementations used to cross-check the library:
-finite-difference gradients, the allocating RMSprop formula, loop-based
-metric recomputation, and the per-row feature file reader/writer and
+finite-difference gradients, the allocating RMSprop formula, the dense
+training loop that compressed input rows replaced, loop-based metric
+recomputation, and the per-row feature file reader/writer and
 sorted-key cosine ranking that the matrix code replaced. These
 deliberately avoid the code paths they verify."""
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import math
 
 import numpy as np
 
@@ -69,6 +72,81 @@ def rmsprop_reference(params, grads, state, config):
         )
         new_state.append((ew2, eb2))
     return new_params, new_state
+
+
+def train_dense(
+    x_train: np.ndarray,
+    t_train: np.ndarray,
+    x_val: np.ndarray,
+    t_val: np.ndarray,
+    net_cfg: nn.NetworkConfig,
+    opt_cfg: nn.OptimizerConfig,
+) -> nn.TrainResult:
+    """``neuralnet.train`` as it was before its inputs became ``SparseRows``
+    and its targets ``SelectedRows``: dense matrices, indexed per mini-batch,
+    the loop kept as it was.
+    """
+    for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
+        if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
+            raise ValueError(
+                f"{name} inputs {x.shape} and targets {t.shape} must be non-empty "
+                "matrices with one row per example"
+            )
+    if x_train.shape[1] != net_cfg.layer_sizes[0]:
+        raise ValueError(
+            f"sentence vector dim {x_train.shape[1]} does not match input width {net_cfg.layer_sizes[0]}"
+        )
+    if t_train.shape[1] != net_cfg.layer_sizes[-1]:
+        raise ValueError(
+            f"target dim {t_train.shape[1]} does not match output width {net_cfg.layer_sizes[-1]}"
+        )
+    if x_val.shape[1] != x_train.shape[1] or t_val.shape[1] != t_train.shape[1]:
+        raise ValueError("validation dims do not match training dims")
+
+    params = nn.init_network(net_cfg, opt_cfg.seed)
+    state = nn.zero_state(params)
+    rng = np.random.default_rng(opt_cfg.seed)
+    stopper = nn.EarlyStopping(opt_cfg.patience)
+    history: list[nn.EpochStats] = []
+    n = x_train.shape[0]
+
+    # a diverging run overflows long before the epoch ends; the finite-loss
+    # check below reports it, so numpy's own warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, opt_cfg.max_epochs + 1):
+            order = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, opt_cfg.batch_size):
+                batch = order[start : start + opt_cfg.batch_size]
+                cache = nn.forward(
+                    params,
+                    x_train[batch],
+                    train=True,
+                    dropout_rate=net_cfg.dropout_rate,
+                    rng=rng,
+                )
+                loss_sum += nn.mse_loss(cache.output, t_train[batch]) * batch.size
+                grads = nn.backward(params, cache, t_train[batch])
+                params, state = nn.rmsprop_step(params, grads, state, opt_cfg)
+
+            train_loss = loss_sum / n
+            val_loss = nn.mse_loss(nn.forward(params, x_val).output, t_val)
+            if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+                raise ValueError(
+                    f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
+                    f"validation {val_loss!r}); training diverged"
+                )
+            history.append(nn.EpochStats(epoch, train_loss, val_loss))
+            if stopper.update(epoch, val_loss, params):
+                break
+
+    best = stopper.best_params if stopper.best_params is not None else nn.copy_params(params)
+    return nn.TrainResult(
+        params=best,
+        history=history,
+        best_epoch=stopper.best_epoch,
+        best_val_loss=stopper.best_loss,
+    )
 
 
 def max_relative_error(analytic, numeric):

@@ -1,4 +1,5 @@
 import errno
+import os
 import struct
 
 import numpy as np
@@ -68,6 +69,27 @@ def train_args(paths, out, extra=()):
     ]
 
 
+class FullDiskFile:
+    """Opens the real file, then fails every write as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def open_full_disk(file, mode="r", **kwargs):
+    """The real ``open`` for reading; for writing, a full disk."""
+    return (FullDiskFile if "w" in mode else open)(file, mode, **kwargs)
+
+
 class TestBuildVocab:
     def test_bow_sorted_and_counted(self, tmp_path, capsys):
         path = tmp_path / "s.tsv"
@@ -96,6 +118,22 @@ class TestBuildVocab:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out.strip() == "3"
         assert out.read_text(encoding="utf-8").splitlines() == ["#ca", "at#", "cat"]
+
+    def test_failed_write_leaves_earlier_listing_untouched(self, tmp_path, capsys,
+                                                           monkeypatch):
+        path = tmp_path / "s.tsv"
+        out = tmp_path / "vocab.txt"
+        args = ["build-vocab", "--sentences", str(path), "--vectorizer", "bow", "--out", str(out)]
+        path.write_text("a#0\ta dog\n", encoding="utf-8")
+        assert main(args) == 0
+        earlier = out.read_bytes()
+        path.write_text("a#0\ta cat\n", encoding="utf-8")
+        files = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(formats, "open", open_full_disk, raising=False)
+        assert main(args) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert out.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_empty_corpus_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "s.tsv"
@@ -181,25 +219,6 @@ class TestTrain:
 
     def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
                                                                monkeypatch):
-        class FullDiskFile:
-            """Opens the real file, then fails every write as a full disk does."""
-
-            def __init__(self, *args, **kwargs):
-                self.fh = open(*args, **kwargs)
-
-            def write(self, data):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        def open_full_disk(file, mode="r", **kwargs):
-            """The real ``open`` for reading; for writing, a full disk."""
-            return (FullDiskFile if "w" in mode else open)(file, mode, **kwargs)
-
         paths = write_corpus(tmp_path)
         model = tmp_path / "m.bin"
         assert main(train_args(paths, str(model))) == 0
@@ -210,6 +229,25 @@ class TestTrain:
         assert main(train_args(paths, str(model), ["--seed", "6"])) == 2
         assert "No space left" in capsys.readouterr().err
         assert model.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_failed_history_write_leaves_earlier_history_untouched(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        paths = write_corpus(tmp_path)
+        model = tmp_path / "m.bin"
+        history = tmp_path / "m.bin.history.tsv"
+        assert main(train_args(paths, str(model))) == 0
+        earlier = history.read_bytes()
+        files = sorted(tmp_path.iterdir())
+
+        def open_full_disk_for_history(file, mode="r", **kwargs):
+            full = "history" in os.path.basename(file)
+            return (open_full_disk if full else open)(file, mode, **kwargs)
+
+        monkeypatch.setattr(formats, "open", open_full_disk_for_history, raising=False)
+        assert main(train_args(paths, str(model), ["--max-epochs", "3"])) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert history.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == files
 
     def test_sentence_repeated_in_pairs_file_is_data_error(self, tmp_path, capsys):
@@ -514,6 +552,30 @@ class TestModelFileFuzz:
                        "the model predicts non-finite features\n")
 
 
+class TestModelLoad:
+    @pytest.mark.parametrize("kind", ["bow", "word2vec"])
+    def test_loaded_arrays_are_aligned_on_a_misaligned_payload(self, tmp_path, kind):
+        # term bytes 1 + 3 + 5 put every float payload at an odd file offset;
+        # numpy's matmul bypasses BLAS on unaligned arrays
+        from textovision import modelio, neuralnet, textvec
+
+        words = ["a", "cat", "émeu"]
+        if kind == "bow":
+            vectorizer = textvec.TermIndex("bow", words)
+        else:
+            vectorizer = textvec.WordEmbeddingTable(table({w: [0.5, -1.0] for w in words}))
+        params = neuralnet.init_network(neuralnet.NetworkConfig([vectorizer.dim, 4, 2]), 0)
+        path = tmp_path / "m.bin"
+        modelio.save_model(str(path), modelio.TrainedModel(vectorizer, params))
+        assert path.read_bytes().find(params[0][0].tobytes()) % 8 != 0
+
+        loaded = modelio.load_model(str(path))
+        arrays = [a for layer in loaded.params for a in layer]
+        if kind == "word2vec":
+            arrays += list(loaded.vectorizer.entries.values())
+        assert all(a.flags.aligned for a in arrays)
+
+
 class TestRank:
     def write_pool(self, tmp_path):
         rng = np.random.default_rng(77)
@@ -704,6 +766,21 @@ class TestEvaluate:
                      "--metrics", "r@1,map", "--out", str(report)]) == 0
         assert report.read_text(encoding="utf-8").startswith("r@1\t25.0\tmap\t")
 
+    def test_failed_report_write_leaves_earlier_report_untouched(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        rank_path, gt_path = self.write_fixture(tmp_path)
+        report = tmp_path / "report.tsv"
+        args = ["evaluate", "--rankings", rank_path, "--ground-truth", gt_path, "--out",
+                str(report)]
+        assert main([*args, "--metrics", "r@1"]) == 0
+        earlier = report.read_bytes()
+        files = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(formats, "open", open_full_disk, raising=False)
+        assert main([*args, "--metrics", "map"]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert report.read_bytes() == earlier
+        assert sorted(tmp_path.iterdir()) == files
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         rank_path, gt_path = self.write_fixture(tmp_path)
         assert main(["evaluate", "--rankings", rank_path, "--ground-truth", gt_path,
@@ -882,6 +959,41 @@ def run_fresh(code, *args):
     return proc.stdout.splitlines()[-1]
 
 
+class TestTrainMemory:
+    # a child's peak RSS from its own wait4: a process that posix_spawn or
+    # vfork starts reports at least its parent's peak, so the measured
+    # command is forked from this small interpreter, not from the tests
+    PEAK_RSS_KB = (
+        "import os, sys\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    try:\n"
+        "        os.execv(sys.executable, [sys.executable, '-m', 'textovision', *sys.argv[1:]])\n"
+        "    finally:\n"
+        "        os._exit(127)\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+
+    def test_train_never_holds_the_dense_input(self, tmp_path):
+        # 3200 sentences over a 10 000-word vocabulary: 256 MB as a dense matrix
+        words = [f"w{i}" for i in range(10_000)]
+        sentences = [Sentence(f"i{k % 10}#{k}", " ".join(words[(4 * k + j) % len(words)]
+                                                         for j in range(4)))
+                     for k in range(3200)]
+        write_sentences(str(tmp_path / "train.tsv"), sentences)
+        write_sentences(str(tmp_path / "val.tsv"), sentences[:2])
+        formats.write_features(str(tmp_path / "items.feat"),
+                               table({f"i{k}": [1.0 + k, 0.5] for k in range(10)}))
+        paths = {"train_sentences": str(tmp_path / "train.tsv"),
+                 "val_sentences": str(tmp_path / "val.tsv"),
+                 "features": str(tmp_path / "items.feat")}
+        args = train_args(paths, str(tmp_path / "m.bin"), ["--layers", "2", "--max-epochs", "1"])
+        code, peak_kb = run_fresh(self.PEAK_RSS_KB, *args).split()
+        assert code == "0"
+        assert int(peak_kb) < 200 * 1024
+
+
 class TestImportGraph:
     """``evaluate`` and ``build-vocab`` do no array math and never load numpy."""
 
@@ -895,7 +1007,7 @@ class TestImportGraph:
     def test_evaluate_runs_without_numpy(self, tmp_path):
         rank_path, gt_path = TestEvaluate().write_fixture(tmp_path)
         assert run_fresh(self.MAIN_THEN_REPORT_NUMPY, "evaluate", "--rankings", rank_path,
-                         "--ground-truth", gt_path) == "False"
+                         "--ground-truth", gt_path, "--out", str(tmp_path / "r.tsv")) == "False"
 
     def test_build_vocab_runs_without_numpy(self, tmp_path):
         sentences = tmp_path / "s.tsv"

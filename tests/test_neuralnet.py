@@ -2,7 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import max_relative_error, numeric_gradients, random_net, rmsprop_reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    max_relative_error,
+    numeric_gradients,
+    random_net,
+    rmsprop_reference,
+    train_dense,
+)
 
 from textovision import neuralnet as nn
 
@@ -341,6 +349,38 @@ class TestEarlyStopping:
         assert stopper.best_epoch == 1
 
 
+def sparse_matrix(rng, rows, cols):
+    """Mostly-zero counts with column 0 all zero, a -0.0 in every other
+    row, and a few fractional and negative values."""
+    x = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0, -0.5, 0.25], size=(rows, cols))
+    x[:, 0] = 0.0
+    x[::2, rng.integers(1, cols)] = -0.0
+    return x
+
+
+class TestSparseRows:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 9))
+    def test_take_gives_back_dense_rows_bit_for_bit(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        x = sparse_matrix(rng, rows, cols)
+        x[rng.integers(rows), rng.integers(cols)] = np.nan
+        sparse = nn.SparseRows(cols, iter(x))
+        assert sparse.shape == x.shape
+        assert sparse.indices.size == np.count_nonzero(x.view(np.uint64))
+        picks = rng.integers(rows, size=rng.integers(1, 2 * rows))
+        assert sparse.take(picks).tobytes() == x[picks].tobytes()
+
+    def test_keeps_negative_zero(self):
+        sparse = nn.SparseRows(3, [np.array([0.0, -0.0, 1.0])])
+        assert sparse.indices.tolist() == [1, 2]
+        assert np.signbit(sparse.take(np.array([0]))).tolist() == [[False, True, False]]
+
+    def test_rejects_a_row_of_another_width(self):
+        with pytest.raises(ValueError, match="width 3"):
+            nn.SparseRows(3, [np.zeros(3), np.zeros(4)])
+
+
 OVERFIT_X = np.array([[1.0, 0.5]])
 OVERFIT_T = np.array([[0.6, 0.4]])
 # seed 7 keeps both initial output preactivations positive; a negative one
@@ -389,6 +429,38 @@ class TestTrain:
         for (wa, ba), (wb, bb) in zip(a.params, b.params):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 14),
+        batch_size=st.integers(1, 6),
+        n_val=st.integers(1, 4),
+        dropout=st.sampled_from([0.0, 0.3]),
+    )
+    @example(seed=1, n_train=9, batch_size=4, n_val=1, dropout=0.3)  # 1-row last batch
+    @example(seed=2, n_train=1, batch_size=64, n_val=1, dropout=0.0)
+    def test_compressed_rows_train_bit_identical_to_dense_loop(self, seed, n_train, batch_size,
+                                                              n_val, dropout):
+        rng = np.random.default_rng(seed)
+        x = sparse_matrix(rng, n_train + n_val, 7)
+        items = np.abs(rng.normal(size=(5, 3)))
+        targets = rng.integers(len(items), size=n_train + n_val)
+        net = nn.NetworkConfig([7, 6, 3], dropout_rate=dropout)
+        opt = nn.OptimizerConfig(seed=seed, batch_size=batch_size, max_epochs=6, patience=2)
+        train, val = np.arange(n_train), np.arange(n_train, n_train + n_val)
+        result = nn.train(
+            nn.SparseRows(7, x[train]), nn.SelectedRows(items, targets[train]),
+            nn.SparseRows(7, x[val]), nn.SelectedRows(items, targets[val]), net, opt,
+        )
+        dense = train_dense(x[train], items[targets[train]], x[val], items[targets[val]],
+                            net, opt)
+        assert [(s.epoch, s.train_loss, s.val_loss) for s in result.history] == [
+            (s.epoch, s.train_loss, s.val_loss) for s in dense.history
+        ]
+        assert (result.best_epoch, result.best_val_loss) == (dense.best_epoch, dense.best_val_loss)
+        for (w, b), (dw, db) in zip(result.params, dense.params):
+            assert w.tobytes() == dw.tobytes() and b.tobytes() == db.tobytes()
 
     def test_rejects_empty_sets(self):
         net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
@@ -443,6 +515,14 @@ class TestEncode:
         x = np.abs(rng.normal(size=(25, 40)))
         out = nn.encode(params, x)
         assert out.shape == (25, 20)
+        for row, encoded in zip(x, out):
+            assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
+
+    def test_compressed_rows_match_single_row_forward_passes_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        params = nn.init_network(nn.NetworkConfig([40, 30, 20], 0.0), 4)
+        x = sparse_matrix(rng, 25, 40)
+        out = nn.encode(params, nn.SparseRows(40, x))
         for row, encoded in zip(x, out):
             assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
 
