@@ -157,8 +157,9 @@ def _parse_hidden_sizes(text: str) -> list[int]:
 
 
 def _training_rows(vectorizer, sentences, features, pair_map):
-    """Inputs and targets with one row per sentence: its vector, compressed
-    one sentence at a time, and the feature row of its item, by index.
+    """Inputs and targets with one row per sentence: its vector, stacked
+    one sentence at a time by ``neuralnet.stack_rows``, and the feature row
+    of its item, by index.
 
     The item is looked up in ``pair_map`` (from an explicit pairs file)
     if given, otherwise derived from the '<item_id>#<n>' sentence id
@@ -180,7 +181,7 @@ def _training_rows(vectorizer, sentences, features, pair_map):
         if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
         targets.append(row_of[item])
-    inputs = neuralnet.SparseRows(vectorizer.dim, map(vectorizer.vectorize, sentences))
+    inputs = neuralnet.stack_rows(vectorizer.dim, map(vectorizer.vectorize, sentences))
     return inputs, neuralnet.SelectedRows(features.matrix, np.array(targets, dtype=np.intp))
 
 
@@ -247,10 +248,9 @@ def cmd_encode(args) -> int:
             yield row
 
     with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
-        rows = neuralnet.SparseRows(model.vectorizer.dim, vectors())
-        if not ids:
-            raise ValueError("no sentence could be encoded")
-        encoded = neuralnet.encode(model.params, rows)
+        encoded = neuralnet.encode(model.params, vectors())
+    if not ids:
+        raise ValueError("no sentence could be encoded")
     if not np.isfinite(encoded).all():
         raise ValueError(f"{args.model}: the model predicts non-finite features")
     formats.write_features(args.out, retrieval.Features(ids, encoded))

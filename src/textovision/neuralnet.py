@@ -9,23 +9,25 @@ from seeded ``numpy.random.Generator`` streams, so a (seed, data,
 config) triple fully determines parameters, masks, shuffles and the
 loss history.
 
-``train`` takes inputs as ``SparseRows`` and targets as
-``SelectedRows``, one row per example, and makes each dense only one
-mini-batch at a time, so a corpus of any size never exists as one dense
-matrix; dense matrices are wrapped into those types first. ``encode``
-maps ``SparseRows`` (or a dense matrix) to a matrix of predicted
-features; it only reads its params (a loaded model's arrays are
-read-only). ``rmsprop_step`` mutates the ``params`` and ``state`` it is
-given and only reads ``grads``. ``EarlyStopping`` keeps a copy of the
-best epoch's parameters, so later in-place steps never change what
-``train`` returns.
+``train`` takes inputs and targets as ``SparseRows``, ``SelectedRows``
+or dense matrices, one row per example, and gathers each only one
+mini-batch at a time: ``stack_rows`` keeps sparse sentence vectors
+compressed and targets are row indices into the feature matrix, so a
+sparse corpus of any size never exists as one dense matrix. ``encode`` maps
+rows, as they arrive, to a matrix of predicted features; it only reads
+its params (a loaded model's arrays are read-only). ``rmsprop_step``
+mutates the ``params`` and ``state`` it is given and only reads
+``grads``. ``EarlyStopping`` keeps a copy of the best epoch's
+parameters, so later in-place steps never change what ``train``
+returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,27 +43,29 @@ OptimizerState = list[tuple[np.ndarray, np.ndarray]]
 RMSPROP_SLICE = 32768
 
 
+#: entries per dense block while rows are compressed (1 MiB of float64)
+BLOCK_ENTRIES = 2**17
+
+
 class SparseRows:
     """Rows of a float64 matrix in compressed form: row i keeps the columns
-    ``indices[indptr[i]:indptr[i + 1]]`` (ascending) with the same slice of
-    ``values``. Every entry whose bit pattern is not +0.0 is kept, -0.0
-    included, so ``take`` gives back the dense rows bit for bit."""
+    ``indices[indptr[i]:indptr[i + 1]]`` (ascending, int32) with the same
+    slice of ``values``, 12 bytes per kept entry. Every entry whose bit
+    pattern is not +0.0 is kept, -0.0 included, so ``take`` gives back the
+    dense rows bit for bit."""
 
     def __init__(self, dim: int, rows: Iterable[np.ndarray]):
-        """Compress dense rows of width ``dim``, taking one at a time."""
-        counts, indices, values = [0], [np.empty(0, np.intp)], [np.empty(0)]
-        for row in rows:
-            row = np.asarray(row, dtype=np.float64)
-            if row.shape != (dim,):
-                raise ValueError(f"row of shape {row.shape} in rows of width {dim}")
-            columns = np.flatnonzero(row.view(np.uint64) != 0)
-            counts.append(columns.size)
-            indices.append(columns)
-            values.append(row[columns])
+        """Compress dense rows of width ``dim``, a block of them at a time."""
+        counts, indices, values = [np.zeros(1, np.intp)], [], []
+        for block in _blocks(dim, rows):
+            row, column = np.nonzero(block.view(np.uint64))
+            counts.append(np.bincount(row, minlength=len(block)))
+            indices.append(column.astype(np.int32))
+            values.append(block[row, column])
         self.dim = dim
-        self.indptr = np.cumsum(counts)
-        self.indices = np.concatenate(indices)
-        self.values = np.concatenate(values)
+        self.indptr = np.cumsum(np.concatenate(counts))
+        self.indices = np.concatenate([np.empty(0, np.int32), *indices])
+        self.values = np.concatenate([np.empty(0), *values])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -69,11 +73,38 @@ class SparseRows:
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The dense (len(rows), dim) matrix of rows ``rows``, in that order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        # where each picked row's entries lie: its start plus their rank in it
+        kept = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         dense = np.zeros((len(rows), self.dim))
-        for out, row in zip(dense, rows.tolist()):
-            start, end = self.indptr[row], self.indptr[row + 1]
-            out[self.indices[start:end]] = self.values[start:end]
+        dense[np.repeat(np.arange(len(rows)), counts), self.indices[kept]] = self.values[kept]
         return dense
+
+
+def _blocks(dim: int, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows of width ``dim`` stacked into float64 blocks of at most
+    ``BLOCK_ENTRIES`` entries (one row at least)."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, max(1, BLOCK_ENTRIES // dim))):
+        block = [np.asarray(row, dtype=np.float64) for row in block]
+        for row in block:
+            if row.shape != (dim,):
+                raise ValueError(f"row of shape {row.shape} in rows of width {dim}")
+        yield np.stack(block)
+
+
+def stack_rows(dim: int, rows: Iterable[np.ndarray]) -> SparseRows | np.ndarray:
+    """Rows of width ``dim``, taken one at a time, in the smaller of the two
+    forms ``train`` takes: ``SparseRows`` if at most two thirds of the first
+    block's entries are kept (bag-of-words and hashing rows), else one dense
+    matrix (word2vec means, which have almost no zero). A first block unlike
+    the rest costs memory, never bits: both forms give the same rows."""
+    rows = iter(rows)
+    first = next(_blocks(dim, rows), np.empty((0, dim)))
+    if 3 * np.count_nonzero(first.view(np.uint64)) <= 2 * first.size:
+        return SparseRows(dim, itertools.chain(first, rows))
+    return np.concatenate([first, *_blocks(dim, rows)])
 
 
 @dataclass(frozen=True)
@@ -91,14 +122,13 @@ class SelectedRows:
         return self.matrix[self.index[rows]]
 
 
-def _sparse_rows(inputs) -> SparseRows:
-    """``inputs`` itself if it is ``SparseRows``, else a 2-D matrix compressed."""
-    if isinstance(inputs, SparseRows):
-        return inputs
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError("expected a 2-D (rows, dim) input")
-    return SparseRows(inputs.shape[1], inputs)
+def _rows(x) -> SparseRows | SelectedRows:
+    """``x`` itself if it is ``SparseRows`` or ``SelectedRows``, else a dense
+    matrix as ``SelectedRows`` of all its rows."""
+    if isinstance(x, (SparseRows, SelectedRows)):
+        return x
+    x = np.asarray(x, dtype=np.float64)
+    return SelectedRows(x, np.arange(len(x)))
 
 
 @dataclass(frozen=True)
@@ -386,10 +416,10 @@ def train(
     validation loss raises ``ValueError`` naming the epoch.
 
     Only the current mini-batch, or the validation set while it is
-    scored, is ever dense; each gets the same float64 operands a dense
+    scored, is gathered; each gets the same float64 operands a dense
     matrix's rows would, so the result does not depend on the form of
-    the inputs. Dense inputs are compressed into ``SparseRows`` and dense
-    targets wrapped as ``SelectedRows`` of themselves.
+    the inputs. A dense matrix is taken as ``SelectedRows`` of all its
+    rows.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         x_shape, t_shape = np.shape(x), np.shape(t)
@@ -407,11 +437,7 @@ def train(
         raise ValueError(f"target dim {t_dim} does not match output width {net_cfg.layer_sizes[-1]}")
     if np.shape(x_val)[1] != x_dim or np.shape(t_val)[1] != t_dim:
         raise ValueError("validation dims do not match training dims")
-    x_train, x_val = _sparse_rows(x_train), _sparse_rows(x_val)
-    t_train, t_val = (
-        t if isinstance(t, SelectedRows) else SelectedRows(np.asarray(t), np.arange(len(t)))
-        for t in (t_train, t_val)
-    )
+    x_train, t_train, x_val, t_val = map(_rows, (x_train, t_train, x_val, t_val))
 
     params = init_network(net_cfg, opt_cfg.seed)
     state = zero_state(params)
@@ -463,16 +489,18 @@ def _step(params, state, inputs, targets, net_cfg, opt_cfg, rng) -> float:
     return loss
 
 
-def encode(params: NetworkParams, inputs: SparseRows | np.ndarray) -> np.ndarray:
+def encode(params: NetworkParams, rows: Iterable[np.ndarray]) -> np.ndarray:
     """Predicted visual features, one row per input row (inference mode).
 
-    Each row is made dense and gets its own forward pass: BLAS sums a
+    ``rows`` is a 2-D matrix or any iterable of 1-D rows, such as a
+    generator that vectorizes sentences as they are read, so no input
+    matrix need exist. Each row gets its own forward pass: BLAS sums a
     batched product in another order, which changes the last bits of
     every row (by up to 4.4e-16 on the benchmark's inputs) and so the
     encoded files.
     """
-    inputs = _sparse_rows(inputs)
-    encoded = np.empty((inputs.shape[0], params[-1][0].shape[0]))
-    for row in np.arange(inputs.shape[0])[:, None]:
-        encoded[row] = forward(params, inputs.take(row)).output
-    return encoded
+    if isinstance(rows, np.ndarray) and rows.ndim != 2:
+        raise ValueError("encode expects a 2-D (rows, dim) input")
+    empty = np.empty((0, params[-1][0].shape[0]))
+    return np.concatenate([empty, *(forward(params, np.asarray(row, dtype=np.float64)[None, :])
+                                    .output for row in rows)])

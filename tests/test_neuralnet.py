@@ -381,6 +381,31 @@ class TestSparseRows:
             nn.SparseRows(3, [np.zeros(3), np.zeros(4)])
 
 
+class TestStackRows:
+    # 9 columns fit every row in one block; half a block's entries, two rows a block
+    @pytest.mark.parametrize("cols", [9, nn.BLOCK_ENTRIES // 2])
+    def test_sparse_rows_stay_compressed(self, cols):
+        rng = np.random.default_rng(3)
+        x = sparse_matrix(rng, 5, cols)
+        stacked = nn.stack_rows(cols, iter(x))
+        assert isinstance(stacked, nn.SparseRows) and stacked.indices.dtype == np.int32
+        picks = np.array([4, 0, 2, 2, 1, 3])
+        assert stacked.take(picks).tobytes() == x[picks].tobytes()
+
+    @pytest.mark.parametrize("cols", [9, nn.BLOCK_ENTRIES // 2])
+    def test_dense_rows_stay_one_matrix(self, cols):
+        # a word2vec mean has almost no zero entry
+        x = np.random.default_rng(4).normal(size=(5, cols))
+        x[2, 3] = -0.0
+        stacked = nn.stack_rows(cols, iter(x))
+        assert isinstance(stacked, np.ndarray) and stacked.tobytes() == x.tobytes()
+
+    def test_rejects_a_row_of_another_width(self):
+        for first in (np.zeros(3), np.ones(3)):
+            with pytest.raises(ValueError, match="width 3"):
+                nn.stack_rows(3, [first, np.zeros(4)])
+
+
 OVERFIT_X = np.array([[1.0, 0.5]])
 OVERFIT_T = np.array([[0.6, 0.4]])
 # seed 7 keeps both initial output preactivations positive; a negative one
@@ -449,18 +474,23 @@ class TestTrain:
         net = nn.NetworkConfig([7, 6, 3], dropout_rate=dropout)
         opt = nn.OptimizerConfig(seed=seed, batch_size=batch_size, max_epochs=6, patience=2)
         train, val = np.arange(n_train), np.arange(n_train, n_train + n_val)
-        result = nn.train(
+        compressed = nn.train(
             nn.SparseRows(7, x[train]), nn.SelectedRows(items, targets[train]),
             nn.SparseRows(7, x[val]), nn.SelectedRows(items, targets[val]), net, opt,
         )
         dense = train_dense(x[train], items[targets[train]], x[val], items[targets[val]],
                             net, opt)
-        assert [(s.epoch, s.train_loss, s.val_loss) for s in result.history] == [
-            (s.epoch, s.train_loss, s.val_loss) for s in dense.history
-        ]
-        assert (result.best_epoch, result.best_val_loss) == (dense.best_epoch, dense.best_val_loss)
-        for (w, b), (dw, db) in zip(result.params, dense.params):
-            assert w.tobytes() == dw.tobytes() and b.tobytes() == db.tobytes()
+        # dense matrices, as word2vec rows reach train, take the same path
+        wrapped = nn.train(x[train], items[targets[train]], x[val], items[targets[val]],
+                           net, opt)
+        for result in (compressed, wrapped):
+            assert [(s.epoch, s.train_loss, s.val_loss) for s in result.history] == [
+                (s.epoch, s.train_loss, s.val_loss) for s in dense.history
+            ]
+            assert (result.best_epoch, result.best_val_loss) == (dense.best_epoch,
+                                                                 dense.best_val_loss)
+            for (w, b), (dw, db) in zip(result.params, dense.params):
+                assert w.tobytes() == dw.tobytes() and b.tobytes() == db.tobytes()
 
     def test_rejects_empty_sets(self):
         net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
@@ -518,13 +548,15 @@ class TestEncode:
         for row, encoded in zip(x, out):
             assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
 
-    def test_compressed_rows_match_single_row_forward_passes_bit_for_bit(self):
+    def test_rows_from_a_generator_match_the_matrix_bit_for_bit(self):
         rng = np.random.default_rng(9)
         params = nn.init_network(nn.NetworkConfig([40, 30, 20], 0.0), 4)
         x = sparse_matrix(rng, 25, 40)
-        out = nn.encode(params, nn.SparseRows(40, x))
-        for row, encoded in zip(x, out):
-            assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
+        assert nn.encode(params, (row for row in x)).tobytes() == nn.encode(params, x).tobytes()
+
+    def test_no_rows_encode_to_an_empty_matrix(self):
+        params = nn.init_network(nn.NetworkConfig([4, 3], 0.0), 3)
+        assert nn.encode(params, iter([])).shape == (0, 3)
 
     def test_rejects_a_single_vector(self):
         with pytest.raises(ValueError, match="2-D"):
