@@ -157,9 +157,8 @@ def _parse_hidden_sizes(text: str) -> list[int]:
 
 
 def _training_rows(vectorizer, sentences, features, pair_map):
-    """Inputs and targets with one row per sentence: its vector, stacked
-    one sentence at a time by ``neuralnet.stack_rows``, and the feature row
-    of its item, by index.
+    """Inputs and targets with one row per sentence: its vector, in the form
+    ``vectorizer.rows`` gives, and the feature row of its item, by index.
 
     The item is looked up in ``pair_map`` (from an explicit pairs file)
     if given, otherwise derived from the '<item_id>#<n>' sentence id
@@ -181,14 +180,26 @@ def _training_rows(vectorizer, sentences, features, pair_map):
         if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
         targets.append(row_of[item])
-    inputs = neuralnet.stack_rows(vectorizer.dim, map(vectorizer.vectorize, sentences))
+    inputs = vectorizer.rows(sentences)
     return inputs, neuralnet.SelectedRows(features.matrix, np.array(targets, dtype=np.intp))
+
+
+def _config(make, **fields):
+    """``make(**fields)``; its ``ValueError`` is a usage error, as the fields are flags."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
     from . import formats, modelio, neuralnet
 
     build = _vectorizer_builder(args)
+    hidden = _parse_hidden_sizes(args.layers)
+    opt_cfg = _config(neuralnet.OptimizerConfig, learning_rate=args.lr, gamma=args.gamma,
+                      epsilon=args.epsilon, batch_size=args.batch_size,
+                      max_epochs=args.max_epochs, patience=args.patience, seed=args.seed)
     train_sentences = formats.read_sentences(args.sentences)
     train_features = formats.read_features(args.features)
     val_sentences = formats.read_sentences(args.val_sentences)
@@ -200,19 +211,8 @@ def cmd_train(args) -> int:
         raise ValueError(f"validation feature dim {val_features.dim} does not match "
                          f"training dim {out_dim}")
 
-    net_cfg = neuralnet.NetworkConfig(
-        layer_sizes=[vectorizer.dim, *_parse_hidden_sizes(args.layers), out_dim],
-        dropout_rate=args.dropout,
-    )
-    opt_cfg = neuralnet.OptimizerConfig(
-        learning_rate=args.lr,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        batch_size=args.batch_size,
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
+    net_cfg = _config(neuralnet.NetworkConfig, layer_sizes=[vectorizer.dim, *hidden, out_dim],
+                      dropout_rate=args.dropout)
     pair_map = dict(formats.read_pairs(args.pairs, unique_left=True)) if args.pairs else None
     x_train, t_train = _training_rows(vectorizer, train_sentences, train_features, pair_map)
     x_val, t_val = _training_rows(vectorizer, val_sentences, val_features, pair_map)
@@ -293,13 +293,14 @@ def cmd_evaluate(args) -> int:
     values = metrics.evaluate(names, rankings, truth)
 
     tsv_line = "\t".join(f"{n}\t{v!r}" for n, v in zip(names, values))
+    # written before anything is printed, so a failed write leaves stdout empty
+    if args.out:
+        with formats.atomic_open(args.out) as fh:
+            fh.write(tsv_line + "\n")
     print(tsv_line)
     width = max(len(n) for n in names)
     for name, value in zip(names, values):
         print(f"{name:<{width}}  {value:.6f}")
-    if args.out:
-        with formats.atomic_open(args.out) as fh:
-            fh.write(tsv_line + "\n")
     return 0
 
 

@@ -11,9 +11,9 @@ loss history.
 
 ``train`` takes inputs and targets as ``SparseRows``, ``SelectedRows``
 or dense matrices, one row per example, and gathers each only one
-mini-batch at a time: ``stack_rows`` keeps sparse sentence vectors
-compressed and targets are row indices into the feature matrix, so a
-sparse corpus of any size never exists as one dense matrix. ``encode`` maps
+mini-batch at a time: term-count sentence vectors stay compressed
+(``TermIndex.rows``) and targets are row indices into the feature matrix,
+so a sparse corpus of any size never exists as one dense matrix. ``encode`` maps
 rows, as they arrive, to a matrix of predicted features; it only reads
 its params (a loaded model's arrays are read-only). ``rmsprop_step``
 mutates the ``params`` and ``state`` it is given and only reads
@@ -24,10 +24,9 @@ returns.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,29 +42,17 @@ OptimizerState = list[tuple[np.ndarray, np.ndarray]]
 RMSPROP_SLICE = 32768
 
 
-#: entries per dense block while rows are compressed (1 MiB of float64)
-BLOCK_ENTRIES = 2**17
-
-
+@dataclass(frozen=True, eq=False)
 class SparseRows:
     """Rows of a float64 matrix in compressed form: row i keeps the columns
     ``indices[indptr[i]:indptr[i + 1]]`` (ascending, int32) with the same
-    slice of ``values``, 12 bytes per kept entry. Every entry whose bit
-    pattern is not +0.0 is kept, -0.0 included, so ``take`` gives back the
-    dense rows bit for bit."""
+    slice of ``values``, 12 bytes per kept entry; every other entry is +0.0.
+    ``TermIndex.rows`` builds them from term counts."""
 
-    def __init__(self, dim: int, rows: Iterable[np.ndarray]):
-        """Compress dense rows of width ``dim``, a block of them at a time."""
-        counts, indices, values = [np.zeros(1, np.intp)], [], []
-        for block in _blocks(dim, rows):
-            row, column = np.nonzero(block.view(np.uint64))
-            counts.append(np.bincount(row, minlength=len(block)))
-            indices.append(column.astype(np.int32))
-            values.append(block[row, column])
-        self.dim = dim
-        self.indptr = np.cumsum(np.concatenate(counts))
-        self.indices = np.concatenate([np.empty(0, np.int32), *indices])
-        self.values = np.concatenate([np.empty(0), *values])
+    dim: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -80,31 +67,6 @@ class SparseRows:
         dense = np.zeros((len(rows), self.dim))
         dense[np.repeat(np.arange(len(rows)), counts), self.indices[kept]] = self.values[kept]
         return dense
-
-
-def _blocks(dim: int, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows of width ``dim`` stacked into float64 blocks of at most
-    ``BLOCK_ENTRIES`` entries (one row at least)."""
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, max(1, BLOCK_ENTRIES // dim))):
-        block = [np.asarray(row, dtype=np.float64) for row in block]
-        for row in block:
-            if row.shape != (dim,):
-                raise ValueError(f"row of shape {row.shape} in rows of width {dim}")
-        yield np.stack(block)
-
-
-def stack_rows(dim: int, rows: Iterable[np.ndarray]) -> SparseRows | np.ndarray:
-    """Rows of width ``dim``, taken one at a time, in the smaller of the two
-    forms ``train`` takes: ``SparseRows`` if at most two thirds of the first
-    block's entries are kept (bag-of-words and hashing rows), else one dense
-    matrix (word2vec means, which have almost no zero). A first block unlike
-    the rest costs memory, never bits: both forms give the same rows."""
-    rows = iter(rows)
-    first = next(_blocks(dim, rows), np.empty((0, dim)))
-    if 3 * np.count_nonzero(first.view(np.uint64)) <= 2 * first.size:
-        return SparseRows(dim, itertools.chain(first, rows))
-    return np.concatenate([first, *_blocks(dim, rows)])
 
 
 @dataclass(frozen=True)
@@ -159,14 +121,16 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and > 0")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch size, max epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -6,7 +6,8 @@ A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
 the ``Features`` table ``formats.read_features`` reads from an embedding
 file). Each knows its ``kind`` and ``dim``, and its ``vectorize`` turns
 a ``Sentence`` into a float64 row, raising ``ValueError`` naming the
-sentence when none of its terms is known. Vectorizers are immutable
+sentence when none of its terms is known; ``rows`` gives many sentences'
+rows in the form ``neuralnet.train`` takes. Vectorizers are immutable
 after construction and safe for concurrent read-only use. Term lists are
 kept sorted by byte order so that serialized vocabularies are identical
 across platforms.
@@ -14,6 +15,7 @@ across platforms.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -21,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
+    from .neuralnet import SparseRows
     from .retrieval import Features
 
 #: maximal runs of letters/digits; underscore and everything else separates
@@ -105,20 +108,34 @@ class TermIndex:
     def __eq__(self, other) -> bool:
         return isinstance(other, TermIndex) and (self.kind, self.terms) == (other.kind, other.terms)
 
+    def _term_indices(self, sentence: Sentence) -> list[int]:
+        """The index of each known term of the sentence, in text order, repeats kept."""
+        found = [self.index[t] for t in self._terms(sentence.text) if t in self.index]
+        if not found:
+            raise ValueError(f"sentence {sentence.id!r} has no term in the {self.noun}")
+        return found
+
     def vectorize(self, sentence: Sentence) -> np.ndarray:
         """Count occurrences of each indexed term; unknown terms contribute nothing."""
         import numpy as np
 
-        values = np.zeros(self.dim, dtype=np.float64)
-        hits = 0
-        for term in self._terms(sentence.text):
-            pos = self.index.get(term)
-            if pos is not None:
-                values[pos] += 1.0
-                hits += 1
-        if hits == 0:
-            raise ValueError(f"sentence {sentence.id!r} has no term in the {self.noun}")
-        return values
+        return np.bincount(self._term_indices(sentence), minlength=self.dim).astype(np.float64)
+
+    def rows(self, sentences: Sequence[Sentence]) -> SparseRows:
+        """All sentences' ``vectorize`` rows, compressed: one entry per distinct known term."""
+        import numpy as np
+
+        from .neuralnet import SparseRows
+
+        found = [self._term_indices(s) for s in sentences]
+        lengths = np.fromiter(map(len, found), np.intp, len(found))
+        terms = np.fromiter(itertools.chain.from_iterable(found), np.int64, lengths.sum())
+        # sorted, the keys row * dim + term list rows in order, each one's terms ascending
+        keys, counts = np.unique(np.repeat(np.arange(len(found)) * self.dim, lengths) + terms,
+                                 return_counts=True)
+        indptr = np.searchsorted(keys, np.arange(len(found) + 1) * self.dim)
+        return SparseRows(self.dim, indptr, (keys % self.dim).astype(np.int32),
+                          counts.astype(np.float64))
 
 
 class WordEmbeddingTable:
@@ -149,6 +166,15 @@ class WordEmbeddingTable:
         if count == 0:
             raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
         return total / count
+
+    def rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
+        """All sentences' ``vectorize`` rows as one dense matrix: means have few zeros."""
+        import numpy as np
+
+        matrix = np.empty((len(sentences), self.dim))
+        for row, sentence in zip(matrix, sentences):
+            row[:] = self.vectorize(sentence)
+        return matrix
 
 
 def build_vocab(kind: str, sentences: Sequence[Sentence]) -> TermIndex:

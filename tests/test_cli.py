@@ -191,6 +191,30 @@ class TestTrain:
         del args[i : i + 2]
         assert main(args) == 1
 
+    BAD_FLAGS = [
+        ("--dropout", "1.0", "dropout rate must lie in [0, 1)"),
+        ("--lr", "0", "learning rate must be finite and > 0"),
+        ("--lr", "nan", "learning rate must be finite and > 0"),
+        ("--gamma", "1", "gamma must lie in (0, 1)"),
+        ("--epsilon", "0", "epsilon must be finite and > 0"),
+        ("--epsilon", "nan", "epsilon must be finite and > 0"),
+        ("--epsilon", "inf", "epsilon must be finite and > 0"),
+        ("--batch-size", "0", "batch size, max epochs and patience must be >= 1"),
+        ("--max-epochs", "0", "batch size, max epochs and patience must be >= 1"),
+        ("--patience", "0", "batch size, max epochs and patience must be >= 1"),
+        ("--seed", "-1", "seed must be >= 0"),
+    ]
+
+    @pytest.mark.parametrize("flag, value, rule", BAD_FLAGS,
+                             ids=[f"{flag}={value}" for flag, value, _ in BAD_FLAGS])
+    def test_bad_training_flag_is_usage_error_naming_the_rule(self, tmp_path, capsys, flag,
+                                                              value, rule):
+        paths = write_corpus(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(train_args(paths, str(tmp_path / "m.bin"), [flag, value])) == 1
+        assert capsys.readouterr().err == f"textovision: error: {rule}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_word2vec_requires_embeddings(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         assert main(train_args(paths, str(tmp_path / "m.bin"),
@@ -781,6 +805,14 @@ class TestEvaluate:
         assert report.read_bytes() == earlier
         assert sorted(tmp_path.iterdir()) == files
 
+    def test_failed_report_write_prints_nothing(self, tmp_path, capsys):
+        rank_path, gt_path = self.write_fixture(tmp_path)
+        assert main(["evaluate", "--rankings", rank_path, "--ground-truth", gt_path,
+                     "--out", str(tmp_path / "missing" / "report.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing" in captured.err
+
     def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
         rank_path, gt_path = self.write_fixture(tmp_path)
         assert main(["evaluate", "--rankings", rank_path, "--ground-truth", gt_path,
@@ -930,6 +962,14 @@ class TestThreadCap:
         assert os.environ["OMP_NUM_THREADS"] == "8"
 
 
+def checkout_env():
+    """This environment with this checkout's package on ``PYTHONPATH``, for a
+    child interpreter: a path set only in pytest's settings does not reach it."""
+    import textovision
+
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(textovision.__file__)))
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs(self):
         import subprocess
@@ -937,7 +977,7 @@ class TestModuleEntryPoint:
 
         proc = subprocess.run(
             [sys.executable, "-m", "textovision", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0
         assert "evaluate" in proc.stdout
@@ -946,15 +986,11 @@ class TestModuleEntryPoint:
 def run_fresh(code, *args):
     """Run ``code`` in a new interpreter with this checkout's package on
     the path; its last line of standard output."""
-    import os
     import subprocess
     import sys
 
-    import textovision
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(textovision.__file__)))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env)
+                          env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 

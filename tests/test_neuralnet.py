@@ -358,6 +358,14 @@ def sparse_matrix(rng, rows, cols):
     return x
 
 
+def sparse_rows(x):
+    """``x`` as ``SparseRows``, keeping every entry whose bit pattern is not
+    +0.0, so -0.0 and NaN are stored too."""
+    row, column = np.nonzero(x.view(np.uint64))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(x)))])
+    return nn.SparseRows(x.shape[1], indptr, column.astype(np.int32), x[row, column])
+
+
 class TestSparseRows:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 9))
@@ -365,45 +373,10 @@ class TestSparseRows:
         rng = np.random.default_rng(seed)
         x = sparse_matrix(rng, rows, cols)
         x[rng.integers(rows), rng.integers(cols)] = np.nan
-        sparse = nn.SparseRows(cols, iter(x))
+        sparse = sparse_rows(x)
         assert sparse.shape == x.shape
-        assert sparse.indices.size == np.count_nonzero(x.view(np.uint64))
         picks = rng.integers(rows, size=rng.integers(1, 2 * rows))
         assert sparse.take(picks).tobytes() == x[picks].tobytes()
-
-    def test_keeps_negative_zero(self):
-        sparse = nn.SparseRows(3, [np.array([0.0, -0.0, 1.0])])
-        assert sparse.indices.tolist() == [1, 2]
-        assert np.signbit(sparse.take(np.array([0]))).tolist() == [[False, True, False]]
-
-    def test_rejects_a_row_of_another_width(self):
-        with pytest.raises(ValueError, match="width 3"):
-            nn.SparseRows(3, [np.zeros(3), np.zeros(4)])
-
-
-class TestStackRows:
-    # 9 columns fit every row in one block; half a block's entries, two rows a block
-    @pytest.mark.parametrize("cols", [9, nn.BLOCK_ENTRIES // 2])
-    def test_sparse_rows_stay_compressed(self, cols):
-        rng = np.random.default_rng(3)
-        x = sparse_matrix(rng, 5, cols)
-        stacked = nn.stack_rows(cols, iter(x))
-        assert isinstance(stacked, nn.SparseRows) and stacked.indices.dtype == np.int32
-        picks = np.array([4, 0, 2, 2, 1, 3])
-        assert stacked.take(picks).tobytes() == x[picks].tobytes()
-
-    @pytest.mark.parametrize("cols", [9, nn.BLOCK_ENTRIES // 2])
-    def test_dense_rows_stay_one_matrix(self, cols):
-        # a word2vec mean has almost no zero entry
-        x = np.random.default_rng(4).normal(size=(5, cols))
-        x[2, 3] = -0.0
-        stacked = nn.stack_rows(cols, iter(x))
-        assert isinstance(stacked, np.ndarray) and stacked.tobytes() == x.tobytes()
-
-    def test_rejects_a_row_of_another_width(self):
-        for first in (np.zeros(3), np.ones(3)):
-            with pytest.raises(ValueError, match="width 3"):
-                nn.stack_rows(3, [first, np.zeros(4)])
 
 
 OVERFIT_X = np.array([[1.0, 0.5]])
@@ -475,8 +448,8 @@ class TestTrain:
         opt = nn.OptimizerConfig(seed=seed, batch_size=batch_size, max_epochs=6, patience=2)
         train, val = np.arange(n_train), np.arange(n_train, n_train + n_val)
         compressed = nn.train(
-            nn.SparseRows(7, x[train]), nn.SelectedRows(items, targets[train]),
-            nn.SparseRows(7, x[val]), nn.SelectedRows(items, targets[val]), net, opt,
+            sparse_rows(x[train]), nn.SelectedRows(items, targets[train]),
+            sparse_rows(x[val]), nn.SelectedRows(items, targets[val]), net, opt,
         )
         dense = train_dense(x[train], items[targets[train]], x[val], items[targets[val]],
                             net, opt)

@@ -2,10 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textovision import formats
+from textovision import formats, neuralnet
 from textovision.retrieval import Features
 from textovision.textvec import (
     Sentence,
@@ -309,6 +309,68 @@ class TestVectorizeW2v:
         used = np.stack([table.entries[w] for w in sentence_words])
         assert np.all(row >= used.min(axis=0) - 1e-12)
         assert np.all(row <= used.max(axis=0) + 1e-12)
+
+
+#: a few short words over a small alphabet, so sentences repeat words and
+#: trigrams and hold words the index or table does not know
+short_words = st.text(alphabet="abcd", min_size=1, max_size=4)
+sentence_words = st.lists(st.lists(short_words, max_size=6), min_size=1, max_size=6)
+
+
+def sentences_with_one_known_word(known, word_lists):
+    """One sentence per word list, each with one of the ``known`` words added."""
+    return [sent(" ".join([*extra, known[i % len(known)]]), f"s#{i}")
+            for i, extra in enumerate(word_lists)]
+
+
+def stacked(vectorizer, sentences):
+    return np.stack([vectorizer.vectorize(s) for s in sentences])
+
+
+class TestRows:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["bow", "hashing"]),
+           known=st.lists(short_words, min_size=1, max_size=8), word_lists=sentence_words)
+    @example(kind="bow", known=["ab"], word_lists=[["ab", "ab", "cd", "ab"]])  # one sentence
+    @example(kind="hashing", known=["aaaa"], word_lists=[["aaa"]])
+    def test_term_rows_are_the_vectorize_rows(self, kind, known, word_lists):
+        index = build_vocab(kind, [sent(" ".join(known))])
+        sentences = sentences_with_one_known_word(known, word_lists)
+        rows = index.rows(sentences)
+        assert isinstance(rows, neuralnet.SparseRows)
+        assert (rows.indices.dtype, rows.values.dtype) == (np.int32, np.float64)
+        assert rows.shape == (len(sentences), index.dim)
+        expected = stacked(index, sentences)
+        assert rows.values.size == np.count_nonzero(expected)
+        assert rows.take(np.arange(len(sentences))).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(known=st.lists(short_words, min_size=1, max_size=6, unique=True),
+           values=st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25, 1e-300, 3.0]),
+                           min_size=6 * 3, max_size=6 * 3),
+           word_lists=sentence_words)
+    @example(known=["ab"], values=[-0.0] * 18, word_lists=[["ab", "cd"]])  # one sentence
+    def test_embedding_rows_are_the_vectorize_rows(self, known, values, word_lists):
+        known = sorted(known)
+        matrix = np.array(values[: 3 * len(known)]).reshape(len(known), 3)
+        table = WordEmbeddingTable(Features(known, matrix))
+        sentences = sentences_with_one_known_word(known, word_lists)
+        rows = table.rows(sentences)
+        assert isinstance(rows, np.ndarray)
+        assert rows.tobytes() == stacked(table, sentences).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_sentence_without_a_known_term_fails_as_in_vectorize(self, kind):
+        if kind == "word2vec":
+            vectorizer = WordEmbeddingTable(Features(["dog"], np.ones((1, 2))))
+        else:
+            vectorizer = build_vocab(kind, [sent("dog")])
+        sentences = [sent("a dog", "s#0"), sent("zebra", "s#1"), sent("lion", "s#2")]
+        with pytest.raises(ValueError) as from_vectorize:
+            vectorizer.vectorize(sentences[1])
+        with pytest.raises(ValueError, match="'s#1'") as from_rows:
+            vectorizer.rows(sentences)
+        assert str(from_rows.value) == str(from_vectorize.value)
 
 
 class TestDeterminism:
