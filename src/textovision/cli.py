@@ -117,24 +117,10 @@ def main(argv=None) -> int:
         return 2
 
 
-def _vectorizer_builder(args):
-    """Map ``--vectorizer`` to a function that builds that vectorizer from
-    the training sentences. A missing ``--embeddings`` is reported here,
-    before any file is read."""
+def cmd_build_vocab(args) -> int:
     from . import formats, textvec
 
-    if args.vectorizer != "word2vec":
-        return lambda sentences: textvec.build_vocab(args.vectorizer, sentences)
-    if not args.embeddings:
-        raise UsageError("--vectorizer word2vec requires --embeddings")
-    return lambda sentences: textvec.WordEmbeddingTable(formats.read_features(args.embeddings))
-
-
-def cmd_build_vocab(args) -> int:
-    from . import formats
-
-    build = _vectorizer_builder(args)
-    terms = build(formats.read_sentences(args.sentences)).terms
+    terms = textvec.build_vocab(args.vectorizer, formats.read_sentences(args.sentences)).terms
     formats.write_word_list(args.out, terms)
     print(len(terms))
     return 0
@@ -147,12 +133,9 @@ def _parse_hidden_sizes(text: str) -> list[int]:
         if not token:
             continue
         try:
-            size = int(token)
+            sizes.append(int(token))
         except ValueError:
             raise UsageError(f"--layers expects comma-separated integers, got {token!r}") from None
-        if size < 1:
-            raise UsageError("--layers sizes must be positive")
-        sizes.append(size)
     return sizes
 
 
@@ -184,39 +167,42 @@ def _training_rows(vectorizer, sentences, features, pair_map):
     return inputs, neuralnet.SelectedRows(features.matrix, np.array(targets, dtype=np.intp))
 
 
-def _config(make, **fields):
-    """``make(**fields)``; its ``ValueError`` is a usage error, as the fields are flags."""
+def _train_config(args):
+    """The ``TrainConfig`` of ``train``'s flags; a value out of range is a usage error."""
+    from . import neuralnet
+
     try:
-        return make(**fields)
+        return neuralnet.TrainConfig(
+            hidden_sizes=_parse_hidden_sizes(args.layers), dropout_rate=args.dropout,
+            learning_rate=args.lr, gamma=args.gamma, epsilon=args.epsilon,
+            batch_size=args.batch_size, max_epochs=args.max_epochs, patience=args.patience,
+            seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def cmd_train(args) -> int:
-    from . import formats, modelio, neuralnet
+    from . import formats, modelio, neuralnet, textvec
 
-    build = _vectorizer_builder(args)
-    hidden = _parse_hidden_sizes(args.layers)
-    opt_cfg = _config(neuralnet.OptimizerConfig, learning_rate=args.lr, gamma=args.gamma,
-                      epsilon=args.epsilon, batch_size=args.batch_size,
-                      max_epochs=args.max_epochs, patience=args.patience, seed=args.seed)
+    if args.vectorizer == "word2vec" and not args.embeddings:
+        raise UsageError("--vectorizer word2vec requires --embeddings")
+    cfg = _train_config(args)
     train_sentences = formats.read_sentences(args.sentences)
     train_features = formats.read_features(args.features)
     val_sentences = formats.read_sentences(args.val_sentences)
     val_features = formats.read_features(args.val_features)
-    vectorizer = build(train_sentences)
-
-    out_dim = train_features.dim
-    if val_features.dim != out_dim:
+    if val_features.dim != train_features.dim:
         raise ValueError(f"validation feature dim {val_features.dim} does not match "
-                         f"training dim {out_dim}")
+                         f"training dim {train_features.dim}")
+    if args.vectorizer == "word2vec":
+        vectorizer = textvec.WordEmbeddingTable(formats.read_features(args.embeddings))
+    else:
+        vectorizer = textvec.build_vocab(args.vectorizer, train_sentences)
 
-    net_cfg = _config(neuralnet.NetworkConfig, layer_sizes=[vectorizer.dim, *hidden, out_dim],
-                      dropout_rate=args.dropout)
     pair_map = dict(formats.read_pairs(args.pairs, unique_left=True)) if args.pairs else None
     x_train, t_train = _training_rows(vectorizer, train_sentences, train_features, pair_map)
     x_val, t_val = _training_rows(vectorizer, val_sentences, val_features, pair_map)
-    result = neuralnet.train(x_train, t_train, x_val, t_val, net_cfg, opt_cfg)
+    result = neuralnet.train(x_train, t_train, x_val, t_val, cfg)
 
     modelio.save_model(args.out, modelio.TrainedModel(vectorizer, result.params))
     formats.write_history(args.history or args.out + ".history.tsv", result.history)

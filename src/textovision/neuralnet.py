@@ -4,10 +4,12 @@ feature vectors.
 Every layer, including the output, applies an affine transform followed
 by an element-wise ReLU. Training minimizes mean squared error with
 RMSprop over shuffled mini-batches, applies inverted dropout to hidden
-activations, and early-stops on validation loss. All randomness flows
-from seeded ``numpy.random.Generator`` streams, so a (seed, data,
-config) triple fully determines parameters, masks, shuffles and the
-loss history.
+activations, and early-stops on validation loss. One ``TrainConfig``
+holds every training choice; the input and output widths are not among
+them, being those of the sentence vectors and visual features. All
+randomness flows from seeded ``numpy.random.Generator`` streams, so a
+(data, config) pair fully determines parameters, masks, shuffles and
+the loss history.
 
 ``train`` takes inputs and targets as ``SparseRows``, ``SelectedRows``
 or dense matrices, one row per example, and gathers each only one
@@ -94,24 +96,14 @@ def _rows(x) -> SparseRows | SelectedRows:
 
 
 @dataclass(frozen=True)
-class NetworkConfig:
-    """Layer widths from input to output, plus the hidden dropout rate."""
+class TrainConfig:
+    """Everything ``train`` takes besides its data: the hidden layer widths
+    (the input and output widths are those of the data; no hidden layer is
+    legal), the hidden dropout rate, the RMSprop constants, the mini-batch
+    size, the early-stopping limits and the seed of every random draw."""
 
-    layer_sizes: tuple[int, ...]
+    hidden_sizes: tuple[int, ...] = (1000,)
     dropout_rate: float = 0.2
-
-    def __post_init__(self):
-        object.__setattr__(self, "layer_sizes", tuple(self.layer_sizes))
-        if len(self.layer_sizes) < 2:
-            raise ValueError("network needs at least an input and an output size")
-        if any(n < 1 for n in self.layer_sizes):
-            raise ValueError("layer sizes must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
     learning_rate: float = 0.001
     gamma: float = 0.9
     epsilon: float = 1e-6
@@ -121,6 +113,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if any(n < 1 for n in self.hidden_sizes):
+            raise ValueError("hidden layer sizes must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout rate must lie in [0, 1)")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning rate must be finite and > 0")
         if not 0.0 < self.gamma < 1.0:
@@ -162,11 +159,11 @@ class TrainResult:
     best_val_loss: float
 
 
-def init_network(config: NetworkConfig, seed: int) -> NetworkParams:
-    """Symmetric uniform fan-based weight init, zero biases, seeded."""
+def init_network(sizes: Sequence[int], seed: int) -> NetworkParams:
+    """Layers of widths ``sizes``, input first: symmetric uniform fan-based
+    weight init, zero biases, seeded."""
     rng = np.random.default_rng(seed)
     params: NetworkParams = []
-    sizes = config.layer_sizes
     for n_in, n_out in zip(sizes, sizes[1:]):
         limit = math.sqrt(6.0 / (n_in + n_out))
         weight = rng.uniform(-limit, limit, size=(n_out, n_in))
@@ -187,17 +184,17 @@ def forward(
     params: NetworkParams,
     inputs: np.ndarray,
     *,
-    train: bool = False,
     dropout_rate: float = 0.0,
     masks: Optional[Sequence[np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardCache:
     """Run the network over a batch, ReLU at every layer including the output.
 
-    ``inputs`` is a (batch, n_0) matrix. In train mode, inverted dropout
-    is applied to each hidden activation: either the supplied boolean
-    keep-masks are used, or fresh ones are drawn from ``rng``. Inference
-    applies no dropout and no rescaling.
+    ``inputs`` is a (batch, n_0) matrix. With a ``dropout_rate`` above 0,
+    as in training, inverted dropout is applied to each hidden activation:
+    either the supplied boolean keep-masks are used, or fresh ones are
+    drawn from ``rng``. At rate 0, as in inference, no unit is dropped or
+    rescaled.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
@@ -207,9 +204,9 @@ def forward(
             f"input dim {inputs.shape[1]} does not match first layer width {params[0][0].shape[1]}"
         )
 
-    use_dropout = train and dropout_rate > 0.0
+    use_dropout = dropout_rate > 0.0
     if use_dropout and masks is None and rng is None:
-        raise ValueError("train-mode dropout needs either masks or an rng")
+        raise ValueError("dropout needs either masks or an rng")
     keep = 1.0 - dropout_rate
 
     preacts: list[np.ndarray] = []
@@ -278,7 +275,7 @@ def rmsprop_step(
     params: NetworkParams,
     grads: Sequence[tuple[np.ndarray, np.ndarray]],
     state: OptimizerState,
-    config: OptimizerConfig,
+    config: TrainConfig,
 ) -> tuple[NetworkParams, OptimizerState]:
     """One update: E' = g*E + (1-g)*grad^2, p' = p - lr*grad/sqrt(E'+eps).
 
@@ -365,19 +362,20 @@ def train(
     t_train: SelectedRows | np.ndarray,
     x_val: SparseRows | np.ndarray,
     t_val: SelectedRows | np.ndarray,
-    net_cfg: NetworkConfig,
-    opt_cfg: OptimizerConfig,
+    cfg: TrainConfig,
 ) -> TrainResult:
     """Mini-batch RMSprop training with early stopping.
 
     Row i of an input matrix is the sentence vector of the example whose
-    target visual feature is row i of the matching target matrix. Each
-    epoch shuffles the training rows with the run's seeded generator,
-    steps once per mini-batch (the last batch may be smaller), then
-    scores the validation set in inference mode. The parameters of the
-    best validation epoch are returned together with the full per-epoch
-    (train loss, validation loss) history. A non-finite training or
-    validation loss raises ``ValueError`` naming the epoch.
+    target visual feature is row i of the matching target matrix; their
+    widths are the network's input and output widths, with
+    ``cfg.hidden_sizes`` between them. Each epoch shuffles the training
+    rows with the run's seeded generator, steps once per mini-batch (the
+    last batch may be smaller), then scores the validation set without
+    dropout. The parameters of the best validation epoch are returned
+    together with the full per-epoch (train loss, validation loss)
+    history. A non-finite training or validation loss raises
+    ``ValueError`` naming the epoch.
 
     Only the current mini-batch, or the validation set while it is
     scored, is gathered; each gets the same float64 operands a dense
@@ -393,20 +391,14 @@ def train(
                 "matrices with one row per example"
             )
     (_, x_dim), (_, t_dim) = np.shape(x_train), np.shape(t_train)
-    if x_dim != net_cfg.layer_sizes[0]:
-        raise ValueError(
-            f"sentence vector dim {x_dim} does not match input width {net_cfg.layer_sizes[0]}"
-        )
-    if t_dim != net_cfg.layer_sizes[-1]:
-        raise ValueError(f"target dim {t_dim} does not match output width {net_cfg.layer_sizes[-1]}")
     if np.shape(x_val)[1] != x_dim or np.shape(t_val)[1] != t_dim:
         raise ValueError("validation dims do not match training dims")
     x_train, t_train, x_val, t_val = map(_rows, (x_train, t_train, x_val, t_val))
 
-    params = init_network(net_cfg, opt_cfg.seed)
+    params = init_network((x_dim, *cfg.hidden_sizes, t_dim), cfg.seed)
     state = zero_state(params)
-    rng = np.random.default_rng(opt_cfg.seed)
-    stopper = EarlyStopping(opt_cfg.patience)
+    rng = np.random.default_rng(cfg.seed)
+    stopper = EarlyStopping(cfg.patience)
     history: list[EpochStats] = []
     n = x_train.shape[0]
     val_rows = np.arange(x_val.shape[0])
@@ -414,13 +406,13 @@ def train(
     # a diverging run overflows long before the epoch ends; the finite-loss
     # check below reports it, so numpy's own warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(1, opt_cfg.max_epochs + 1):
+        for epoch in range(1, cfg.max_epochs + 1):
             order = rng.permutation(n)
             loss_sum = 0.0
-            for start in range(0, n, opt_cfg.batch_size):
-                batch = order[start : start + opt_cfg.batch_size]
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
                 loss_sum += _step(params, state, x_train.take(batch), t_train.take(batch),
-                                  net_cfg, opt_cfg, rng) * batch.size
+                                  cfg, rng) * batch.size
 
             train_loss = loss_sum / n
             val_loss = mse_loss(forward(params, x_val.take(val_rows)).output,
@@ -443,13 +435,13 @@ def train(
     )
 
 
-def _step(params, state, inputs, targets, net_cfg, opt_cfg, rng) -> float:
+def _step(params, state, inputs, targets, cfg, rng) -> float:
     """One RMSprop step on a dense mini-batch; its loss before the step.
     The batch's activations and gradients die on return, so no step
     allocates while the previous step's are alive."""
-    cache = forward(params, inputs, train=True, dropout_rate=net_cfg.dropout_rate, rng=rng)
+    cache = forward(params, inputs, dropout_rate=cfg.dropout_rate, rng=rng)
     loss = mse_loss(cache.output, targets)
-    rmsprop_step(params, backward(params, cache, targets), state, opt_cfg)
+    rmsprop_step(params, backward(params, cache, targets), state, cfg)
     return loss
 
 

@@ -31,10 +31,10 @@ def random_net(sizes, rng):
 def numeric_gradients(params, inputs, targets, dropout_rate=0.0, masks=None, h=1e-5):
     """Central finite differences of the batch MSE loss, parameter by parameter."""
 
+    rate = dropout_rate if masks is not None else 0.0
+
     def loss():
-        cache = nn.forward(
-            params, inputs, train=masks is not None, dropout_rate=dropout_rate, masks=masks
-        )
+        cache = nn.forward(params, inputs, dropout_rate=rate, masks=masks)
         return nn.mse_loss(cache.output, targets)
 
     grads = []
@@ -79,8 +79,7 @@ def train_dense(
     t_train: np.ndarray,
     x_val: np.ndarray,
     t_val: np.ndarray,
-    net_cfg: nn.NetworkConfig,
-    opt_cfg: nn.OptimizerConfig,
+    cfg: nn.TrainConfig,
 ) -> nn.TrainResult:
     """``neuralnet.train`` as it was before its inputs became ``SparseRows``
     and its targets ``SelectedRows``: dense matrices, indexed per mini-batch,
@@ -92,42 +91,28 @@ def train_dense(
                 f"{name} inputs {x.shape} and targets {t.shape} must be non-empty "
                 "matrices with one row per example"
             )
-    if x_train.shape[1] != net_cfg.layer_sizes[0]:
-        raise ValueError(
-            f"sentence vector dim {x_train.shape[1]} does not match input width {net_cfg.layer_sizes[0]}"
-        )
-    if t_train.shape[1] != net_cfg.layer_sizes[-1]:
-        raise ValueError(
-            f"target dim {t_train.shape[1]} does not match output width {net_cfg.layer_sizes[-1]}"
-        )
     if x_val.shape[1] != x_train.shape[1] or t_val.shape[1] != t_train.shape[1]:
         raise ValueError("validation dims do not match training dims")
 
-    params = nn.init_network(net_cfg, opt_cfg.seed)
+    params = nn.init_network((x_train.shape[1], *cfg.hidden_sizes, t_train.shape[1]), cfg.seed)
     state = nn.zero_state(params)
-    rng = np.random.default_rng(opt_cfg.seed)
-    stopper = nn.EarlyStopping(opt_cfg.patience)
+    rng = np.random.default_rng(cfg.seed)
+    stopper = nn.EarlyStopping(cfg.patience)
     history: list[nn.EpochStats] = []
     n = x_train.shape[0]
 
     # a diverging run overflows long before the epoch ends; the finite-loss
     # check below reports it, so numpy's own warnings would only be noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for epoch in range(1, opt_cfg.max_epochs + 1):
+        for epoch in range(1, cfg.max_epochs + 1):
             order = rng.permutation(n)
             loss_sum = 0.0
-            for start in range(0, n, opt_cfg.batch_size):
-                batch = order[start : start + opt_cfg.batch_size]
-                cache = nn.forward(
-                    params,
-                    x_train[batch],
-                    train=True,
-                    dropout_rate=net_cfg.dropout_rate,
-                    rng=rng,
-                )
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                cache = nn.forward(params, x_train[batch], dropout_rate=cfg.dropout_rate, rng=rng)
                 loss_sum += nn.mse_loss(cache.output, t_train[batch]) * batch.size
                 grads = nn.backward(params, cache, t_train[batch])
-                params, state = nn.rmsprop_step(params, grads, state, opt_cfg)
+                params, state = nn.rmsprop_step(params, grads, state, cfg)
 
             train_loss = loss_sum / n
             val_loss = nn.mse_loss(nn.forward(params, x_val).output, t_val)

@@ -62,7 +62,7 @@ def test_criterion_2_rmsprop_unit_fixture():
         params = [(np.array([[0.0]]), np.array([0.0]))]
         grads = [(np.array([[1.0]]), np.array([0.0]))]
         new_params, new_state = nn.rmsprop_step(
-            params, grads, nn.zero_state(params), nn.OptimizerConfig()
+            params, grads, nn.zero_state(params), nn.TrainConfig()
         )
         expected = -0.001 / math.sqrt(0.100001)
         assert abs(new_params[0][0][0, 0] - expected) <= 1e-12
@@ -78,15 +78,13 @@ def _matrices(vocab, corpus, sentences):
 
 def _train_on_corpus(corpus, seed=42):
     vocab = textvec.build_vocab("bow", corpus.train_sentences)
-    net_cfg = nn.NetworkConfig([vocab.dim, 128, synthdata.VISUAL_DIM], dropout_rate=0.2)
-    opt_cfg = nn.OptimizerConfig(seed=seed)
+    cfg = nn.TrainConfig(hidden_sizes=(128,), dropout_rate=0.2, seed=seed)
     result = nn.train(
         *_matrices(vocab, corpus, corpus.train_sentences),
         *_matrices(vocab, corpus, corpus.val_sentences),
-        net_cfg,
-        opt_cfg,
+        cfg,
     )
-    return vocab, net_cfg, opt_cfg, result
+    return vocab, cfg, result
 
 
 _shared = {}
@@ -128,10 +126,11 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
         ]
         assert metrics.recall_at_k(oracle_ranks, 1) == 100.0
 
-        vocab, net_cfg, opt_cfg, result = _train_on_corpus(corpus)
+        vocab, cfg, result = _train_on_corpus(corpus)
 
         x_val, t_val = _matrices(vocab, corpus, corpus.val_sentences)
-        initial_params = nn.init_network(net_cfg, opt_cfg.seed)
+        initial_params = nn.init_network([vocab.dim, *cfg.hidden_sizes, synthdata.VISUAL_DIM],
+                                         cfg.seed)
         initial_val_loss = nn.mse_loss(nn.forward(initial_params, x_val).output, t_val)
         assert result.best_val_loss < initial_val_loss
 
@@ -159,8 +158,7 @@ def test_criterion_4_overfit_oracle():
         x, t = np.array([[1.0, 0.5]]), np.array([[0.6, 0.4]])
         result = nn.train(
             x, t, x, t,
-            nn.NetworkConfig([2, 2], dropout_rate=0.0),
-            nn.OptimizerConfig(seed=7),
+            nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0, seed=7),
         )
         assert len(result.history) <= 500
         assert result.best_val_loss < 1e-3
@@ -299,7 +297,7 @@ def test_criterion_8_pipeline_determinism(tmp_path, capsys):
 
 def test_criterion_9_text_to_text_in_visual_space():
     with criterion(9, "text-to-text retrieval in visual space"):
-        corpus, (vocab, _, _, result) = _shared_run()
+        corpus, (vocab, _, result) = _shared_run()
 
         # first sentence of each held-out item queries the remaining four
         queries = [s for s in corpus.test_sentences if s.id.endswith("#0")]

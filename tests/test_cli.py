@@ -203,6 +203,8 @@ class TestTrain:
         ("--max-epochs", "0", "batch size, max epochs and patience must be >= 1"),
         ("--patience", "0", "batch size, max epochs and patience must be >= 1"),
         ("--seed", "-1", "seed must be >= 0"),
+        ("--layers", "0", "hidden layer sizes must be >= 1"),
+        ("--layers", "6,x", "--layers expects comma-separated integers, got 'x'"),
     ]
 
     @pytest.mark.parametrize("flag, value, rule", BAD_FLAGS,
@@ -214,6 +216,35 @@ class TestTrain:
         assert main(train_args(paths, str(tmp_path / "m.bin"), [flag, value])) == 1
         assert capsys.readouterr().err == f"textovision: error: {rule}\n"
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag, value, rule", BAD_FLAGS,
+                             ids=[f"{flag}={value}" for flag, value, _ in BAD_FLAGS])
+    def test_bad_flag_is_reported_before_any_input_is_read(self, tmp_path, capsys, flag,
+                                                           value, rule):
+        # no input file exists: reading any of them would be a data error (exit 2)
+        missing = str(tmp_path / "missing")
+        paths = dict.fromkeys(["train_sentences", "val_sentences", "features"], missing)
+        assert main(train_args(paths, str(tmp_path / "m.bin"), [flag, value])) == 1
+        assert capsys.readouterr().err == f"textovision: error: {rule}\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_flag_defaults_are_the_train_config_defaults(self):
+        from textovision import cli, neuralnet
+
+        args = cli.build_parser().parse_args(
+            ["train", "--sentences", "s", "--features", "f", "--val-sentences", "v",
+             "--val-features", "g", "--out", "m"])
+        assert cli._train_config(args) == neuralnet.TrainConfig()
+
+    def test_validation_feature_dim_mismatch_is_data_error(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        narrow = tmp_path / "narrow.feat"
+        formats.write_features(str(narrow), table({item: row[:3]
+                                                   for item, row in ITEM_TARGETS.items()}))
+        args = train_args(paths, str(tmp_path / "m.bin"))
+        args[args.index("--val-features") + 1] = str(narrow)
+        assert main(args) == 2
+        assert "validation feature dim 3 does not match training dim 4" in capsys.readouterr().err
 
     def test_word2vec_requires_embeddings(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
@@ -588,7 +619,7 @@ class TestModelLoad:
             vectorizer = textvec.TermIndex("bow", words)
         else:
             vectorizer = textvec.WordEmbeddingTable(table({w: [0.5, -1.0] for w in words}))
-        params = neuralnet.init_network(neuralnet.NetworkConfig([vectorizer.dim, 4, 2]), 0)
+        params = neuralnet.init_network([vectorizer.dim, 4, 2], 0)
         path = tmp_path / "m.bin"
         modelio.save_model(str(path), modelio.TrainedModel(vectorizer, params))
         assert path.read_bytes().find(params[0][0].tobytes()) % 8 != 0

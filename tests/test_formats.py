@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textovision import formats, modelio
-from textovision.neuralnet import EpochStats, NetworkConfig, init_network
+from textovision.neuralnet import EpochStats, init_network
 from textovision.retrieval import Features, Ranking, rank_all
 from textovision.textvec import Sentence, TermIndex, WordEmbeddingTable
 
@@ -362,7 +362,7 @@ class TestModelFile:
         else:
             rng = np.random.default_rng(2)
             vectorizer = WordEmbeddingTable(Features(["dog", "cat"], rng.normal(size=(2, 4))))
-        params = init_network(NetworkConfig([vectorizer.dim, 5, 2], 0.0), 77)
+        params = init_network([vectorizer.dim, 5, 2], 77)
         return modelio.TrainedModel(vectorizer, params)
 
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,30 +22,29 @@ def identity_params(dim):
 
 class TestInit:
     def test_deterministic(self):
-        cfg = nn.NetworkConfig([5, 7, 3], 0.0)
-        a = nn.init_network(cfg, 42)
-        b = nn.init_network(cfg, 42)
+        a = nn.init_network([5, 7, 3], 42)
+        b = nn.init_network([5, 7, 3], 42)
         for (wa, ba), (wb, bb) in zip(a, b):
             assert np.array_equal(wa, wb)
             assert np.array_equal(ba, bb)
 
     def test_biases_zero(self):
-        for _, b in nn.init_network(nn.NetworkConfig([4, 6, 2], 0.0), 1):
+        for _, b in nn.init_network([4, 6, 2], 1):
             assert np.all(b == 0.0)
 
     def test_fan_based_bound(self):
-        params = nn.init_network(nn.NetworkConfig([4, 4], 0.0), 123)
+        params = nn.init_network([4, 4], 123)
         limit = math.sqrt(6.0 / 8.0)
         assert np.all(np.abs(params[0][0]) <= limit)
         assert limit == pytest.approx(0.8660254, abs=1e-7)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            nn.NetworkConfig([5], 0.0)
-        with pytest.raises(ValueError):
-            nn.NetworkConfig([5, 0], 0.0)
-        with pytest.raises(ValueError):
-            nn.NetworkConfig([5, 2], 1.0)
+        with pytest.raises(ValueError, match="hidden layer sizes must be >= 1"):
+            nn.TrainConfig(hidden_sizes=(0,))
+        with pytest.raises(ValueError, match=re.escape("dropout rate must lie in [0, 1)")):
+            nn.TrainConfig(dropout_rate=1.0)
+        # no hidden layer at all is a legal network: one input-to-output layer
+        assert nn.TrainConfig(hidden_sizes=[]).hidden_sizes == ()
 
 
 class TestForward:
@@ -74,12 +74,13 @@ class TestForward:
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(5)
-        params = nn.init_network(nn.NetworkConfig([6, 8, 4], 0.0), 5)
+        params = nn.init_network([6, 8, 4], 5)
         cache = nn.forward(params, rng.normal(size=(10, 6)))
         assert np.all(cache.output >= 0.0)
 
     def test_infer_mode_ignores_dropout_rate(self):
-        params = nn.init_network(nn.NetworkConfig([3, 5, 2], 0.5), 2)
+        # no rate, as in validation and encode: no unit dropped, nothing drawn
+        params = nn.init_network([3, 5, 2], 2)
         x = np.ones((4, 3))
         plain = nn.forward(params, x)
         assert plain.masks is None
@@ -95,31 +96,29 @@ class TestDropout:
             (np.eye(2), np.zeros(2)),
         ]
         mask = np.array([[True, False]])
-        cache = nn.forward(
-            params, np.array([[1.0, 1.0]]), train=True, dropout_rate=0.5, masks=[mask]
-        )
+        cache = nn.forward(params, np.array([[1.0, 1.0]]), dropout_rate=0.5, masks=[mask])
         assert cache.acts[0].tolist() == [[2.0, 0.0]]
         assert cache.output.tolist() == [[2.0, 0.0]]
 
     def test_no_mask_on_output_layer(self):
-        params = nn.init_network(nn.NetworkConfig([3, 4, 4, 2], 0.3), 9)
+        params = nn.init_network([3, 4, 4, 2], 9)
         rng = np.random.default_rng(0)
-        cache = nn.forward(params, np.ones((2, 3)), train=True, dropout_rate=0.3, rng=rng)
+        cache = nn.forward(params, np.ones((2, 3)), dropout_rate=0.3, rng=rng)
         assert len(cache.masks) == 2  # hidden layers only
 
     def test_seeded_masks_reproducible(self):
-        params = nn.init_network(nn.NetworkConfig([3, 8, 2], 0.4), 11)
+        params = nn.init_network([3, 8, 2], 11)
         x = np.ones((5, 3))
-        a = nn.forward(params, x, train=True, dropout_rate=0.4, rng=np.random.default_rng(77))
-        b = nn.forward(params, x, train=True, dropout_rate=0.4, rng=np.random.default_rng(77))
+        a = nn.forward(params, x, dropout_rate=0.4, rng=np.random.default_rng(77))
+        b = nn.forward(params, x, dropout_rate=0.4, rng=np.random.default_rng(77))
         assert np.array_equal(a.output, b.output)
         for ma, mb in zip(a.masks, b.masks):
             assert np.array_equal(ma, mb)
 
     def test_rng_required_when_dropping(self):
-        params = nn.init_network(nn.NetworkConfig([3, 8, 2], 0.4), 11)
+        params = nn.init_network([3, 8, 2], 11)
         with pytest.raises(ValueError, match="masks or an rng"):
-            nn.forward(params, np.ones((1, 3)), train=True, dropout_rate=0.4)
+            nn.forward(params, np.ones((1, 3)), dropout_rate=0.4)
 
 
 class TestMseLoss:
@@ -181,11 +180,11 @@ class TestBackward:
     def test_matches_finite_differences_with_dropout_masks(self):
         rng = np.random.default_rng(7)
         sizes = [5, 9, 6, 3]
-        params = nn.init_network(nn.NetworkConfig(sizes, 0.0), 31)
+        params = nn.init_network(sizes, 31)
         x = rng.normal(size=(4, 5))
         t = np.abs(rng.normal(size=(4, 3)))
         masks = [rng.random((4, 9)) >= 0.4, rng.random((4, 6)) >= 0.4]
-        cache = nn.forward(params, x, train=True, dropout_rate=0.4, masks=masks)
+        cache = nn.forward(params, x, dropout_rate=0.4, masks=masks)
         analytic = nn.backward(params, cache, t)
         numeric = numeric_gradients(params, x, t, dropout_rate=0.4, masks=masks)
         assert max_relative_error(analytic, numeric) <= 1e-4
@@ -211,7 +210,7 @@ class TestRmsprop:
         params = [(np.array([[0.0]]), np.array([0.0]))]
         grads = [(np.array([[1.0]]), np.array([0.0]))]
         state = nn.zero_state(params)
-        cfg = nn.OptimizerConfig()
+        cfg = nn.TrainConfig()
         new_params, new_state = nn.rmsprop_step(params, grads, state, cfg)
         assert new_state[0][0][0, 0] == pytest.approx(0.1, abs=1e-15)
         expected = -0.001 / math.sqrt(0.100001)
@@ -222,7 +221,7 @@ class TestRmsprop:
         state = [(np.full((2, 2), 0.4), np.array([0.2, 0.2]))]
         grads = [(np.zeros((2, 2)), np.zeros(2))]
         before = nn.copy_params(params)
-        new_params, new_state = nn.rmsprop_step(params, grads, state, nn.OptimizerConfig())
+        new_params, new_state = nn.rmsprop_step(params, grads, state, nn.TrainConfig())
         assert np.array_equal(new_params[0][0], before[0][0])
         assert np.array_equal(new_params[0][1], before[0][1])
         assert np.allclose(new_state[0][0], 0.9 * 0.4, atol=1e-15)
@@ -231,7 +230,7 @@ class TestRmsprop:
         params = [(np.array([[0.0]]), np.array([0.0]))]
         grads = [(np.array([[1.0]]), np.array([0.0]))]
         state = nn.zero_state(params)
-        cfg = nn.OptimizerConfig()
+        cfg = nn.TrainConfig()
         params, state = nn.rmsprop_step(params, grads, state, cfg)
         p1 = params[0][0][0, 0]
         params, state = nn.rmsprop_step(params, grads, state, cfg)
@@ -242,7 +241,7 @@ class TestRmsprop:
         rng = np.random.default_rng(88)
         params = [(rng.normal(size=(3, 4)), rng.normal(size=3))]
         state = nn.zero_state(params)
-        cfg = nn.OptimizerConfig()
+        cfg = nn.TrainConfig()
         peak_w = np.zeros((3, 4))
         peak_b = np.zeros(3)
         for _ in range(50):
@@ -268,7 +267,7 @@ class TestRmsprop:
     )
     @pytest.mark.parametrize(
         "cfg",
-        [nn.OptimizerConfig(), nn.OptimizerConfig(learning_rate=0.05, gamma=0.5, epsilon=1e-8)],
+        [nn.TrainConfig(), nn.TrainConfig(learning_rate=0.05, gamma=0.5, epsilon=1e-8)],
     )
     def test_bit_identical_to_reference_formula(self, shapes, cfg):
         rng = np.random.default_rng(19)
@@ -306,13 +305,13 @@ class TestRmsprop:
         grads = [(np.ones((2, 3)), np.ones(2))]
         state = [(np.zeros((2, 3)), np.zeros(2))]
         with pytest.raises(ValueError, match="layer 1"):
-            nn.rmsprop_step(params, grads, state, nn.OptimizerConfig())
+            nn.rmsprop_step(params, grads, state, nn.TrainConfig())
 
     def test_rejects_gradient_shape_mismatch(self):
         params = [(np.zeros((2, 3)), np.zeros(2))]
         state = nn.zero_state(params)
         with pytest.raises(ValueError, match="shapes differ"):
-            nn.rmsprop_step(params, [(np.ones((3, 2)), np.ones(2))], state, nn.OptimizerConfig())
+            nn.rmsprop_step(params, [(np.ones((3, 2)), np.ones(2))], state, nn.TrainConfig())
 
 
 class TestEarlyStopping:
@@ -396,8 +395,7 @@ class TestTrain:
         result = nn.train(
             *overfit_pair(),
             *overfit_pair(),
-            nn.NetworkConfig([2, 2], dropout_rate=0.0),
-            nn.OptimizerConfig(seed=OVERFIT_SEED),
+            nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0, seed=OVERFIT_SEED),
         )
         assert len(result.history) <= 500
         assert result.best_val_loss < 1e-3
@@ -406,8 +404,7 @@ class TestTrain:
         result = nn.train(
             *overfit_pair(),
             *overfit_pair(),
-            nn.NetworkConfig([2, 2], dropout_rate=0.0),
-            nn.OptimizerConfig(seed=OVERFIT_SEED),
+            nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0, seed=OVERFIT_SEED),
         )
         by_epoch = {s.epoch: s for s in result.history}
         assert by_epoch[result.best_epoch].train_loss <= by_epoch[1].train_loss
@@ -417,10 +414,10 @@ class TestTrain:
         rows = [(np.abs(rng.normal(size=6)), np.abs(rng.normal(size=3))) for _ in range(12)]
         x = np.stack([x for x, _ in rows])
         t = np.stack([t for _, t in rows])
-        net = nn.NetworkConfig([6, 5, 3], dropout_rate=0.25)
-        opt = nn.OptimizerConfig(seed=99, batch_size=4, max_epochs=15, patience=50)
-        a = nn.train(x[:9], t[:9], x[9:], t[9:], net, opt)
-        b = nn.train(x[:9], t[:9], x[9:], t[9:], net, opt)
+        cfg = nn.TrainConfig(hidden_sizes=(5,), dropout_rate=0.25, seed=99, batch_size=4,
+                             max_epochs=15, patience=50)
+        a = nn.train(x[:9], t[:9], x[9:], t[9:], cfg)
+        b = nn.train(x[:9], t[:9], x[9:], t[9:], cfg)
         assert [(s.epoch, s.train_loss, s.val_loss) for s in a.history] == [
             (s.epoch, s.train_loss, s.val_loss) for s in b.history
         ]
@@ -444,18 +441,16 @@ class TestTrain:
         x = sparse_matrix(rng, n_train + n_val, 7)
         items = np.abs(rng.normal(size=(5, 3)))
         targets = rng.integers(len(items), size=n_train + n_val)
-        net = nn.NetworkConfig([7, 6, 3], dropout_rate=dropout)
-        opt = nn.OptimizerConfig(seed=seed, batch_size=batch_size, max_epochs=6, patience=2)
+        cfg = nn.TrainConfig(hidden_sizes=(6,), dropout_rate=dropout, seed=seed,
+                             batch_size=batch_size, max_epochs=6, patience=2)
         train, val = np.arange(n_train), np.arange(n_train, n_train + n_val)
         compressed = nn.train(
             sparse_rows(x[train]), nn.SelectedRows(items, targets[train]),
-            sparse_rows(x[val]), nn.SelectedRows(items, targets[val]), net, opt,
+            sparse_rows(x[val]), nn.SelectedRows(items, targets[val]), cfg,
         )
-        dense = train_dense(x[train], items[targets[train]], x[val], items[targets[val]],
-                            net, opt)
+        dense = train_dense(x[train], items[targets[train]], x[val], items[targets[val]], cfg)
         # dense matrices, as word2vec rows reach train, take the same path
-        wrapped = nn.train(x[train], items[targets[train]], x[val], items[targets[val]],
-                           net, opt)
+        wrapped = nn.train(x[train], items[targets[train]], x[val], items[targets[val]], cfg)
         for result in (compressed, wrapped):
             assert [(s.epoch, s.train_loss, s.val_loss) for s in result.history] == [
                 (s.epoch, s.train_loss, s.val_loss) for s in dense.history
@@ -466,39 +461,43 @@ class TestTrain:
                 assert w.tobytes() == dw.tobytes() and b.tobytes() == db.tobytes()
 
     def test_rejects_empty_sets(self):
-        net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
+        cfg = nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0)
         empty = (np.empty((0, 2)), np.empty((0, 2)))
         with pytest.raises(ValueError, match="training"):
-            nn.train(*empty, *overfit_pair(), net, opt)
+            nn.train(*empty, *overfit_pair(), cfg)
         with pytest.raises(ValueError, match="validation"):
-            nn.train(*overfit_pair(), *empty, net, opt)
+            nn.train(*overfit_pair(), *empty, cfg)
 
     def test_rejects_row_count_mismatch(self):
-        net, opt = nn.NetworkConfig([2, 2], 0.0), nn.OptimizerConfig()
+        cfg = nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0)
         two_targets = np.vstack([OVERFIT_T, OVERFIT_T])
         with pytest.raises(ValueError, match="training inputs"):
-            nn.train(OVERFIT_X, two_targets, *overfit_pair(), net, opt)
+            nn.train(OVERFIT_X, two_targets, *overfit_pair(), cfg)
         with pytest.raises(ValueError, match="validation inputs"):
-            nn.train(*overfit_pair(), OVERFIT_X[0], OVERFIT_T, net, opt)
+            nn.train(*overfit_pair(), OVERFIT_X[0], OVERFIT_T, cfg)
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError, match="input width"):
-            nn.train(*overfit_pair(), *overfit_pair(), nn.NetworkConfig([3, 2], 0.0),
-                     nn.OptimizerConfig())
-        with pytest.raises(ValueError, match="output width"):
-            nn.train(*overfit_pair(), *overfit_pair(), nn.NetworkConfig([2, 5], 0.0),
-                     nn.OptimizerConfig())
+        cfg = nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0)
+        with pytest.raises(ValueError, match="validation dims do not match training dims"):
+            nn.train(*overfit_pair(), np.ones((1, 3)), OVERFIT_T, cfg)
+        with pytest.raises(ValueError, match="validation dims do not match training dims"):
+            nn.train(*overfit_pair(), OVERFIT_X, np.ones((1, 5)), cfg)
+
+    def test_layer_widths_come_from_the_data(self):
+        x, t = np.ones((4, 5)), np.ones((4, 3))
+        result = nn.train(x, t, x, t, nn.TrainConfig(hidden_sizes=(6, 2), max_epochs=1))
+        assert [w.shape for w, _ in result.params] == [(6, 5), (2, 6), (3, 2)]
 
     def test_patience_counts_epochs_without_a_lower_validation_loss(self):
         # all-zero inputs: every activation and gradient is zero, so the
         # parameters never move and the validation loss repeats exactly
-        net_cfg = nn.NetworkConfig([3, 4, 2], 0.2)
+        cfg = nn.TrainConfig(hidden_sizes=(4,), dropout_rate=0.2, seed=1, patience=3)
         x, t = np.zeros((6, 3)), np.full((6, 2), 0.5)
-        result = nn.train(x, t, x[:2], t[:2], net_cfg, nn.OptimizerConfig(seed=1, patience=3))
+        result = nn.train(x, t, x[:2], t[:2], cfg)
         assert [stats.val_loss for stats in result.history] == [0.25] * 4
         assert len(result.history) == 4  # epoch 1 improves over inf, then 3 strikes
         assert result.best_epoch == 1
-        for (w, b), (w0, b0) in zip(result.params, nn.init_network(net_cfg, 1)):
+        for (w, b), (w0, b0) in zip(result.params, nn.init_network([3, 4, 2], 1)):
             assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
@@ -508,13 +507,13 @@ class TestEncode:
         assert out.tolist() == [[1.0, 2.0], [3.0, 0.5]]
 
     def test_pure(self):
-        params = nn.init_network(nn.NetworkConfig([4, 3], 0.0), 3)
+        params = nn.init_network([4, 3], 3)
         x = np.array([[1.0, 0.0, 2.0, 1.0], [0.0, 3.0, 0.0, 1.0]])
         assert np.array_equal(nn.encode(params, x), nn.encode(params, x))
 
     def test_rows_match_single_row_forward_passes_bit_for_bit(self):
         rng = np.random.default_rng(8)
-        params = nn.init_network(nn.NetworkConfig([40, 30, 20], 0.0), 4)
+        params = nn.init_network([40, 30, 20], 4)
         x = np.abs(rng.normal(size=(25, 40)))
         out = nn.encode(params, x)
         assert out.shape == (25, 20)
@@ -523,12 +522,12 @@ class TestEncode:
 
     def test_rows_from_a_generator_match_the_matrix_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        params = nn.init_network(nn.NetworkConfig([40, 30, 20], 0.0), 4)
+        params = nn.init_network([40, 30, 20], 4)
         x = sparse_matrix(rng, 25, 40)
         assert nn.encode(params, (row for row in x)).tobytes() == nn.encode(params, x).tobytes()
 
     def test_no_rows_encode_to_an_empty_matrix(self):
-        params = nn.init_network(nn.NetworkConfig([4, 3], 0.0), 3)
+        params = nn.init_network([4, 3], 3)
         assert nn.encode(params, iter([])).shape == (0, 3)
 
     def test_rejects_a_single_vector(self):
@@ -539,8 +538,7 @@ class TestEncode:
         result = nn.train(
             *overfit_pair(),
             *overfit_pair(),
-            nn.NetworkConfig([2, 2], dropout_rate=0.0),
-            nn.OptimizerConfig(seed=OVERFIT_SEED),
+            nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0, seed=OVERFIT_SEED),
         )
         pred = nn.encode(result.params, OVERFIT_X)
         assert nn.mse_loss(pred, OVERFIT_T) < 1e-3
