@@ -164,9 +164,9 @@ def write_word_list(path: str, entries: Sequence[str]) -> None:
 
 
 def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
-    """All pairs in file order. A repeated pair is an error naming the
-    line, and so, with ``unique_left``, is a repeated left id (say, a
-    sentence paired with two items)."""
+    """All pairs in file order. An id with whitespace in it or a repeated
+    pair is an error naming the line, and so, with ``unique_left``, is a
+    repeated left id (say, a sentence paired with two items)."""
     pairs: list[tuple[str, str]] = []
     seen: set[str | tuple[str, str]] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -177,6 +177,9 @@ def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
             left, sep, right = line.partition("\t")
             if not sep or not left or not right:
                 raise ValueError(f"{path}:{lineno}: expected '<query_id>\\t<item_id>'")
+            for part in (left, right):
+                if part.split() != [part]:
+                    raise ValueError(f"{path}:{lineno}: id {part!r} contains whitespace")
             key = left if unique_left else (left, right)
             if key in seen:
                 kind = "id" if unique_left else "pair"

@@ -19,9 +19,8 @@ so a sparse corpus of any size never exists as one dense matrix. ``encode`` maps
 rows, as they arrive, to a matrix of predicted features; it only reads
 its params (a loaded model's arrays are read-only). ``rmsprop_step``
 mutates the ``params`` and ``state`` it is given and only reads
-``grads``. ``EarlyStopping`` keeps a copy of the best epoch's
-parameters, so later in-place steps never change what ``train``
-returns.
+``grads``; ``train`` keeps a copy of the best epoch's parameters, so
+later in-place steps never change what it returns.
 """
 
 from __future__ import annotations
@@ -185,16 +184,14 @@ def forward(
     inputs: np.ndarray,
     *,
     dropout_rate: float = 0.0,
-    masks: Optional[Sequence[np.ndarray]] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> ForwardCache:
     """Run the network over a batch, ReLU at every layer including the output.
 
     ``inputs`` is a (batch, n_0) matrix. With a ``dropout_rate`` above 0,
-    as in training, inverted dropout is applied to each hidden activation:
-    either the supplied boolean keep-masks are used, or fresh ones are
-    drawn from ``rng``. At rate 0, as in inference, no unit is dropped or
-    rescaled.
+    as in training, inverted dropout is applied to each hidden activation,
+    a unit being kept where ``rng.random`` draws at least the rate. At
+    rate 0, as in inference, no unit is dropped or rescaled.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2:
@@ -205,8 +202,8 @@ def forward(
         )
 
     use_dropout = dropout_rate > 0.0
-    if use_dropout and masks is None and rng is None:
-        raise ValueError("dropout needs either masks or an rng")
+    if use_dropout and rng is None:
+        raise ValueError("dropout needs an rng")
     keep = 1.0 - dropout_rate
 
     preacts: list[np.ndarray] = []
@@ -219,18 +216,12 @@ def forward(
         z = h @ w.T + b
         h = np.maximum(z, 0.0)
         if use_dropout and i < last:
-            if masks is not None:
-                mask = np.asarray(masks[i], dtype=bool)
-                if mask.shape != h.shape:
-                    raise ValueError(f"dropout mask {i} has shape {mask.shape}, expected {h.shape}")
-            else:
-                mask = rng.random(h.shape) >= dropout_rate
-            scaled = mask.astype(np.float64) / keep
+            scaled = (rng.random(h.shape) >= dropout_rate).astype(np.float64) / keep
             scaled_masks.append(scaled)
             h = h * scaled
         preacts.append(z)
         acts.append(h)
-    return ForwardCache(inputs=inputs, preacts=preacts, acts=acts, masks=scaled_masks)
+    return ForwardCache(inputs, preacts, acts, scaled_masks)
 
 
 def mse_loss(prediction: np.ndarray, target: np.ndarray) -> float:
@@ -329,34 +320,6 @@ def _in_place_view(a: np.ndarray, layer: int, what: str) -> np.ndarray:
     return a.reshape(-1)
 
 
-class EarlyStopping:
-    """Stop after ``patience`` consecutive epochs without a strictly lower loss.
-
-    Keeps a deep copy of the best epoch's parameters so training can
-    restore them afterwards.
-    """
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ValueError("patience must be >= 1")
-        self.patience = patience
-        self.best_loss = math.inf
-        self.best_epoch = 0
-        self.best_params: Optional[NetworkParams] = None
-        self.epochs_without_improvement = 0
-
-    def update(self, epoch: int, loss: float, params: NetworkParams) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if loss < self.best_loss:
-            self.best_loss = loss
-            self.best_epoch = epoch
-            self.best_params = copy_params(params)
-            self.epochs_without_improvement = 0
-        else:
-            self.epochs_without_improvement += 1
-        return self.epochs_without_improvement >= self.patience
-
-
 def train(
     x_train: SparseRows | np.ndarray,
     t_train: SelectedRows | np.ndarray,
@@ -372,10 +335,12 @@ def train(
     ``cfg.hidden_sizes`` between them. Each epoch shuffles the training
     rows with the run's seeded generator, steps once per mini-batch (the
     last batch may be smaller), then scores the validation set without
-    dropout. The parameters of the best validation epoch are returned
-    together with the full per-epoch (train loss, validation loss)
-    history. A non-finite training or validation loss raises
-    ``ValueError`` naming the epoch.
+    dropout. Training stops after ``cfg.patience`` consecutive epochs
+    without a strictly lower validation loss, or after ``cfg.max_epochs``;
+    the parameters of the best validation epoch are returned together
+    with the full per-epoch (train loss, validation loss) history. A
+    non-finite training or validation loss raises ``ValueError`` naming
+    the epoch.
 
     Only the current mini-batch, or the validation set while it is
     scored, is gathered; each gets the same float64 operands a dense
@@ -398,7 +363,7 @@ def train(
     params = init_network((x_dim, *cfg.hidden_sizes, t_dim), cfg.seed)
     state = zero_state(params)
     rng = np.random.default_rng(cfg.seed)
-    stopper = EarlyStopping(cfg.patience)
+    best_params, best_epoch, best_loss = None, 0, math.inf
     history: list[EpochStats] = []
     n = x_train.shape[0]
     val_rows = np.arange(x_val.shape[0])
@@ -423,16 +388,12 @@ def train(
                     f"validation {val_loss!r}); training diverged"
                 )
             history.append(EpochStats(epoch, train_loss, val_loss))
-            if stopper.update(epoch, val_loss, params):
+            if val_loss < best_loss:
+                best_params, best_epoch, best_loss = copy_params(params), epoch, val_loss
+            elif epoch - best_epoch >= cfg.patience:
                 break
 
-    best = stopper.best_params if stopper.best_params is not None else copy_params(params)
-    return TrainResult(
-        params=best,
-        history=history,
-        best_epoch=stopper.best_epoch,
-        best_val_loss=stopper.best_loss,
-    )
+    return TrainResult(best_params, history, best_epoch, best_loss)
 
 
 def _step(params, state, inputs, targets, cfg, rng) -> float:

@@ -15,7 +15,6 @@ across platforms.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -127,13 +126,20 @@ class TermIndex:
 
         from .neuralnet import SparseRows
 
-        found = [self._term_indices(s) for s in sentences]
-        lengths = np.fromiter(map(len, found), np.intp, len(found))
-        terms = np.fromiter(itertools.chain.from_iterable(found), np.int64, lengths.sum())
+        lengths = np.empty(len(sentences), np.intp)
+
+        def term_indices():
+            # streamed, so no sentence's terms outlive their copy into the array
+            for row, sentence in enumerate(sentences):
+                found = self._term_indices(sentence)
+                lengths[row] = len(found)
+                yield from found
+
+        terms = np.fromiter(term_indices(), np.int64)
         # sorted, the keys row * dim + term list rows in order, each one's terms ascending
-        keys, counts = np.unique(np.repeat(np.arange(len(found)) * self.dim, lengths) + terms,
+        keys, counts = np.unique(np.repeat(np.arange(len(sentences)) * self.dim, lengths) + terms,
                                  return_counts=True)
-        indptr = np.searchsorted(keys, np.arange(len(found) + 1) * self.dim)
+        indptr = np.searchsorted(keys, np.arange(len(sentences) + 1) * self.dim)
         return SparseRows(self.dim, indptr, (keys % self.dim).astype(np.int32),
                           counts.astype(np.float64))
 

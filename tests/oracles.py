@@ -28,13 +28,14 @@ def random_net(sizes, rng):
     return params
 
 
-def numeric_gradients(params, inputs, targets, dropout_rate=0.0, masks=None, h=1e-5):
-    """Central finite differences of the batch MSE loss, parameter by parameter."""
-
-    rate = dropout_rate if masks is not None else 0.0
+def numeric_gradients(params, inputs, targets, dropout_rate=0.0, seed=0, h=1e-5):
+    """Central finite differences of the batch MSE loss, parameter by parameter.
+    Each loss evaluation draws its dropout masks from a fresh generator seeded
+    with ``seed``, so every evaluation drops the same units."""
 
     def loss():
-        cache = nn.forward(params, inputs, dropout_rate=rate, masks=masks)
+        cache = nn.forward(params, inputs, dropout_rate=dropout_rate,
+                           rng=np.random.default_rng(seed))
         return nn.mse_loss(cache.output, targets)
 
     grads = []
@@ -83,7 +84,8 @@ def train_dense(
 ) -> nn.TrainResult:
     """``neuralnet.train`` as it was before its inputs became ``SparseRows``
     and its targets ``SelectedRows``: dense matrices, indexed per mini-batch,
-    the loop kept as it was.
+    the loop kept as it was. It counts the epochs since the last strictly
+    lower validation loss itself, and stops when they reach the patience.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
@@ -97,7 +99,7 @@ def train_dense(
     params = nn.init_network((x_train.shape[1], *cfg.hidden_sizes, t_train.shape[1]), cfg.seed)
     state = nn.zero_state(params)
     rng = np.random.default_rng(cfg.seed)
-    stopper = nn.EarlyStopping(cfg.patience)
+    best_loss, best_epoch, best_params, stale = math.inf, 0, None, 0
     history: list[nn.EpochStats] = []
     n = x_train.shape[0]
 
@@ -122,15 +124,18 @@ def train_dense(
                     f"validation {val_loss!r}); training diverged"
                 )
             history.append(nn.EpochStats(epoch, train_loss, val_loss))
-            if stopper.update(epoch, val_loss, params):
+            stale += 1
+            if val_loss < best_loss:
+                best_loss, best_epoch, stale = val_loss, epoch, 0
+                best_params = [(w.copy(), b.copy()) for w, b in params]
+            if stale == cfg.patience:
                 break
 
-    best = stopper.best_params if stopper.best_params is not None else nn.copy_params(params)
     return nn.TrainResult(
-        params=best,
+        params=best_params,
         history=history,
-        best_epoch=stopper.best_epoch,
-        best_val_loss=stopper.best_loss,
+        best_epoch=best_epoch,
+        best_val_loss=best_loss,
     )
 
 

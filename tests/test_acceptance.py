@@ -164,20 +164,27 @@ def test_criterion_4_overfit_oracle():
         assert result.best_val_loss < 1e-3
 
 
-def test_criterion_5_early_stopping_fixture():
+def test_criterion_5_early_stopping_fixture(monkeypatch):
     with criterion(5, "early stopping fixture"):
-        stopper = nn.EarlyStopping(patience=5)
-        snapshots = {}
-        stopped_at = None
-        for epoch, loss in enumerate([1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9], start=1):
-            params = [(np.full((1, 1), float(epoch)), np.zeros(1))]
-            snapshots[epoch] = params
-            if stopper.update(epoch, loss, params):
-                stopped_at = epoch
-                break
-        assert stopped_at == 7
-        assert stopper.best_epoch == 2
-        assert np.array_equal(stopper.best_params[0][0], snapshots[2][0][0])
+        # train's validation losses are scripted; its training steps run as usual
+        rng = np.random.default_rng(5)
+        x, t = np.abs(rng.normal(size=(9, 3))), np.abs(rng.normal(size=(9, 2)))
+        real = nn.mse_loss
+
+        def run(val_losses, **settings):
+            scripted = iter(val_losses)
+            # 3 validation rows; training batches of 4, 2 rows
+            monkeypatch.setattr(nn, "mse_loss", lambda p, q: next(scripted) if len(p) == 3
+                                else real(p, q))
+            cfg = nn.TrainConfig(hidden_sizes=(4,), batch_size=4, seed=5, **settings)
+            return nn.train(x[:6], t[:6], x[6:], t[6:], cfg)
+
+        result = run([1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9], patience=5)
+        assert len(result.history) == 7
+        assert result.best_epoch == 2
+        two = run([1.0, 0.9], max_epochs=2)
+        for (w, b), (w2, b2) in zip(result.params, two.params):
+            assert w.tobytes() == w2.tobytes() and b.tobytes() == b2.tobytes()
 
 
 def test_criterion_6_metric_oracle_equivalence():

@@ -318,6 +318,20 @@ class TestTrain:
         assert f"{pairs_path}:4: duplicate id 'apple#1'" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_pairs_file_id_with_whitespace_is_data_error(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        pairs_path = tmp_path / "pairs.tsv"
+        lines = [f"{s.id}\t{s.id.rpartition('#')[0]}\n"
+                 for key in ("train_sentences", "val_sentences")
+                 for s in formats.read_sentences(paths[key])]
+        lines[2] = lines[2].replace("\n", " \n")  # line 3's item id ends in a space
+        pairs_path.write_text("".join(lines), encoding="utf-8")
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model), ["--pairs", str(pairs_path)])) == 2
+        bad = lines[2].split("\t")[1].rstrip("\n")
+        assert f"{pairs_path}:3: id {bad!r} contains whitespace" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_nonexistent_file_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         args = train_args(paths, str(tmp_path / "m.bin"))
@@ -901,6 +915,15 @@ class TestEvaluate:
         assert main(["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path),
                      "--metrics", "r@1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "r@1\t50.0"
+
+    def test_ground_truth_id_with_whitespace_is_data_error(self, tmp_path, capsys):
+        # a trailing space would make 'qb-rel ' a relevant item no ranking holds
+        rank_path, _ = self.write_fixture(tmp_path)
+        gt_path = tmp_path / "gt2.tsv"
+        gt_path.write_text("qa\tqa-rel\nqb\tqb-rel \n", encoding="utf-8")
+        assert main(["evaluate", "--rankings", rank_path, "--ground-truth", str(gt_path),
+                     "--metrics", "r@5"]) == 2
+        assert f"{gt_path}:2: id 'qb-rel ' contains whitespace" in capsys.readouterr().err
 
     def test_top_truncated_ranking(self, tmp_path, capsys):
         # each item ranks itself first, so under --top 1 'c' never sees 'a'

@@ -253,6 +253,14 @@ class TestPairsFile:
         with pytest.raises(ValueError):
             formats.read_pairs(str(path))
 
+    @pytest.mark.parametrize("line", ["q1\tb \n", "q1 \tb\n", "q1\ta b\n", "q1\ta\tb\n"])
+    def test_id_with_whitespace_rejected(self, tmp_path, line):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("q0\ta\n" + line, encoding="utf-8")
+        bad = next(part for part in line.rstrip("\n").split("\t", 1) if part.split() != [part])
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: id {bad!r} contains whitespace")):
+            formats.read_pairs(str(path))
+
     def test_item_of_sentence_id(self):
         assert formats.item_id_of("img12#4") == "img12"
         assert formats.item_id_of("a#b#2") == "a#b"

@@ -95,8 +95,14 @@ class TestDropout:
             (np.eye(2), np.zeros(2)),
             (np.eye(2), np.zeros(2)),
         ]
-        mask = np.array([[True, False]])
-        cache = nn.forward(params, np.array([[1.0, 1.0]]), dropout_rate=0.5, masks=[mask])
+
+        class FixedDraws:
+            """A generator stand-in: a draw at or above the rate keeps its unit."""
+
+            def random(self, shape):
+                return np.array([0.5, 0.4999]).reshape(shape)
+
+        cache = nn.forward(params, np.array([[1.0, 1.0]]), dropout_rate=0.5, rng=FixedDraws())
         assert cache.acts[0].tolist() == [[2.0, 0.0]]
         assert cache.output.tolist() == [[2.0, 0.0]]
 
@@ -117,7 +123,7 @@ class TestDropout:
 
     def test_rng_required_when_dropping(self):
         params = nn.init_network([3, 8, 2], 11)
-        with pytest.raises(ValueError, match="masks or an rng"):
+        with pytest.raises(ValueError, match="dropout needs an rng"):
             nn.forward(params, np.ones((1, 3)), dropout_rate=0.4)
 
 
@@ -183,10 +189,12 @@ class TestBackward:
         params = nn.init_network(sizes, 31)
         x = rng.normal(size=(4, 5))
         t = np.abs(rng.normal(size=(4, 3)))
-        masks = [rng.random((4, 9)) >= 0.4, rng.random((4, 6)) >= 0.4]
-        cache = nn.forward(params, x, dropout_rate=0.4, masks=masks)
+        cache = nn.forward(params, x, dropout_rate=0.4, rng=np.random.default_rng(5))
+        # the check means something only if some units are kept and others dropped
+        for mask in cache.masks:
+            assert np.any(mask > 0.0) and np.any(mask == 0.0)
         analytic = nn.backward(params, cache, t)
-        numeric = numeric_gradients(params, x, t, dropout_rate=0.4, masks=masks)
+        numeric = numeric_gradients(params, x, t, dropout_rate=0.4, seed=5)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
     def test_relu_subgradient_at_zero_is_zero(self):
@@ -314,38 +322,64 @@ class TestRmsprop:
             nn.rmsprop_step(params, [(np.ones((3, 2)), np.ones(2))], state, nn.TrainConfig())
 
 
+def scripted_train(monkeypatch, val_losses, **settings):
+    """``train`` on a small fixed set with its validation losses replaced,
+    in order, by ``val_losses``; the training steps are untouched."""
+    rng = np.random.default_rng(3)
+    x, t = np.abs(rng.normal(size=(9, 4))), np.abs(rng.normal(size=(9, 2)))
+    scripted = iter(val_losses)
+    real = nn.mse_loss
+
+    def mse_loss(prediction, target):
+        # the validation set has 3 rows; the training batches 4 and 2
+        return next(scripted) if len(prediction) == 3 else real(prediction, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(nn, "mse_loss", mse_loss)
+        cfg = nn.TrainConfig(hidden_sizes=(5,), batch_size=4, seed=11, **settings)
+        return nn.train(x[:6], t[:6], x[6:], t[6:], cfg)
+
+
+def param_bytes(params):
+    return [(w.tobytes(), b.tobytes()) for w, b in params]
+
+
 class TestEarlyStopping:
-    def test_injected_plateau_sequence(self):
+    PLATEAU = [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
+
+    def test_injected_plateau_sequence(self, monkeypatch):
         # minimum at epoch 2, then five non-improving epochs -> stop at 7
-        stopper = nn.EarlyStopping(patience=5)
-        losses = [1.0, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
-        marker = {}
-        stopped_at = None
-        for epoch, loss in enumerate(losses, start=1):
-            params = [(np.array([[float(epoch)]]), np.array([0.0]))]
-            marker[epoch] = params
-            if stopper.update(epoch, loss, params):
-                stopped_at = epoch
-                break
-        assert stopped_at == 7
-        assert stopper.best_epoch == 2
-        assert stopper.best_params[0][0][0, 0] == 2.0
+        result = scripted_train(monkeypatch, self.PLATEAU, patience=5)
+        assert [s.val_loss for s in result.history] == self.PLATEAU
+        assert [s.epoch for s in result.history] == list(range(1, 8))
+        assert (result.best_epoch, result.best_val_loss) == (2, 0.9)
 
-    def test_best_params_are_a_snapshot(self):
-        stopper = nn.EarlyStopping(patience=2)
-        params = [(np.array([[1.0]]), np.array([0.0]))]
-        stopper.update(1, 0.5, params)
-        params[0][0][0, 0] = 99.0
-        assert stopper.best_params[0][0][0, 0] == 1.0
+    def test_best_params_are_a_snapshot(self, monkeypatch):
+        # five more epochs of in-place steps leave the returned epoch-2 params alone
+        result = scripted_train(monkeypatch, self.PLATEAU, patience=5)
+        two = scripted_train(monkeypatch, self.PLATEAU[:2], max_epochs=2)
+        assert param_bytes(result.params) == param_bytes(two.params)
+        # and those steps do move the params, so the check has teeth
+        seven = scripted_train(monkeypatch, [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0], max_epochs=7)
+        assert seven.best_epoch == 7
+        assert param_bytes(seven.params) != param_bytes(two.params)
 
-    def test_strictly_lower_comparison(self):
-        stopper = nn.EarlyStopping(patience=3)
-        p = [(np.zeros((1, 1)), np.zeros(1))]
-        assert not stopper.update(1, 1.0, p)
-        assert not stopper.update(2, 1.0, p)  # equal is not an improvement
-        assert not stopper.update(3, 1.0, p)
-        assert stopper.update(4, 1.0, p)
-        assert stopper.best_epoch == 1
+    def test_strictly_lower_comparison(self, monkeypatch):
+        # equal is not an improvement: three equal epochs after the first stop at 4
+        result = scripted_train(monkeypatch, [1.0, 1.0, 1.0, 1.0], patience=3)
+        assert len(result.history) == 4
+        assert (result.best_epoch, result.best_val_loss) == (1, 1.0)
+        one = scripted_train(monkeypatch, [1.0], max_epochs=1)
+        assert param_bytes(result.params) == param_bytes(one.params)
+
+    def test_max_epochs_can_end_the_run_first(self, monkeypatch):
+        # the best epoch is the last strict minimum; its equal successor is not
+        losses = [3.0, 2.0, 2.5, 1.0, 1.0]
+        result = scripted_train(monkeypatch, losses, max_epochs=5, patience=5)
+        assert [s.val_loss for s in result.history] == losses
+        assert (result.best_epoch, result.best_val_loss) == (4, 1.0)
+        four = scripted_train(monkeypatch, losses[:4], max_epochs=4)
+        assert param_bytes(result.params) == param_bytes(four.params)
 
 
 def sparse_matrix(rng, rows, cols):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,24 @@ class TestRows:
         rows = table.rows(sentences)
         assert isinstance(rows, np.ndarray)
         assert rows.tobytes() == stacked(table, sentences).tobytes()
+
+    def test_term_rows_peak_memory_stays_near_their_size(self):
+        # 20 000 sentences of 12 words over 2000 words give 3.0 MB of rows;
+        # streaming the term indices peaks at 12.0 MB, while keeping a list
+        # of them per sentence until the sort peaked at 15.9 MB
+        rng = np.random.default_rng(0)
+        words = [f"w{i}" for i in range(2000)]
+        sentences = [sent(" ".join(words[j] for j in row), f"s#{i}")
+                     for i, row in enumerate(rng.integers(2000, size=(20000, 12)))]
+        index = build_vocab("bow", sentences)
+        tracemalloc.start()
+        try:
+            rows = index.rows(sentences)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = rows.indptr.nbytes + rows.indices.nbytes + rows.values.nbytes
+        assert peak <= 4.5 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of rows"
 
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
     def test_sentence_without_a_known_term_fails_as_in_vectorize(self, kind):
