@@ -1,17 +1,15 @@
-"""Rank-based retrieval metrics: R@K, median/mean rank, mean inverted
-rank, and mean average precision, over ``Ranking`` records. Stateless,
-loop-based and pure Python (no numpy); pools at evaluation scale are
-small.
-
-Metrics are also named: ``r@K`` for any K >= 1, ``medr``, ``meanr``,
-``mir`` and ``map``. ``parse_metric_names`` checks a comma-separated
-list of names and ``evaluate`` computes the named metrics."""
+"""Rank-based retrieval metrics over ``Ranking`` records, in pure Python
+(no numpy): ``r@K`` for any K >= 1, ``medr``, ``meanr``, ``mir`` and
+``map``. ``parse_metric_names`` checks a comma-separated list of names.
+``evaluate`` scans each ranking once for the positions of its query's
+relevant items: the first is the query's rank, and the mean precision
+at each is its average precision."""
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,92 +50,16 @@ class GroundTruth:
         return cls(relevance)
 
 
-def first_relevant_rank(ranking: Ranking, truth: GroundTruth) -> int:
-    """1-based position of the highest-ranked relevant item."""
-    relevant = truth.relevance.get(ranking.query_id)
-    if relevant is None:
-        raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
-    for pos, item_id in enumerate(ranking.item_ids, start=1):
-        if item_id in relevant:
-            return pos
-    raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
-
-
-def recall_at_k(ranks: Sequence[int], k: int) -> float:
-    """Percentage of queries whose first relevant item lands in the top k."""
-    _check_ranks(ranks)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return 100.0 * sum(1 for r in ranks if r <= k) / len(ranks)
-
-
-def median_rank(ranks: Sequence[int]) -> float:
-    """Median first-relevant rank; even counts average the two middle values."""
-    _check_ranks(ranks)
-    return float(statistics.median(ranks))
-
-
-def mean_rank(ranks: Sequence[int]) -> float:
-    _check_ranks(ranks)
-    return statistics.fmean(ranks)
-
-
-def mean_inverted_rank(ranks: Sequence[int]) -> float:
-    """Mean of 1/rank of the first relevant item."""
-    _check_ranks(ranks)
-    return statistics.fmean(1.0 / r for r in ranks)
-
-
-def average_precision(ranking: Ranking, truth: GroundTruth) -> float:
-    """Mean over relevant items of the precision at that item's rank.
-
-    Only relevant items present in the ranking contribute; the ranking
-    must contain at least one.
-    """
-    relevant = truth.relevance.get(ranking.query_id)
-    if relevant is None:
-        raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
-    hits = 0
-    precisions = []
-    for pos, item_id in enumerate(ranking.item_ids, start=1):
-        if item_id in relevant:
-            hits += 1
-            precisions.append(hits / pos)
-    if not precisions:
-        raise ValueError(f"no relevant item for query {ranking.query_id!r} appears in the ranking")
-    return statistics.fmean(precisions)
-
-
-def mean_average_precision(rankings: Sequence[Ranking], truth: GroundTruth) -> float:
-    if not rankings:
-        raise ValueError("no rankings to evaluate")
-    return statistics.fmean(average_precision(r, truth) for r in rankings)
-
-
-def _metric(name: str) -> Callable[[list[int], Sequence[Ranking], GroundTruth], float]:
-    """The function computing the metric ``name`` from the first-relevant
-    ranks, the rankings and the ground truth. It is made per call and
-    looks up the module's metric functions when it runs, so a replaced
-    module attribute (a profiler's wrapper, say) is the one called."""
-    k = _recall_k(name)
-    if k is not None:
-        return lambda ranks, rankings, truth: recall_at_k(ranks, k)
-    functions = {
-        "medr": lambda ranks, rankings, truth: median_rank(ranks),
-        "meanr": lambda ranks, rankings, truth: mean_rank(ranks),
-        "mir": lambda ranks, rankings, truth: mean_inverted_rank(ranks),
-        "map": lambda ranks, rankings, truth: mean_average_precision(rankings, truth),
-    }
-    if name not in functions:
-        raise ValueError(f"unknown metric name {name!r}")
-    return functions[name]
-
-
 def _recall_k(name: str) -> int | None:
     """K of a metric named ``r@K``; None for any other name."""
     if name.startswith("r@") and name[2:].isdigit() and int(name[2:]) >= 1:
         return int(name[2:])
     return None
+
+
+def _check_name(name: str) -> None:
+    if name not in ("medr", "meanr", "mir", "map") and _recall_k(name) is None:
+        raise ValueError(f"unknown metric name {name!r}")
 
 
 def parse_metric_names(text: str) -> list[str]:
@@ -147,7 +69,7 @@ def parse_metric_names(text: str) -> list[str]:
     if not names:
         raise ValueError("no metric name given")
     for name in names:
-        _metric(name)
+        _check_name(name)
     return names
 
 
@@ -158,17 +80,22 @@ def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTru
     after ``rank --top L``. Such a query counts as a miss for ``r@K`` with
     K <= L; any other metric of it is undefined and raises ``ValueError``.
     """
-    functions = [_metric(name) for name in names]
-    ranks, missed = [], []
+    for name in names:
+        _check_name(name)
+    if not rankings:
+        raise ValueError("no rankings to evaluate")
+    positions = []
     for ranking in rankings:
-        try:
-            ranks.append(first_relevant_rank(ranking, truth))
-        except ValueError:
-            if ranking.query_id not in truth.relevance:
-                raise
-            missed.append(ranking)
-            ranks.append(len(ranking.item_ids) + 1)  # past its end: a miss for every K <= L
-    shortest = min(missed, key=lambda r: len(r.item_ids), default=None)
+        relevant = truth.relevance.get(ranking.query_id)
+        if relevant is None:
+            raise ValueError(f"query {ranking.query_id!r} is absent from the ground truth")
+        positions.append([pos for pos, item_id in enumerate(ranking.item_ids, start=1)
+                          if item_id in relevant])
+    # a ranking holding no relevant item ranks its query past its end: a miss for every K <= L
+    ranks = [found[0] if found else len(r.item_ids) + 1 for r, found in zip(rankings, positions)]
+    shortest = min((r for r, found in zip(rankings, positions) if not found),
+                   key=lambda r: len(r.item_ids), default=None)
+    values = []
     for name in names:
         k = _recall_k(name)
         if shortest is not None and (k is None or k > len(shortest.item_ids)):
@@ -177,11 +104,17 @@ def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTru
                 f"items is among its {len(shortest.item_ids)} ranked items "
                 f"(the ranking may be truncated, as by rank --top)"
             )
-    return [function(ranks, rankings, truth) for function in functions]
-
-
-def _check_ranks(ranks: Sequence[int]) -> None:
-    if not ranks:
-        raise ValueError("rank list is empty")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks are 1-based and must be >= 1")
+        if k is not None:
+            values.append(100.0 * sum(1 for r in ranks if r <= k) / len(ranks))
+        elif name == "medr":
+            values.append(float(statistics.median(ranks)))
+        elif name == "meanr":
+            values.append(statistics.fmean(ranks))
+        elif name == "mir":
+            values.append(statistics.fmean(1.0 / r for r in ranks))
+        else:
+            values.append(statistics.fmean(
+                statistics.fmean(hits / pos for hits, pos in enumerate(found, start=1))
+                for found in positions
+            ))
+    return values

@@ -125,7 +125,10 @@ def _pack_string(text: str) -> bytes:
 
 def _unpack_string(reader: _Reader) -> str:
     (length,) = struct.unpack("<Q", reader.take(8))
-    return reader.take(length).decode("utf-8")
+    try:
+        return reader.take(length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{reader.path}: {exc}") from None
 
 
 def _pack_vectorizer(vectorizer: Union[TermIndex, WordEmbeddingTable]) -> bytes:
@@ -144,7 +147,11 @@ def _pack_vectorizer(vectorizer: Union[TermIndex, WordEmbeddingTable]) -> bytes:
 def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbeddingTable]:
     if kind in TERM_KINDS:
         (count,) = struct.unpack("<Q", reader.take(8))
-        return TermIndex(kind, [_unpack_string(reader) for _ in range(count)])
+        terms = [_unpack_string(reader) for _ in range(count)]
+        try:
+            return TermIndex(kind, terms)
+        except ValueError as exc:
+            raise ValueError(f"{reader.path}: {exc}") from None
     dim, count = struct.unpack("<QQ", reader.take(16))
     if not (count and dim):
         raise ValueError(f"{reader.path}: embedding table declares {count} words of dim {dim}")

@@ -21,8 +21,10 @@ def group_frames(frames: Features) -> dict[str, list[int]]:
 def mean_pool(frames: Features) -> Features:
     """One row per video: the coordinatewise mean of its (frames, dim) rows."""
     groups = group_frames(frames)
-    pooled = [frames.matrix[rows].mean(axis=0) for rows in groups.values()]
-    return Features(tuple(groups), np.stack(pooled))
+    pooled = np.empty((len(groups), frames.dim))
+    for row, rows in zip(pooled, groups.values()):
+        frames.matrix[rows].mean(axis=0, out=row)
+    return Features(tuple(groups), pooled)
 
 
 def concat_visual_audio(visual: Features, audio: Features) -> Features:

@@ -120,11 +120,8 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
         # the task must be solvable from word-cluster lookups alone before
         # the trained network is held to any threshold
         oracle_candidates = _table([s.id for s in pool], [corpus.oracle_vector(s) for s in pool])
-        oracle_ranks = [
-            metrics.first_relevant_rank(r, truth)
-            for r in retrieval.rank_all(queries, oracle_candidates)
-        ]
-        assert metrics.recall_at_k(oracle_ranks, 1) == 100.0
+        oracle_rankings = retrieval.rank_all(queries, oracle_candidates)
+        assert metrics.evaluate(["r@1"], oracle_rankings, truth) == [100.0]
 
         vocab, cfg, result = _train_on_corpus(corpus)
 
@@ -136,12 +133,8 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
 
         encoded = nn.encode(result.params, np.stack([vocab.vectorize(s) for s in pool]))
         candidates = Features([s.id for s in pool], encoded)
-        ranks = [
-            metrics.first_relevant_rank(r, truth)
-            for r in retrieval.rank_all(queries, candidates)
-        ]
-        r_at_1 = metrics.recall_at_k(ranks, 1)
-        med_r = metrics.median_rank(ranks)
+        r_at_1, med_r = metrics.evaluate(["r@1", "medr"],
+                                         retrieval.rank_all(queries, candidates), truth)
         chance = 100.0 * synthdata.SENTENCES_PER_ITEM / len(pool)
         assert chance < 2.0 + 1e-9
         assert r_at_1 >= 60.0, f"R@1 {r_at_1} vs chance {chance:.2f}"
@@ -209,14 +202,15 @@ def test_criterion_6_metric_oracle_equivalence():
 
             truth = metrics.GroundTruth(relevance)
             expected = brute_force_metrics(scores, relevance, ks)
-            ranks = [metrics.first_relevant_rank(r, truth) for r in rankings]
+            # a query's rank is the mean rank over its ranking alone
+            ranks = [metrics.evaluate(["meanr"], [r], truth)[0] for r in rankings]
             assert ranks == expected["ranks"]
+            names = [f"r@{k}" for k in ks] + ["medr", "meanr", "mir", "map"]
+            report = dict(zip(names, metrics.evaluate(names, rankings, truth)))
             for k in ks:
-                assert abs(metrics.recall_at_k(ranks, k) - expected["r_at"][k]) <= 1e-12
-            assert abs(metrics.median_rank(ranks) - expected["medr"]) <= 1e-12
-            assert abs(metrics.mean_rank(ranks) - expected["meanr"]) <= 1e-12
-            assert abs(metrics.mean_inverted_rank(ranks) - expected["mir"]) <= 1e-12
-            assert abs(metrics.mean_average_precision(rankings, truth) - expected["map"]) <= 1e-12
+                assert abs(report[f"r@{k}"] - expected["r_at"][k]) <= 1e-12
+            for name in ("medr", "meanr", "mir", "map"):
+                assert abs(report[name] - expected[name]) <= 1e-12
 
 
 def test_criterion_7_vectorizer_fixtures():
@@ -319,7 +313,8 @@ def test_criterion_9_text_to_text_in_visual_space():
         def map_score(vectorize):
             qs = _table([s.id for s in queries], [vectorize(s) for s in queries])
             cs = _table([s.id for s in pool], [vectorize(s) for s in pool])
-            return metrics.mean_average_precision(retrieval.rank_all(qs, cs), truth)
+            (value,) = metrics.evaluate(["map"], retrieval.rank_all(qs, cs), truth)
+            return value
 
         in_visual_space = map_score(
             lambda s: nn.encode(result.params, vocab.vectorize(s)[None, :])[0]

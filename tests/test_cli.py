@@ -622,6 +622,38 @@ class TestModelFileFuzz:
 
 
 class TestModelLoad:
+    @pytest.mark.parametrize("kind, words, message", [
+        (0, ["a", "zat", "dog"], "vocabulary entries must be strictly ascending: 'zat' before 'dog'"),
+        (0, ["a", "cat", "cat"], "vocabulary entries must be strictly ascending: 'cat' before 'cat'"),
+        (0, [], "vocabulary is empty"),
+        (1, ["#ca", "at"], "term 'at' is not 3 characters long"),
+    ])
+    def test_bad_term_list_names_the_model_path(self, tmp_path, kind, words, message):
+        model = HandModel()
+        model.field("<4sBB", b"W2VV", 1, kind)
+        model.field("<Q", len(words))
+        model.words(words)
+        model.layers(np.random.default_rng(0), [(2, max(len(words), 1))])
+        code, err = encode_model_bytes(tmp_path, model.data)
+        assert code == 2
+        assert err == f"textovision: error: {tmp_path / 'm.bin'}: {message}\n"
+
+    @pytest.mark.parametrize("kind", [0, 2])
+    def test_string_that_is_not_utf8_names_the_model_path(self, tmp_path, kind):
+        # b"\xc3" opens a two-byte sequence that the string's end cuts off
+        model = HandModel()
+        model.field("<4sBB", b"W2VV", 1, kind)
+        if kind == 2:
+            model.field("<QQ", 2, 1)  # dim 2, one word
+        else:
+            model.field("<Q", 1)  # one term
+        model.field("<Q", 1)
+        model.payload(b"\xc3")
+        code, err = encode_model_bytes(tmp_path, model.data)
+        assert code == 2
+        assert err == (f"textovision: error: {tmp_path / 'm.bin'}: 'utf-8' codec can't decode "
+                       "byte 0xc3 in position 0: unexpected end of data\n")
+
     @pytest.mark.parametrize("kind", ["bow", "word2vec"])
     def test_loaded_arrays_are_aligned_on_a_misaligned_payload(self, tmp_path, kind):
         # term bytes 1 + 3 + 5 put every float payload at an odd file offset;

@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_metrics
 
-from textovision.metrics import (
-    GroundTruth,
-    average_precision,
-    evaluate,
-    first_relevant_rank,
-    mean_average_precision,
-    mean_inverted_rank,
-    mean_rank,
-    median_rank,
-    parse_metric_names,
-    recall_at_k,
-)
+from textovision.metrics import GroundTruth, evaluate, parse_metric_names
 from textovision.retrieval import Ranking
+
+DEFAULT_NAMES = ["r@1", "r@5", "r@10", "medr", "meanr", "mir", "map"]
 
 
 def ranking(query_id, *item_ids):
@@ -22,84 +15,89 @@ def ranking(query_id, *item_ids):
     return Ranking(query_id, list(item_ids), scores)
 
 
+def rank_of(one, truth):
+    """The query's rank: ``meanr`` over its ranking alone."""
+    (value,) = evaluate(["meanr"], [one], truth)
+    return value
+
+
+def ranked_at(*ranks):
+    """One ranking of ``max(ranks)`` items per rank, holding its query's only
+    relevant item at that rank, and their ground truth."""
+    size = max(ranks)
+    rankings = [
+        ranking(f"q{i}", *("rel" if pos == rank else f"x{pos}" for pos in range(1, size + 1)))
+        for i, rank in enumerate(ranks)
+    ]
+    return rankings, GroundTruth({f"q{i}": {"rel"} for i in range(len(ranks))})
+
+
 class TestFirstRelevantRank:
     def test_second_position(self):
         truth = GroundTruth({"q": {"a"}})
-        assert first_relevant_rank(ranking("q", "b", "a", "c"), truth) == 2
+        assert rank_of(ranking("q", "b", "a", "c"), truth) == 2
 
     def test_first_position(self):
         truth = GroundTruth({"q": {"a"}})
-        assert first_relevant_rank(ranking("q", "a", "b"), truth) == 1
+        assert rank_of(ranking("q", "a", "b"), truth) == 1
 
     def test_first_of_several(self):
         truth = GroundTruth({"q": {"a", "b"}})
-        assert first_relevant_rank(ranking("q", "c", "b", "a"), truth) == 2
+        assert rank_of(ranking("q", "c", "b", "a"), truth) == 2
 
     def test_query_absent(self):
         with pytest.raises(ValueError, match="absent"):
-            first_relevant_rank(ranking("q", "a"), GroundTruth({"other": {"a"}}))
+            rank_of(ranking("q", "a"), GroundTruth({"other": {"a"}}))
 
     def test_no_relevant_present(self):
-        with pytest.raises(ValueError, match="no relevant item"):
-            first_relevant_rank(ranking("q", "b", "c"), GroundTruth({"q": {"zzz"}}))
+        with pytest.raises(ValueError, match="none of its relevant items"):
+            rank_of(ranking("q", "b", "c"), GroundTruth({"q": {"zzz"}}))
 
 
 class TestRankStatistics:
     def test_recall_at_k_fixture(self):
-        ranks = [1, 3, 7, 12]
-        assert recall_at_k(ranks, 5) == 50.0
-        assert recall_at_k(ranks, 1) == 25.0
-        assert recall_at_k(ranks, 10) == 75.0
+        rankings, truth = ranked_at(1, 3, 7, 12)
+        assert evaluate(["r@5", "r@1", "r@10"], rankings, truth) == [50.0, 25.0, 75.0]
 
     def test_median_and_mean_fixture(self):
-        assert median_rank([1, 3, 7, 12]) == 5.0
-        assert mean_rank([1, 3, 7, 12]) == 5.75
+        assert evaluate(["medr", "meanr"], *ranked_at(1, 3, 7, 12)) == [5.0, 5.75]
 
     def test_single_query(self):
-        assert median_rank([4]) == 4.0
-        assert mean_rank([4]) == 4.0
+        assert evaluate(["medr", "meanr"], *ranked_at(4)) == [4.0, 4.0]
 
     def test_outlier_shifts_mean_not_median(self):
-        assert median_rank([2, 2, 2, 100]) == 2.0
-        assert mean_rank([2, 2, 2, 100]) == 26.5
+        assert evaluate(["medr", "meanr"], *ranked_at(2, 2, 2, 100)) == [2.0, 26.5]
 
     def test_mean_inverted_rank_fixture(self):
-        assert mean_inverted_rank([1, 2, 4]) == pytest.approx((1 + 0.5 + 0.25) / 3)
-        assert mean_inverted_rank([1, 1, 1]) == 1.0
-        assert mean_inverted_rank([10]) == pytest.approx(0.1)
+        assert evaluate(["mir"], *ranked_at(1, 2, 4)) == [pytest.approx((1 + 0.5 + 0.25) / 3)]
+        assert evaluate(["mir"], *ranked_at(1, 1, 1)) == [1.0]
+        assert evaluate(["mir"], *ranked_at(10)) == [pytest.approx(0.1)]
 
     def test_empty_input_rejected(self):
-        for fn in (median_rank, mean_rank, mean_inverted_rank):
-            with pytest.raises(ValueError):
-                fn([])
-        with pytest.raises(ValueError):
-            recall_at_k([], 5)
-
-    def test_invalid_ranks_rejected(self):
-        with pytest.raises(ValueError):
-            mean_rank([0])
-        with pytest.raises(ValueError):
-            recall_at_k([1], 0)
+        truth = GroundTruth({"q": {"a"}})
+        for name in ("medr", "meanr", "mir", "r@5"):
+            with pytest.raises(ValueError, match="^no rankings to evaluate$"):
+                evaluate([name], [], truth)
 
 
 class TestAveragePrecision:
     def test_relevant_at_one_and_three(self):
         truth = GroundTruth({"q": {"a", "b"}})
-        ap = average_precision(ranking("q", "a", "x", "b", "y"), truth)
+        (ap,) = evaluate(["map"], [ranking("q", "a", "x", "b", "y")], truth)
         assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
     def test_single_relevant_at_two(self):
         truth = GroundTruth({"q": {"a"}})
-        assert average_precision(ranking("q", "x", "a"), truth) == 0.5
+        assert evaluate(["map"], [ranking("q", "x", "a")], truth) == [0.5]
 
     def test_all_relevant(self):
         truth = GroundTruth({"q": {"a", "b", "c"}})
-        assert average_precision(ranking("q", "a", "b", "c"), truth) == 1.0
+        assert evaluate(["map"], [ranking("q", "a", "b", "c")], truth) == [1.0]
 
     def test_map_is_mean_of_aps(self):
         truth = GroundTruth({"q1": {"a"}, "q2": {"a"}})
         rankings = [ranking("q1", "a", "b"), ranking("q2", "b", "a")]
-        assert mean_average_precision(rankings, truth) == pytest.approx((1.0 + 0.5) / 2.0)
+        assert evaluate(["map"], rankings, truth) == [pytest.approx((1.0 + 0.5) / 2.0)]
 
 
 class TestGroundTruth:
@@ -137,22 +135,82 @@ class TestOracleEquivalence:
             truth = GroundTruth(relevance)
             expected = brute_force_metrics(scores, relevance, ks)
 
-            ranks = [first_relevant_rank(r, truth) for r in rankings]
-            assert ranks == expected["ranks"]
+            assert [rank_of(r, truth) for r in rankings] == expected["ranks"]
+            names = [f"r@{k}" for k in ks] + ["medr", "meanr", "mir", "map"]
+            report = dict(zip(names, evaluate(names, rankings, truth)))
             for k in ks:
-                assert recall_at_k(ranks, k) == pytest.approx(expected["r_at"][k], abs=1e-12)
-            assert median_rank(ranks) == pytest.approx(expected["medr"], abs=1e-12)
-            assert mean_rank(ranks) == pytest.approx(expected["meanr"], abs=1e-12)
-            assert mean_inverted_rank(ranks) == pytest.approx(expected["mir"], abs=1e-12)
-            assert mean_average_precision(rankings, truth) == pytest.approx(
-                expected["map"], abs=1e-12
-            )
+                assert report[f"r@{k}"] == pytest.approx(expected["r_at"][k], abs=1e-12)
+            for name in ("medr", "meanr", "mir", "map"):
+                assert report[name] == pytest.approx(expected[name], abs=1e-12)
+
+
+@st.composite
+def scored_instances(draw):
+    """Scores with ties (broken on item id), a relevant set and a ranking
+    length per query."""
+    pool = [f"i{j}" for j in range(draw(st.integers(1, 12)))]
+    scores, relevance, lengths = {}, {}, {}
+    for qi in range(draw(st.integers(1, 6))):
+        query_id = f"q{qi}"
+        scores[query_id] = {item: draw(st.integers(0, 4)) / 4 for item in pool}
+        relevance[query_id] = set(draw(st.lists(st.sampled_from(pool), min_size=1, unique=True)))
+        lengths[query_id] = draw(st.integers(1, len(pool)))
+    return scores, relevance, lengths
+
+
+def oracle_rankings(scores, lengths=None):
+    """Each query's items in (-score, id) order, cut to ``lengths[query_id]`` if given."""
+    rankings = []
+    for query_id, row in scores.items():
+        ordered = sorted(row.items(), key=lambda kv: (-kv[1], kv[0]))
+        if lengths:
+            ordered = ordered[: lengths[query_id]]
+        rankings.append(Ranking(query_id, *zip(*ordered)))
+    return rankings
+
+
+class TestEvaluateAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(scored_instances())
+    def test_default_metrics_equal_the_oracle(self, instance):
+        scores, relevance, _ = instance
+        expected = brute_force_metrics(scores, relevance, (1, 5, 10))
+        values = evaluate(DEFAULT_NAMES, oracle_rankings(scores), GroundTruth(relevance))
+        wanted = [expected["r_at"][k] for k in (1, 5, 10)]
+        wanted += [expected[name] for name in ("medr", "meanr", "mir", "map")]
+        assert values == pytest.approx(wanted, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_instances())
+    def test_truncated_rankings_decide_or_name_the_shortest_miss(self, instance):
+        scores, relevance, lengths = instance
+        expected = brute_force_metrics(scores, relevance, (1, 5, 10))
+        rankings = oracle_rankings(scores, lengths)
+        truth = GroundTruth(relevance)
+        missed = [q for q, rank in zip(scores, expected["ranks"]) if rank > lengths[q]]
+        if not missed:
+            # every first relevant item survives the cut; only average precision
+            # loses the relevant items past it
+            wanted = [expected["r_at"][k] for k in (1, 5, 10)]
+            wanted += [expected[name] for name in ("medr", "meanr", "mir")]
+            assert evaluate(DEFAULT_NAMES[:-1], rankings, truth) == pytest.approx(wanted,
+                                                                                 abs=1e-12)
+            return
+        shortest = min(missed, key=lengths.get)
+        length = lengths[shortest]
+        name = next(n for n in DEFAULT_NAMES if not n.startswith("r@") or int(n[2:]) > length)
+        with pytest.raises(ValueError) as raised:
+            evaluate(DEFAULT_NAMES, rankings, truth)
+        assert str(raised.value) == (
+            f"{name} is undefined for query {shortest!r}: none of its relevant items is among "
+            f"its {length} ranked items (the ranking may be truncated, as by rank --top)"
+        )
 
 
 class TestMonotonicity:
     def test_recall_nondecreasing_in_k_and_total_at_pool_size(self):
-        ranks = [1, 3, 7, 12, 12]
-        values = [recall_at_k(ranks, k) for k in range(1, 13)]
+        rankings, truth = ranked_at(1, 3, 7, 12, 12)
+        values = evaluate([f"r@{k}" for k in range(1, 13)], rankings, truth)
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == 100.0
 
@@ -160,18 +218,18 @@ class TestMonotonicity:
         truth = GroundTruth({"q": {"c"}})
         worse = ranking("q", "a", "b", "c", "d")
         better = ranking("q", "a", "c", "b", "d")
-        worse_rank = first_relevant_rank(worse, truth)
-        better_rank = first_relevant_rank(better, truth)
+        worse_rank, worse_ap, worse_mir = evaluate(["meanr", "map", "mir"], [worse], truth)
+        better_rank, better_ap, better_mir = evaluate(["meanr", "map", "mir"], [better], truth)
         assert better_rank < worse_rank
-        assert average_precision(better, truth) >= average_precision(worse, truth)
-        assert mean_inverted_rank([better_rank]) >= mean_inverted_rank([worse_rank])
+        assert better_ap >= worse_ap
+        assert better_mir >= worse_mir
 
     def test_map_is_one_iff_relevant_items_lead_contiguously(self):
         truth = GroundTruth({"q": {"a", "b"}})
         perfect = ranking("q", "a", "b", "x", "y")
         broken = ranking("q", "a", "x", "b", "y")
-        assert average_precision(perfect, truth) == 1.0
-        assert average_precision(broken, truth) < 1.0
+        assert evaluate(["map"], [perfect], truth) == [1.0]
+        assert evaluate(["map"], [broken], truth)[0] < 1.0
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,21 @@ class TestMeanPool:
         assert pooled.ids == ("v0", "v1", "v2")
         for v in range(3):
             assert pooled.matrix[v].tobytes() == np.stack(matrix[v::3]).mean(axis=0).tobytes()
+
+    def test_peak_memory_stays_near_the_output_size(self):
+        # 5000 two-frame 64-d videos: a list of pooled rows stacked at the end
+        # peaks near three times the output, one preallocated matrix near 1.5x
+        rng = np.random.default_rng(6)
+        ids = [f"v{v}#{k}" for v in range(5000) for k in range(2)]
+        frames = Features(ids, rng.normal(size=(len(ids), 64)))
+        tracemalloc.start()
+        try:
+            pooled = mean_pool(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = pooled.matrix.nbytes
+        assert peak <= 2 * size, f"peak {peak / 1e6:.2f} MB for {size / 1e6:.2f} MB of output"
 
 
 class TestConcat:
