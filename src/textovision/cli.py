@@ -1,11 +1,13 @@
 """Command-line surface: build-vocab, train, encode, rank, pool, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The environment
-variable ``TEXTOVISION_THREADS`` caps internal parallelism; it is applied
-before numpy loads, so heavyweight imports stay inside the command
-handlers. ``evaluate`` and ``build-vocab`` do no array math and never
-import numpy, which is most of a short command's start-up time;
-``formats``, ``metrics`` and ``textvec`` load it only where they use it.
+variable ``TEXTOVISION_THREADS`` caps internal parallelism: the BLAS
+threads and ``train``'s optimizer threads. It is applied before numpy
+loads, together with a short BLAS idle timeout, so heavyweight imports
+stay inside the command handlers. ``evaluate`` and ``build-vocab`` do
+no array math and never import numpy, which is most of a short
+command's start-up time; ``formats``, ``metrics`` and ``textvec`` load
+it only where they use it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_thread_cap() -> None:
+    # idle OpenBLAS workers sleep at once instead of spinning on the cores
+    # that rmsprop_step's threads need between products
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     value = os.environ.get("TEXTOVISION_THREADS")
     if value:
         for var in (
@@ -168,10 +173,12 @@ def _training_rows(vectorizer, sentences, features, pair_map):
 
 
 def _train_config(args):
-    """The ``TrainConfig`` of ``train``'s flags; a value out of range is a usage error."""
+    """The ``TrainConfig`` of ``train``'s flags; a value out of range, or
+    a malformed ``TEXTOVISION_THREADS``, is a usage error."""
     from . import neuralnet
 
     try:
+        neuralnet.thread_count()
         return neuralnet.TrainConfig(
             hidden_sizes=_parse_hidden_sizes(args.layers), dropout_rate=args.dropout,
             learning_rate=args.lr, gamma=args.gamma, epsilon=args.epsilon,
@@ -190,7 +197,11 @@ def cmd_train(args) -> int:
     train_sentences = formats.read_sentences(args.sentences)
     train_features = formats.read_features(args.features)
     val_sentences = formats.read_sentences(args.val_sentences)
-    val_features = formats.read_features(args.val_features)
+    # the features as a whole often serve both sets: parse them once
+    if os.path.exists(args.val_features) and os.path.samefile(args.val_features, args.features):
+        val_features = train_features
+    else:
+        val_features = formats.read_features(args.val_features)
     if val_features.dim != train_features.dim:
         raise ValueError(f"validation feature dim {val_features.dim} does not match "
                          f"training dim {train_features.dim}")

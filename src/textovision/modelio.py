@@ -10,15 +10,16 @@ A term index's payload is its 64-bit term count and terms; an embedding
 table's is its 64-bit dim and word count, the words, and the embedding
 matrix as 64-bit floats with rows in sorted word order, so identical
 tables serialize identically. Strings are length-prefixed (64-bit)
-UTF-8. A loaded model's arrays are read-only views, each of its own
-``bytes`` copy of its payload. The copies keep them 8-byte aligned: a
-payload's file offset follows the term lengths before it, and on an
-unaligned view numpy's matmul bypasses BLAS, which is slower and sums
-in another order.
+UTF-8. A loaded model's arrays are read-only, each read from the file
+straight into its own newly allocated array, so loading holds the
+weights once and keeps them aligned: a payload's file offset follows the
+term lengths before it, and on an unaligned view numpy's matmul bypasses
+BLAS, which is slower and sums in another order.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -65,29 +66,27 @@ def save_model(path: str, model: TrainedModel) -> None:
 
 def load_model(path: str) -> TrainedModel:
     with open(path, "rb") as fh:
-        data = fh.read()
-    reader = _Reader(path, data)
-    if reader.take(4) != MAGIC:
-        raise ValueError(f"{path}: bad magic; not a model file")
-    version, tag = struct.unpack("<BB", reader.take(2))
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
-    if tag not in _TAG_KINDS:
-        raise ValueError(f"{path}: unknown vectorizer tag {tag}")
-    vectorizer = _unpack_vectorizer(_TAG_KINDS[tag], reader)
+        reader = _Reader(path, fh)
+        if reader.take(4) != MAGIC:
+            raise ValueError(f"{path}: bad magic; not a model file")
+        version, tag = struct.unpack("<BB", reader.take(2))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported model format version {version}")
+        if tag not in _TAG_KINDS:
+            raise ValueError(f"{path}: unknown vectorizer tag {tag}")
+        vectorizer = _unpack_vectorizer(_TAG_KINDS[tag], reader)
 
-    (layer_count,) = struct.unpack("<Q", reader.take(8))
-    params: NetworkParams = []
-    for number in range(1, layer_count + 1):
-        rows, cols = struct.unpack("<QQ", reader.take(16))
-        if not (rows and cols):
-            raise ValueError(f"{path}: layer {number} has {rows} rows and {cols} cols")
-        weight = np.frombuffer(reader.take(rows * cols * 8), dtype="<f8").reshape(rows, cols)
-        bias = np.frombuffer(reader.take(rows * 8), dtype="<f8")
-        params.append((weight, bias))
-    if not params:
-        raise ValueError(f"{path}: model has no layers")
-    reader.expect_end()
+        (layer_count,) = struct.unpack("<Q", reader.take(8))
+        params: NetworkParams = []
+        for number in range(1, layer_count + 1):
+            rows, cols = struct.unpack("<QQ", reader.take(16))
+            if not (rows and cols):
+                raise ValueError(f"{path}: layer {number} has {rows} rows and {cols} cols")
+            params.append((reader.take_floats(rows * cols).reshape(rows, cols),
+                           reader.take_floats(rows)))
+        if not params:
+            raise ValueError(f"{path}: model has no layers")
+        reader.expect_end()
     expected, source = vectorizer.dim, "the vectorizer dim"
     for number, (weight, _) in enumerate(params, start=1):
         if weight.shape[1] != expected:
@@ -99,22 +98,38 @@ def load_model(path: str) -> TrainedModel:
 
 
 class _Reader:
-    def __init__(self, path: str, data: bytes):
+    """Reads a model file in order, never past its end: a field the file is
+    too short for is a truncation, found before anything is allocated for it."""
+
+    def __init__(self, path: str, fh):
         self.path = path
-        self.data = data
-        self.offset = 0
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise ValueError(f"{self.path}: truncated model file")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        """The next ``n`` bytes, as a new (so 8-byte aligned) ``bytes`` object."""
-        end = self.offset + n
-        if end > len(self.data):
+        """The next ``n`` bytes."""
+        self._claim(n)
+        chunk = self.fh.read(n)
+        if len(chunk) != n:
             raise ValueError(f"{self.path}: truncated model file")
-        chunk = self.data[self.offset : end]
-        self.offset = end
         return chunk
 
+    def take_floats(self, count: int) -> np.ndarray:
+        """The next ``count`` little-endian float64 values, as a read-only array."""
+        self._claim(count * 8)
+        values = np.empty(count, dtype="<f8")
+        if self.fh.readinto(values) != values.nbytes:
+            raise ValueError(f"{self.path}: truncated model file")
+        values.flags.writeable = False
+        return values
+
     def expect_end(self) -> None:
-        if self.offset != len(self.data):
+        if self.left or self.fh.read(1):
             raise ValueError(f"{self.path}: trailing bytes after model payload")
 
 
@@ -158,5 +173,4 @@ def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbed
     words = [_unpack_string(reader) for _ in range(count)]
     if any(a >= b for a, b in zip(words, words[1:])):
         raise ValueError(f"{reader.path}: embedding table words are not unique and sorted")
-    matrix = np.frombuffer(reader.take(count * dim * 8), dtype="<f8").reshape(count, dim)
-    return WordEmbeddingTable(Features(words, matrix))
+    return WordEmbeddingTable(Features(words, reader.take_floats(count * dim).reshape(count, dim)))

@@ -26,6 +26,7 @@ later in-place steps never change what it returns.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -272,16 +273,18 @@ def rmsprop_step(
 
     ``params`` and ``state`` are updated in place and returned; ``grads``
     is only read. Each flattened array is walked in slices of
-    ``RMSPROP_SLICE`` elements through two slice-sized scratch buffers,
-    so no full-size temporary is allocated. Every element sees the same
-    IEEE operations in the same order as the textbook formula, so the
-    result is bit-identical to it.
+    ``RMSPROP_SLICE`` elements, so no full-size temporary is allocated.
+    The slices of all arrays, in order, are cut into one contiguous run
+    per worker thread, ``thread_count()`` workers (the
+    ``TEXTOVISION_THREADS`` cap) but never more than there are slices;
+    numpy's element-wise loops release the GIL, so the runs proceed in
+    parallel, each through two slice-sized scratch buffers of its own.
+    They need cores that idle BLAS threads do not spin on, which the
+    CLI's short ``OPENBLAS_THREAD_TIMEOUT`` provides. Every element sees
+    the same IEEE operations in the same order as the textbook formula,
+    so the result is bit-identical to it for any worker count.
     """
-    lr, gamma, eps = config.learning_rate, config.gamma, config.epsilon
-    decay = 1.0 - gamma
-    largest = max((a.size for pair in params for a in pair), default=0)
-    scratch = np.empty(min(RMSPROP_SLICE, largest))
-    denom = np.empty_like(scratch)
+    slices = []
     for layer, ((w, b), (gw, gb), (ew, eb)) in enumerate(zip(params, grads, state), start=1):
         for p, g, e in ((w, gw, ew), (b, gb, eb)):
             p_flat = _in_place_view(p, layer, "parameter")
@@ -293,21 +296,57 @@ def rmsprop_step(
                     f"and state {e.shape} shapes differ"
                 )
             for start in range(0, p_flat.size, RMSPROP_SLICE):
-                ps = p_flat[start : start + RMSPROP_SLICE]
-                es = e_flat[start : start + RMSPROP_SLICE]
-                gs = g_flat[start : start + RMSPROP_SLICE]
-                t = scratch[: gs.size]
-                s = denom[: gs.size]
-                np.multiply(decay, gs, out=t)
-                t *= gs
-                es *= gamma
-                es += t
-                np.add(es, eps, out=s)
-                np.sqrt(s, out=s)
-                np.multiply(lr, gs, out=t)
-                t /= s
-                ps -= t
+                end = start + RMSPROP_SLICE
+                slices.append((p_flat[start:end], g_flat[start:end], e_flat[start:end]))
+
+    settings = (config.learning_rate, config.gamma, config.epsilon)
+    workers = min(thread_count(), len(slices))
+    if workers <= 1:
+        _rmsprop_run(slices, *settings)
+        return params, state
+    from concurrent.futures import ThreadPoolExecutor
+
+    runs = [slices[k * len(slices) // workers : (k + 1) * len(slices) // workers]
+            for k in range(workers)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(_rmsprop_run, run, *settings) for run in runs[1:]]
+        _rmsprop_run(runs[0], *settings)
+        for future in others:
+            future.result()
     return params, state
+
+
+def _rmsprop_run(run, lr: float, gamma: float, eps: float) -> None:
+    """The RMSprop update, in nine in-place passes per slice, of each
+    (parameter, gradient, state) slice of ``run``, in order."""
+    decay = 1.0 - gamma
+    scratch = np.empty(max((gs.size for _, gs, _ in run), default=0))
+    denom = np.empty_like(scratch)
+    for ps, gs, es in run:
+        t = scratch[: gs.size]
+        s = denom[: gs.size]
+        np.multiply(decay, gs, out=t)
+        t *= gs
+        es *= gamma
+        es += t
+        np.add(es, eps, out=s)
+        np.sqrt(s, out=s)
+        np.multiply(lr, gs, out=t)
+        t /= s
+        ps -= t
+
+
+def thread_count() -> int:
+    """The ``TEXTOVISION_THREADS`` cap, read at each call, or when it is
+    unset the number of CPUs this process may run on."""
+    value = os.environ.get("TEXTOVISION_THREADS")
+    if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if not (value.isdigit() and int(value) >= 1):
+        raise ValueError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _in_place_view(a: np.ndarray, layer: int, what: str) -> np.ndarray:

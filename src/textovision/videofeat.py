@@ -9,6 +9,9 @@ import numpy as np
 from .formats import item_id_of
 from .retrieval import Features
 
+#: audio values ``concat_visual_audio`` gathers at a time (1 MiB)
+CONCAT_BLOCK = 131072
+
 
 def group_frames(frames: Features) -> dict[str, list[int]]:
     """The row indices of each video's frames, videos in first-appearance order."""
@@ -35,4 +38,12 @@ def concat_visual_audio(visual: Features, audio: Features) -> Features:
         if item_id not in audio_row:
             raise ValueError(f"video {item_id!r} has no audio feature row")
     rows = [audio_row[item_id] for item_id in visual.ids]
-    return Features(visual.ids, np.hstack([visual.matrix, audio.matrix[rows]]))
+    out = np.empty((len(visual), visual.dim + audio.dim))
+    out[:, : visual.dim] = visual.matrix
+    # np.take buffers an ``out`` that is not contiguous, as the audio half
+    # is, so it fills that half a bounded block of rows at a time
+    step = max(1, CONCAT_BLOCK // max(audio.dim, 1))
+    for start in range(0, len(rows), step):
+        np.take(audio.matrix, rows[start : start + step], axis=0,
+                out=out[start : start + step, visual.dim :])
+    return Features(visual.ids, out)

@@ -332,6 +332,32 @@ class TestTrain:
         assert f"{pairs_path}:3: id {bad!r} contains whitespace" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_one_feature_file_for_both_sets_is_parsed_once(self, tmp_path, capsys,
+                                                           monkeypatch):
+        paths = write_corpus(tmp_path)
+        copy = tmp_path / "copy.feat"
+        copy.write_bytes((tmp_path / "items.feat").read_bytes())
+        reads = []
+        real = formats.read_features
+        monkeypatch.setattr(formats, "read_features", lambda path: reads.append(path) or real(path))
+        assert main(train_args(paths, str(tmp_path / "once.bin"))) == 0
+        assert reads == [paths["features"]]
+        args = train_args(paths, str(tmp_path / "twice.bin"))
+        args[args.index("--val-features") + 1] = str(copy)
+        assert main(args) == 0
+        assert reads[1:] == [paths["features"], str(copy)]
+        for name in ("{}.bin", "{}.bin.history.tsv"):
+            assert ((tmp_path / name.format("once")).read_bytes()
+                    == (tmp_path / name.format("twice")).read_bytes())
+
+    def test_missing_validation_features_keep_their_data_error(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        args = train_args(paths, str(tmp_path / "m.bin"))
+        missing = str(tmp_path / "missing.feat")
+        args[args.index("--val-features") + 1] = missing
+        assert main(args) == 2
+        assert missing in capsys.readouterr().err
+
     def test_nonexistent_file_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         args = train_args(paths, str(tmp_path / "m.bin"))
@@ -675,6 +701,28 @@ class TestModelLoad:
         if kind == "word2vec":
             arrays += list(loaded.vectorizer.entries.values())
         assert all(a.flags.aligned for a in arrays)
+
+    def test_loading_holds_the_weights_once(self, tmp_path):
+        import tracemalloc
+
+        from textovision import modelio, neuralnet, textvec
+
+        vectorizer = textvec.TermIndex("bow", [f"w{i:03}" for i in range(500)])
+        params = neuralnet.init_network([500, 1000, 64], 0)
+        path = str(tmp_path / "m.bin")
+        modelio.save_model(path, modelio.TrainedModel(vectorizer, params))
+        weights = sum(w.nbytes + b.nbytes for w, b in params)
+        tracemalloc.start()
+        try:
+            loaded = modelio.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a copy of the file alongside its arrays would double the peak
+        assert peak <= 1.1 * weights, f"peak {peak / 1e6:.2f} MB for {weights / 1e6:.2f} MB"
+        for (w, b), (lw, lb) in zip(params, loaded.params):
+            assert w.tobytes() == lw.tobytes() and b.tobytes() == lb.tobytes()
+            assert not (lw.flags.writeable or lb.flags.writeable)
 
 
 class TestRank:
@@ -1047,6 +1095,31 @@ class TestThreadCap:
 
         assert os.environ["OMP_NUM_THREADS"] == "8"
 
+    def test_idle_blas_workers_sleep_at_once(self, monkeypatch):
+        from textovision.cli import _apply_thread_cap
+
+        monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        monkeypatch.delenv("TEXTOVISION_THREADS", raising=False)
+        _apply_thread_cap()
+        assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == "4"
+
+    def test_explicit_blas_timeout_wins(self, monkeypatch):
+        from textovision.cli import _apply_thread_cap
+
+        monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "28")
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        _apply_thread_cap()
+        assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == "28"
+
+    def test_malformed_cap_is_a_usage_error_before_train_reads_any_input(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        monkeypatch.setenv("TEXTOVISION_THREADS", "two")
+        missing = str(tmp_path / "missing")
+        paths = dict.fromkeys(["train_sentences", "val_sentences", "features"], missing)
+        assert main(train_args(paths, str(tmp_path / "m.bin"))) == 1
+        assert capsys.readouterr().err == (
+            "textovision: error: TEXTOVISION_THREADS must be a positive integer, got 'two'\n")
+
 
 def checkout_env():
     """This environment with this checkout's package on ``PYTHONPATH``, for a
@@ -1138,6 +1211,15 @@ class TestImportGraph:
             assert run_fresh(self.MAIN_THEN_REPORT_NUMPY, "build-vocab", "--sentences",
                              str(sentences), "--vectorizer", kind,
                              "--out", str(tmp_path / "vocab.txt")) == "False"
+
+    def test_encode_does_not_load_the_thread_pool(self, trained, tmp_path):
+        paths, model = trained
+        code = ("import sys\n"
+                "from textovision.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        assert run_fresh(code, "encode", "--model", model, "--sentences", paths["val_sentences"],
+                         "--out", str(tmp_path / "e.feat")) == "False"
 
     def test_ranking_still_loads_numpy(self):
         code = (

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -277,27 +278,59 @@ class TestRmsprop:
         "cfg",
         [nn.TrainConfig(), nn.TrainConfig(learning_rate=0.05, gamma=0.5, epsilon=1e-8)],
     )
-    def test_bit_identical_to_reference_formula(self, shapes, cfg):
+    def test_bit_identical_to_reference_formula(self, shapes, cfg, monkeypatch):
         rng = np.random.default_rng(19)
-        params = [(rng.normal(size=shape), rng.normal(size=shape[0])) for shape in shapes]
-        state = nn.zero_state(params)
-        ref_params, ref_state = nn.copy_params(params), nn.zero_state(params)
+        start = [(rng.normal(size=shape), rng.normal(size=shape[0])) for shape in shapes]
+        steps = []
         for step in range(20):
             grads = [
                 (rng.normal(size=w.shape) * 10.0 ** -step, rng.normal(size=b.shape))
-                for w, b in params
+                for w, b in start
             ]
             grads[0][1][0] = 0.0
-            frozen = nn.copy_params(grads)
-            ref_params, ref_state = rmsprop_reference(ref_params, grads, ref_state, cfg)
-            new_params, new_state = nn.rmsprop_step(params, grads, state, cfg)
-            assert new_params is params and new_state is state
-            for got, want in zip(params + state, ref_params + ref_state):
-                for a, b in zip(got, want):
-                    assert a.tobytes() == b.tobytes()
-            for got, want in zip(grads, frozen):
-                for a, b in zip(got, want):
-                    assert a.tobytes() == b.tobytes()
+            steps.append(grads)
+        # the 3 slices of a 7 x 10 000 weight split unevenly over 2 workers
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("TEXTOVISION_THREADS", str(workers))
+            params, state = nn.copy_params(start), nn.zero_state(start)
+            ref_params, ref_state = nn.copy_params(start), nn.zero_state(start)
+            for grads in steps:
+                frozen = nn.copy_params(grads)
+                ref_params, ref_state = rmsprop_reference(ref_params, grads, ref_state, cfg)
+                new_params, new_state = nn.rmsprop_step(params, grads, state, cfg)
+                assert new_params is params and new_state is state
+                for got, want in zip(params + state, ref_params + ref_state):
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), workers
+                for got, want in zip(grads, frozen):
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes()
+
+    def test_a_failing_worker_reaches_the_caller(self, monkeypatch):
+        # 4 slices over 2 workers: the second worker's run holds the bias
+        params = [(np.zeros((3, nn.RMSPROP_SLICE)), np.zeros(3))]
+        grads = [(np.ones((3, nn.RMSPROP_SLICE)), np.ones(3))]
+        real = nn._rmsprop_run
+
+        def failing(run, *settings):
+            if any(gs.size == 3 for _, gs, _ in run):
+                raise MemoryError("worker failed")
+            real(run, *settings)
+
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        monkeypatch.setattr(nn, "_rmsprop_run", failing)
+        with pytest.raises(MemoryError, match="worker failed"):
+            nn.rmsprop_step(params, grads, nn.zero_state(params), nn.TrainConfig())
+
+    def test_worker_count_is_the_thread_cap_or_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setenv("TEXTOVISION_THREADS", "3")
+        assert nn.thread_count() == 3
+        monkeypatch.delenv("TEXTOVISION_THREADS")
+        assert nn.thread_count() == len(os.sched_getaffinity(0))
+        for value in ("0", "-2", "two"):
+            monkeypatch.setenv("TEXTOVISION_THREADS", value)
+            with pytest.raises(ValueError, match="TEXTOVISION_THREADS must be a positive integer"):
+                nn.thread_count()
 
     @pytest.mark.parametrize(
         "make_weight",
@@ -493,6 +526,21 @@ class TestTrain:
                                                                  dense.best_val_loss)
             for (w, b), (dw, db) in zip(result.params, dense.params):
                 assert w.tobytes() == dw.tobytes() and b.tobytes() == db.tobytes()
+
+    def test_params_and_history_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # a 40 x 2000 first layer is 3 slices, so 2 workers both update it
+        rng = np.random.default_rng(8)
+        x = sparse_matrix(rng, 30, 2000)
+        t = np.abs(rng.normal(size=(30, 3)))
+        cfg = nn.TrainConfig(hidden_sizes=(40,), seed=8, batch_size=8, max_epochs=4)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setenv("TEXTOVISION_THREADS", str(workers))
+            results.append(nn.train(x[:24], t[:24], x[24:], t[24:], cfg))
+        one, two = results
+        assert [(s.epoch, s.train_loss, s.val_loss) for s in one.history] == [
+            (s.epoch, s.train_loss, s.val_loss) for s in two.history]
+        assert param_bytes(one.params) == param_bytes(two.params)
 
     def test_rejects_empty_sets(self):
         cfg = nn.TrainConfig(hidden_sizes=(), dropout_rate=0.0)

@@ -113,6 +113,25 @@ class TestConcat:
         assert out.ids == ("a", "b")
         assert out.matrix.tolist() == [[1.0, 10.0], [2.0, 20.0]]
 
+    def test_peak_memory_stays_near_the_output_size(self):
+        # 5000 videos, 32-d visual, 256-d audio in another order: gathering
+        # the audio rows whole before joining the halves peaks near twice
+        # the output, filling one preallocated matrix in blocks near once
+        rng = np.random.default_rng(9)
+        visual = Features([f"v{v}" for v in range(5000)], rng.normal(size=(5000, 32)))
+        order = rng.permutation(5000)
+        audio = Features([f"v{v}" for v in order], rng.normal(size=(5000, 256)))
+        tracemalloc.start()
+        try:
+            out = concat_visual_audio(visual, audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = out.matrix.nbytes
+        assert peak <= 1.25 * size, f"peak {peak / 1e6:.2f} MB for {size / 1e6:.2f} MB of output"
+        joined = np.hstack([visual.matrix, audio.matrix[np.argsort(order)]])
+        assert out.matrix.tobytes() == joined.tobytes()
+
 
 class TestGrouping:
     def test_prefix_before_last_hash(self):
