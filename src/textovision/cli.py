@@ -1,13 +1,13 @@
 """Command-line surface: build-vocab, train, encode, rank, pool, evaluate.
 
-Exit codes: 0 success, 1 usage error, 2 data error. The environment
-variable ``TEXTOVISION_THREADS`` caps internal parallelism: the BLAS
-threads and ``train``'s optimizer threads. It is applied before numpy
-loads, together with a short BLAS idle timeout, so heavyweight imports
-stay inside the command handlers. ``evaluate`` and ``build-vocab`` do
-no array math and never import numpy, which is most of a short
-command's start-up time; ``formats``, ``metrics`` and ``textvec`` load
-it only where they use it.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
+The environment variable ``TEXTOVISION_THREADS`` caps internal
+parallelism: the BLAS threads and ``train``'s optimizer threads. It is
+applied before numpy loads, together with a short BLAS idle timeout, so
+heavyweight imports stay inside the command handlers. ``evaluate`` and
+``build-vocab`` do no array math and never import numpy, which is most
+of a short command's start-up time; ``formats``, ``metrics`` and
+``textvec`` load it only where they use it.
 """
 
 from __future__ import annotations
@@ -119,6 +119,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         print(f"textovision: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"textovision: error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

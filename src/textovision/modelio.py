@@ -10,16 +10,20 @@ A term index's payload is its 64-bit term count and terms; an embedding
 table's is its 64-bit dim and word count, the words, and the embedding
 matrix as 64-bit floats with rows in sorted word order, so identical
 tables serialize identically. Strings are length-prefixed (64-bit)
-UTF-8. A loaded model's arrays are read-only, each read from the file
-straight into its own newly allocated array, so loading holds the
-weights once and keeps them aligned: a payload's file offset follows the
-term lengths before it, and on an unaligned view numpy's matmul bypasses
-BLAS, which is slower and sums in another order.
+UTF-8. Saving writes every string and row straight to the file, so it
+copies no term list or table. A loaded model's arrays are read-only,
+each read from the file straight into its own newly allocated array, so
+loading holds the weights once and keeps them aligned: a payload's file
+offset follows the term lengths before it, and on an unaligned view
+numpy's matmul bypasses BLAS, which is slower and sums in another order.
+Every field is checked against the file's size before it is read, so a
+model must be a regular file, not a pipe.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -55,7 +59,7 @@ def save_model(path: str, model: TrainedModel) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<BB", FORMAT_VERSION, _KIND_TAGS[kind]))
-        fh.write(_pack_vectorizer(model.vectorizer))
+        _write_vectorizer(fh, model.vectorizer)
         fh.write(struct.pack("<Q", len(model.params)))
         for weight, bias in model.params:
             rows, cols = weight.shape
@@ -104,7 +108,10 @@ class _Reader:
     def __init__(self, path: str, fh):
         self.path = path
         self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise ValueError(f"{path}: not a regular file; a model must be a regular file")
+        self.left = status.st_size
 
     def _claim(self, n: int) -> None:
         if n > self.left:
@@ -146,17 +153,16 @@ def _unpack_string(reader: _Reader) -> str:
         raise ValueError(f"{reader.path}: {exc}") from None
 
 
-def _pack_vectorizer(vectorizer: Union[TermIndex, WordEmbeddingTable]) -> bytes:
+def _write_vectorizer(fh, vectorizer: Union[TermIndex, WordEmbeddingTable]) -> None:
     if isinstance(vectorizer, TermIndex):
-        terms = vectorizer.terms
-        return struct.pack("<Q", len(terms)) + b"".join(_pack_string(t) for t in terms)
-    words = sorted(vectorizer.entries)
-    matrix = np.stack([vectorizer.entries[w] for w in words])
-    return (
-        struct.pack("<QQ", vectorizer.dim, len(words))
-        + b"".join(_pack_string(w) for w in words)
-        + np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    )
+        fh.write(struct.pack("<Q", len(vectorizer.terms)))
+        fh.writelines(map(_pack_string, vectorizer.terms))
+        return
+    words = sorted(vectorizer.index)
+    fh.write(struct.pack("<QQ", vectorizer.dim, len(words)))
+    fh.writelines(map(_pack_string, words))
+    matrix = np.ascontiguousarray(vectorizer.table.matrix, dtype="<f8")
+    fh.writelines(matrix[vectorizer.index[word]] for word in words)
 
 
 def _unpack_vectorizer(kind: str, reader: _Reader) -> Union[TermIndex, WordEmbeddingTable]:

@@ -2,15 +2,16 @@
 word-embedding mean pooling.
 
 A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
-``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``, built from
-the ``Features`` table ``formats.read_features`` reads from an embedding
-file). Each knows its ``kind`` and ``dim``, and its ``vectorize`` turns
-a ``Sentence`` into a float64 row, raising ``ValueError`` naming the
-sentence when none of its terms is known; ``rows`` gives many sentences'
-rows in the form ``neuralnet.train`` takes. Vectorizers are immutable
-after construction and safe for concurrent read-only use. Term lists are
-kept sorted by byte order so that serialized vocabularies are identical
-across platforms.
+``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``: the
+``Features`` table ``formats.read_features`` reads from an embedding
+file, as one matrix, and each word's row). Each knows its ``kind`` and
+``dim``, and its ``vectorize`` turns a ``Sentence`` into a float64 row,
+raising ``ValueError`` naming the sentence when none of its terms is
+known; ``rows`` gives many sentences' rows in the form
+``neuralnet.train`` takes. Vectorizers are immutable after construction
+and safe for concurrent read-only use. Term lists are kept sorted by
+byte order so that serialized vocabularies are identical across
+platforms.
 """
 
 from __future__ import annotations
@@ -145,13 +146,14 @@ class TermIndex:
 
 
 class WordEmbeddingTable:
-    """Word to dense-vector map: ``entries[word]`` is a row view of ``table.matrix``."""
+    """Word to dense-vector map: the given ``table``, uncopied, and ``index``, each word's row."""
 
     kind = "word2vec"
 
     def __init__(self, table: Features):
+        self.table = table
         self.dim = table.dim
-        self.entries: dict[str, np.ndarray] = dict(zip(table.ids, table.matrix))
+        self.index: dict[str, int] = {word: row for row, word in enumerate(table.ids)}
 
     def vectorize(self, sentence: Sentence) -> np.ndarray:
         """Mean-pool the embeddings of in-table tokens.
@@ -162,16 +164,13 @@ class WordEmbeddingTable:
         """
         import numpy as np
 
-        total = np.zeros(self.dim, dtype=np.float64)
-        count = 0
-        for token in tokenize(sentence.text):
-            vec = self.entries.get(token)
-            if vec is not None:
-                total += vec
-                count += 1
-        if count == 0:
+        found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
+        if not found:
             raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
-        return total / count
+        total = np.zeros(self.dim, dtype=np.float64)
+        for row in found:  # summed in text order, which fixes the bits
+            total += self.table.matrix[row]
+        return total / len(found)
 
     def rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
         """All sentences' ``vectorize`` rows as one dense matrix: means have few zeros."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from synthdata import write_sentences
+from synthdata import make_corpus, write_sentences
 
 from textovision import formats
 from textovision.cli import main
@@ -364,6 +364,26 @@ class TestTrain:
         args[args.index("--sentences") + 1] = str(tmp_path / "missing.tsv")
         assert main(args) == 2
 
+    @pytest.mark.parametrize("module, name", [("neuralnet", "init_network"),
+                                              ("modelio", "_write_vectorizer")])
+    def test_out_of_memory_is_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  module, name):
+        # injected where `--layers 1000000000000` fails, or halfway through the model
+        # write; nothing is allocated for real
+        import importlib
+
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(importlib.import_module(f"textovision.{module}"), name,
+                            out_of_memory)
+        paths = write_corpus(tmp_path)
+        inputs = sorted(p.name for p in tmp_path.iterdir())
+        assert main(train_args(paths, str(tmp_path / "m.bin"))) == 2
+        assert capsys.readouterr().err == (
+            "textovision: error: out of memory: Unable to allocate 7.28 TiB for an array\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
 
 @pytest.fixture
 def trained(tmp_path):
@@ -680,6 +700,33 @@ class TestModelLoad:
         assert err == (f"textovision: error: {tmp_path / 'm.bin'}: 'utf-8' codec can't decode "
                        "byte 0xc3 in position 0: unexpected end of data\n")
 
+    def test_model_from_a_pipe_is_data_error(self, tmp_path, capsys):
+        import threading
+
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            # the reader may close the pipe before the whole model is in it
+            try:
+                with open(fifo, "wb", buffering=0) as fh:
+                    fh.write(FUZZ_MODELS["bow"].data)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        sentences = tmp_path / "s.tsv"
+        sentences.write_text("x#0\tthe cat\n", encoding="utf-8")
+        code = main(["encode", "--model", str(fifo), "--sentences", str(sentences),
+                     "--out", str(tmp_path / "o.feat")])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err == (f"textovision: error: {fifo}: not a regular file; "
+                                           "a model must be a regular file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.fifo", "s.tsv"]
+
     @pytest.mark.parametrize("kind", ["bow", "word2vec"])
     def test_loaded_arrays_are_aligned_on_a_misaligned_payload(self, tmp_path, kind):
         # term bytes 1 + 3 + 5 put every float payload at an odd file offset;
@@ -699,7 +746,7 @@ class TestModelLoad:
         loaded = modelio.load_model(str(path))
         arrays = [a for layer in loaded.params for a in layer]
         if kind == "word2vec":
-            arrays += list(loaded.vectorizer.entries.values())
+            arrays.append(loaded.vectorizer.table.matrix)
         assert all(a.flags.aligned for a in arrays)
 
     def test_loading_holds_the_weights_once(self, tmp_path):
@@ -1056,6 +1103,40 @@ class TestVectorizerBackends:
         assert main(["encode", "--model", str(model_path),
                      "--sentences", paths["val_sentences"], "--out", str(out)]) == 0
         assert len(formats.read_features(str(out))) == 3
+
+    def test_word2vec_bytes_do_not_depend_on_embedding_row_order(self, tmp_path, capsys):
+        # the benchmark's digests cover no word2vec run; this pins its outputs to the
+        # words' vectors, whatever order the embedding file lists them in
+        corpus = make_corpus()
+        words = sorted(w for pool in corpus.cluster_words for w in pool)
+        rng = np.random.default_rng(21)
+        vectors = rng.normal(size=(len(words), 8))
+        write_sentences(str(tmp_path / "train.tsv"), corpus.train_sentences)
+        write_sentences(str(tmp_path / "val.tsv"), corpus.val_sentences)
+        write_sentences(str(tmp_path / "test.tsv"), corpus.test_sentences)
+        formats.write_features(str(tmp_path / "items.feat"),
+                               table({i: corpus.targets[i] for i in corpus.item_ids}))
+        paths = {"train_sentences": str(tmp_path / "train.tsv"),
+                 "val_sentences": str(tmp_path / "val.tsv"),
+                 "features": str(tmp_path / "items.feat")}
+        outputs = []
+        for name, order in [("sorted", np.arange(len(words))),
+                            ("shuffled", rng.permutation(len(words)))]:
+            embeddings = tmp_path / f"{name}.emb"
+            formats.write_features(str(embeddings),
+                                   Features([words[i] for i in order], vectors[order]))
+            model = tmp_path / f"{name}.bin"
+            assert main(train_args(paths, str(model),
+                                   ["--vectorizer", "word2vec", "--embeddings", str(embeddings),
+                                    "--layers", "16"])) == 0
+            encoded = tmp_path / f"{name}.feat"
+            assert main(["encode", "--model", str(model), "--sentences",
+                         str(tmp_path / "test.tsv"), "--out", str(encoded)]) == 0
+            outputs.append([p.read_bytes() for p in
+                            (model, tmp_path / f"{name}.bin.history.tsv", encoded)])
+        assert outputs[0] == outputs[1]
+        assert len(formats.read_features(str(tmp_path / "sorted.feat"))) == len(
+            corpus.test_sentences)
 
     def test_hashing_pipeline(self, tmp_path, capsys):
         from textovision import modelio

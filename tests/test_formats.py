@@ -1,6 +1,7 @@
 import errno
 import math
 import re
+import struct
 
 import numpy as np
 import oracles
@@ -385,17 +386,51 @@ class TestModelFile:
             assert np.array_equal(ba, bb)
         if kind == "word2vec":
             assert back.vectorizer.dim == model.vectorizer.dim
-            for word, vec in model.vectorizer.entries.items():
-                assert np.array_equal(back.vectorizer.entries[word], vec)
+            assert sorted(back.vectorizer.index) == sorted(model.vectorizer.index)
+            for word, row in model.vectorizer.index.items():
+                assert np.array_equal(back.vectorizer.table.matrix[back.vectorizer.index[word]],
+                                      model.vectorizer.table.matrix[row])
         else:
             assert back.vectorizer == model.vectorizer
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_rewrite_is_byte_identical(self, tmp_path, kind):
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
-        modelio.save_model(str(first), self.model())
+        modelio.save_model(str(first), self.model(kind))
         modelio.save_model(str(second), modelio.load_model(str(first)))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_word2vec_rows_are_saved_in_sorted_word_order(self, tmp_path):
+        vectors = {"dog": [1.0, 2.0], "cat": [3.0, 4.0], "émeu": [5.0, 6.0]}
+        weight, bias = np.array([[0.5, -0.5]]), np.array([0.25])
+        words = b"".join(struct.pack("<Q", len(w)) + w for w in (b"cat", b"dog", "émeu".encode()))
+        expected = (b"W2VV" + struct.pack("<BBQQ", 1, 2, 2, 3) + words
+                    + struct.pack("<6d", 3.0, 4.0, 1.0, 2.0, 5.0, 6.0)
+                    + struct.pack("<QQQ3d", 1, 1, 2, 0.5, -0.5, 0.25))
+        for order in (["dog", "cat", "émeu"], ["émeu", "cat", "dog"]):
+            table = Features(order, np.array([vectors[w] for w in order]))
+            path = tmp_path / f"{order[0]}.bin"
+            modelio.save_model(str(path), modelio.TrainedModel(WordEmbeddingTable(table),
+                                                               [(weight, bias)]))
+            assert path.read_bytes() == expected
+
+    def test_saving_a_word2vec_model_copies_no_table(self, tmp_path):
+        import tracemalloc
+
+        words = [f"w{i:05}" for i in range(20_000)]
+        # reversed, so the rows are not already in sorted word order
+        table = Features(words[::-1], np.random.default_rng(4).normal(size=(len(words), 50)))
+        model = modelio.TrainedModel(WordEmbeddingTable(table), init_network([50, 2], 0))
+        tracemalloc.start()
+        try:
+            modelio.save_model(str(tmp_path / "m.bin"), model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one copy of the table would reach its size
+        table_bytes = table.matrix.nbytes
+        assert peak < table_bytes / 8, f"peak {peak / 1e6:.2f} MB for {table_bytes / 1e6:.2f} MB"
 
     def test_magic_starts_the_file(self, tmp_path):
         path = tmp_path / "m.bin"

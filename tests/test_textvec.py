@@ -242,8 +242,8 @@ class TestLoadEmbeddings:
         table = load_embeddings(tmp_path, EMBEDDINGS_2D)
         assert table.dim == 2
         assert table.kind == "word2vec"
-        assert len(table.entries) == 2
-        assert table.entries["dog"].tolist() == [1.0, 0.0]
+        assert len(table.index) == 2
+        assert table.table.matrix[table.index["dog"]].tolist() == [1.0, 0.0]
 
     def test_length_mismatch(self, tmp_path):
         self.raises(tmp_path, "1 3\ndog 1 0\n", ":2: row 'dog' has 2 values, expected 3")
@@ -271,13 +271,16 @@ class TestLoadEmbeddings:
     def test_from_path(self, tmp_path):
         # blank lines are skipped and any whitespace separates values
         table = load_embeddings(tmp_path, "2 2\n\ndog  1 0\ncat\t0 1\n\n")
-        assert {w: v.tolist() for w, v in table.entries.items()} == {"dog": [1.0, 0.0],
-                                                                     "cat": [0.0, 1.0]}
+        assert {w: table.table.matrix[i].tolist() for w, i in table.index.items()} == {
+            "dog": [1.0, 0.0], "cat": [0.0, 1.0]}
 
     def test_entries_are_rows_of_the_table(self):
+        # the table keeps the given matrix itself, neither copied nor reordered
         table = Features(["dog", "cat"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        entries = WordEmbeddingTable(table).entries
-        assert all(np.shares_memory(entries[w], table.matrix) for w in ("dog", "cat"))
+        embeddings = WordEmbeddingTable(table)
+        assert embeddings.table is table
+        assert np.shares_memory(embeddings.table.matrix, table.matrix)
+        assert embeddings.index == {"dog": 0, "cat": 1}
 
 
 class TestVectorizeW2v:
@@ -299,7 +302,8 @@ class TestVectorizeW2v:
 
     def test_single_word_is_exact_embedding(self):
         table = self.table()
-        assert np.array_equal(table.vectorize(sent("cat")), table.entries["cat"])
+        cat = table.table.matrix[table.index["cat"]]
+        assert np.array_equal(table.vectorize(sent("cat")), cat)
 
     @settings(max_examples=50)
     @given(st.lists(st.sampled_from(["dog", "cat", "fish"]), min_size=1, max_size=12))
@@ -307,7 +311,7 @@ class TestVectorizeW2v:
         rng = np.random.default_rng(3)
         table = WordEmbeddingTable(Features(["dog", "cat", "fish"], rng.normal(size=(3, 4))))
         row = table.vectorize(sent(" ".join(sentence_words)))
-        used = np.stack([table.entries[w] for w in sentence_words])
+        used = table.table.matrix[[table.index[w] for w in sentence_words]]
         assert np.all(row >= used.min(axis=0) - 1e-12)
         assert np.all(row <= used.max(axis=0) + 1e-12)
 
