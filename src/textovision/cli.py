@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
 The environment variable ``TEXTOVISION_THREADS`` caps internal
-parallelism: the BLAS threads and ``train``'s optimizer threads. It is
-applied before numpy loads, together with a short BLAS idle timeout, so
-heavyweight imports stay inside the command handlers. ``evaluate`` and
-``build-vocab`` do no array math and never import numpy, which is most
-of a short command's start-up time; ``formats``, ``metrics`` and
-``textvec`` load it only where they use it.
+parallelism: the BLAS threads, ``train``'s optimizer threads and
+``encode``'s block threads; a value that is not a positive integer is a
+usage error for every command. It is applied before numpy loads,
+together with a short BLAS idle timeout, so heavyweight imports stay
+inside the command handlers; ``encode`` runs BLAS at one thread, so its
+bytes do not depend on the cap. ``evaluate`` and ``build-vocab`` do no
+array math and never import numpy, which is most of a short command's
+start-up time; ``formats``, ``metrics`` and ``textvec`` load it only
+where they use it.
 """
 
 from __future__ import annotations
@@ -29,20 +32,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _apply_thread_cap() -> None:
+def _apply_thread_cap(blas_threads: str = "") -> None:
+    """Check ``TEXTOVISION_THREADS`` and set the BLAS thread count to it,
+    unless a BLAS variable is already set, or to ``blas_threads`` over
+    any setting. numpy reads these variables only as it loads."""
+    value = os.environ.get("TEXTOVISION_THREADS")
+    if value and not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise UsageError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
     # idle OpenBLAS workers sleep at once instead of spinning on the cores
     # that rmsprop_step's threads need between products
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-    value = os.environ.get("TEXTOVISION_THREADS")
-    if value:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-        ):
-            os.environ.setdefault(var, value)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        if blas_threads or value:
+            os.environ[var] = blas_threads or os.environ.get(var, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,13 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _apply_thread_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"textovision: error: {exc}", file=sys.stderr)
@@ -176,12 +179,11 @@ def _training_rows(vectorizer, sentences, features, pair_map):
 
 
 def _train_config(args):
-    """The ``TrainConfig`` of ``train``'s flags; a value out of range, or
-    a malformed ``TEXTOVISION_THREADS``, is a usage error."""
+    """The ``TrainConfig`` of ``train``'s flags; a value out of range is a
+    usage error."""
     from . import neuralnet
 
     try:
-        neuralnet.thread_count()
         return neuralnet.TrainConfig(
             hidden_sizes=_parse_hidden_sizes(args.layers), dropout_rate=args.dropout,
             learning_rate=args.lr, gamma=args.gamma, epsilon=args.epsilon,
@@ -228,6 +230,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    # encode's blocks run on the cap's threads and BLAS at one thread, so
+    # the bytes do not depend on the cap; numpy reads the variables only
+    # as it loads, and after that they would only leak to child processes
+    if "numpy" not in sys.modules:
+        _apply_thread_cap(blas_threads="1")
     import numpy as np
 
     from . import formats, modelio, neuralnet, retrieval

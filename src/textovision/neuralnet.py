@@ -16,11 +16,13 @@ or dense matrices, one row per example, and gathers each only one
 mini-batch at a time: term-count sentence vectors stay compressed
 (``TermIndex.rows``) and targets are row indices into the feature matrix,
 so a sparse corpus of any size never exists as one dense matrix. ``encode`` maps
-rows, as they arrive, to a matrix of predicted features; it only reads
-its params (a loaded model's arrays are read-only). ``rmsprop_step``
-mutates the ``params`` and ``state`` it is given and only reads
-``grads``; ``train`` keeps a copy of the best epoch's parameters, so
-later in-place steps never change what it returns.
+rows, as they arrive, to a matrix of predicted features, a chunk of rows
+at a time through cache-sized weight blocks on ``thread_count()``
+threads; it only reads its params (a loaded model's arrays are
+read-only). ``rmsprop_step`` mutates the ``params`` and ``state`` it
+is given and only reads ``grads``; ``train`` keeps a copy of the best
+epoch's parameters, so later in-place steps never change what it
+returns.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ OptimizerState = list[tuple[np.ndarray, np.ndarray]]
 #: gradient plus the two scratch buffers (5 x 256 KiB) stay in L2 cache
 #: across the update's nine passes
 RMSPROP_SLICE = 32768
+
+#: bytes of weights per block in ``encode``: a block stays in a core's L2
+#: cache while every row of a chunk passes through it
+ENCODE_BLOCK_BYTES = 1 << 20
+
+#: input rows ``encode`` gathers into one matrix before it runs the layers
+ENCODE_CHUNK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,20 +308,7 @@ def rmsprop_step(
                 end = start + RMSPROP_SLICE
                 slices.append((p_flat[start:end], g_flat[start:end], e_flat[start:end]))
 
-    settings = (config.learning_rate, config.gamma, config.epsilon)
-    workers = min(thread_count(), len(slices))
-    if workers <= 1:
-        _rmsprop_run(slices, *settings)
-        return params, state
-    from concurrent.futures import ThreadPoolExecutor
-
-    runs = [slices[k * len(slices) // workers : (k + 1) * len(slices) // workers]
-            for k in range(workers)]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = [pool.submit(_rmsprop_run, run, *settings) for run in runs[1:]]
-        _rmsprop_run(runs[0], *settings)
-        for future in others:
-            future.result()
+    _on_workers(_rmsprop_run, slices, config.learning_rate, config.gamma, config.epsilon)
     return params, state
 
 
@@ -336,6 +332,33 @@ def _rmsprop_run(run, lr: float, gamma: float, eps: float) -> None:
         ps -= t
 
 
+def _on_workers(fn, items: list, *args) -> None:
+    """``fn(run, *args)`` for each of ``thread_count()`` contiguous runs of
+    ``items``, never more runs than items: the first on the calling
+    thread, the others on a thread pool (loaded only then) under the
+    caller's numpy error state, which numpy keeps per thread. A worker's
+    exception reaches the caller."""
+    workers = min(thread_count(), len(items))
+    if workers <= 1:
+        fn(items, *args)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    errstate = np.geterr()
+
+    def run_under_errstate(run):
+        with np.errstate(**errstate):
+            fn(run, *args)
+
+    runs = [items[k * len(items) // workers : (k + 1) * len(items) // workers]
+            for k in range(workers)]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(run_under_errstate, run) for run in runs[1:]]
+        fn(runs[0], *args)
+        for future in others:
+            future.result()
+
+
 def thread_count() -> int:
     """The ``TEXTOVISION_THREADS`` cap, read at each call, or when it is
     unset the number of CPUs this process may run on."""
@@ -344,7 +367,7 @@ def thread_count() -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if not (value.isdigit() and int(value) >= 1):
+    if not (value.isascii() and value.isdigit() and int(value) >= 1):
         raise ValueError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
     return int(value)
 
@@ -449,14 +472,59 @@ def encode(params: NetworkParams, rows: Iterable[np.ndarray]) -> np.ndarray:
     """Predicted visual features, one row per input row (inference mode).
 
     ``rows`` is a 2-D matrix or any iterable of 1-D rows, such as a
-    generator that vectorizes sentences as they are read, so no input
-    matrix need exist. Each row gets its own forward pass: BLAS sums a
-    batched product in another order, which changes the last bits of
-    every row (by up to 4.4e-16 on the benchmark's inputs) and so the
-    encoded files.
+    generator that vectorizes sentences as they are read. They are copied
+    as they arrive into a matrix of ``ENCODE_CHUNK`` rows, so no input
+    matrix need exist. Each layer runs in weight blocks (``_blocks``) on
+    ``thread_count()`` threads, and a block stays in cache while every
+    row of the chunk passes through it. Each row still gets its own
+    matrix-vector product, the BLAS call of a one-row ``forward``: a
+    batched product sums in another order. So at one BLAS thread, as the
+    CLI runs it, every row has the bits of its own ``forward`` at any
+    thread count.
     """
     if isinstance(rows, np.ndarray) and rows.ndim != 2:
         raise ValueError("encode expects a 2-D (rows, dim) input")
-    empty = np.empty((0, params[-1][0].shape[0]))
-    return np.concatenate([empty, *(forward(params, np.asarray(row, dtype=np.float64)[None, :])
-                                    .output for row in rows)])
+    width = params[0][0].shape[1]
+    chunk = np.empty((ENCODE_CHUNK, width))
+    outputs = [np.empty((0, params[-1][0].shape[0]))]
+    filled = 0
+    for row in rows:
+        row = np.asarray(row, dtype=np.float64)
+        if row.shape != (width,):
+            raise ValueError(f"input row of shape {row.shape} does not match "
+                             f"first layer width {width}")
+        chunk[filled] = row
+        filled += 1
+        if filled == ENCODE_CHUNK:
+            outputs.append(_encode_chunk(params, chunk))
+            filled = 0
+    if filled:
+        outputs.append(_encode_chunk(params, chunk[:filled]))
+    return np.concatenate(outputs)
+
+
+def _encode_chunk(params: NetworkParams, h: np.ndarray) -> np.ndarray:
+    for w, b in params:
+        out = np.empty((len(h), len(w)))
+        _on_workers(_encode_blocks, _blocks(w), h, w, b, out)
+        h = out
+    return h
+
+
+def _blocks(w: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) row ranges that cover ``w`` in blocks of about
+    ``ENCODE_BLOCK_BYTES``, each a multiple of 8 rows but the last, which
+    also takes the remainder. BLAS then gives every row the bits it gives
+    it in the whole matrix; a 1-row block would take numpy's dot path."""
+    step = max(8, ENCODE_BLOCK_BYTES // w[0].nbytes // 8 * 8)
+    bounds = [k * step for k in range(max(1, len(w) // step))] + [len(w)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _encode_blocks(blocks, h: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out[:, a:z]``, the ReLU of ``h @ w[a:z].T + b[a:z]``, for each
+    block (a, z), one matrix-vector product per row of ``h``."""
+    for a, z in blocks:
+        part = np.matmul(h[:, None, :], w[a:z].T)[:, 0]
+        part += b[a:z]
+        np.maximum(part, 0.0, out=out[:, a:z])

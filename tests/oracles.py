@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the library:
 finite-difference gradients, the allocating RMSprop formula, the dense
-training loop that compressed input rows replaced, loop-based metric
+training loop that compressed input rows replaced, the per-row encode
+that blocked encoding replaced, loop-based metric
 recomputation, and the per-row feature file reader/writer and
 sorted-key cosine ranking that the matrix code replaced. These
 deliberately avoid the code paths they verify."""
@@ -137,6 +138,15 @@ def train_dense(
         best_epoch=best_epoch,
         best_val_loss=best_loss,
     )
+
+
+def encode_per_row(params, rows):
+    """``neuralnet.encode`` as it was before it ran in weight blocks: one
+    one-row ``forward`` pass per input row, each a matrix-vector product
+    over the whole of every layer."""
+    empty = np.empty((0, params[-1][0].shape[0]))
+    return np.concatenate([empty, *(nn.forward(params, np.asarray(row, dtype=np.float64)[None, :])
+                                    .output for row in rows)])
 
 
 def max_relative_error(analytic, numeric):

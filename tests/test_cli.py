@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from synthdata import make_corpus, write_sentences
 
@@ -272,6 +272,23 @@ class TestTrain:
         assert err[0].startswith("textovision: error: epoch 1: non-finite loss (train ")
         assert not model.exists()
 
+    def test_diverging_loss_on_two_optimizer_threads_is_the_same_one_line(
+            self, tmp_path, capsys, monkeypatch):
+        # 6000 hidden units: the first layer's 72 000 weights are 3 RMSprop
+        # slices, so a worker thread updates some of them
+        from textovision import neuralnet
+
+        assert 6000 * len(ITEM_WORDS["apple"]) * 3 > 2 * neuralnet.RMSPROP_SLICE
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        paths = write_corpus(tmp_path)
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model), ["--layers", "6000", "--lr", "1e300",
+                                                   "--batch-size", "1"])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("textovision: error: epoch 1: non-finite loss (train ")
+        assert not model.exists()
+
     def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
                                                                monkeypatch):
         paths = write_corpus(tmp_path)
@@ -402,6 +419,46 @@ class TestEncode:
         rows = formats.read_features(str(out))
         assert len(rows) == 3
         assert rows.dim == 4  # model output dim
+
+    # the per-row oracle, in a child whose BLAS runs at one thread
+    PER_ROW_ORACLE = (
+        "import sys\n"
+        "from oracles import encode_per_row\n"
+        "from textovision import formats, modelio\n"
+        "model = modelio.load_model(sys.argv[1])\n"
+        "rows = map(model.vectorizer.vectorize, formats.read_sentences(sys.argv[2]))\n"
+        "sys.stdout.buffer.write(encode_per_row(model.params, rows).tobytes())\n"
+    )
+
+    @settings(max_examples=6, deadline=None)
+    @given(widths=st.lists(st.integers(1, 1200), min_size=2, max_size=3),
+           seed=st.integers(0, 2**16))
+    # two BLAS threads split 513 outputs unevenly; a 1-row block (numpy's dot
+    # path) changes a dense row's bits, seldom a sparse one's
+    @example(widths=[1000, 513], seed=0)
+    @example(widths=[40, 1000, 513], seed=0)
+    def test_bytes_do_not_depend_on_the_thread_cap(self, tmp_path_factory, widths, seed):
+        # and at any width they are those of one forward pass per row at one
+        # BLAS thread
+        import subprocess
+        import sys
+
+        dirpath = tmp_path_factory.mktemp("cap")
+        model, sentences = save_bow_model(dirpath, widths, seed)
+        env = {k: v for k, v in checkout_env().items() if k not in BLAS_THREAD_VARS}
+        oracle_env = dict(env, OPENBLAS_NUM_THREADS="1",
+                          PYTHONPATH=os.pathsep.join([env["PYTHONPATH"],
+                                                      os.path.dirname(__file__)]))
+        encoded = [subprocess.run([sys.executable, "-c", self.PER_ROW_ORACLE, model, sentences],
+                                  check=True, capture_output=True, env=oracle_env).stdout]
+        for threads in ("1", "2"):
+            out = dirpath / f"e{threads}.feat"
+            subprocess.run([sys.executable, "-m", "textovision", "encode", "--model", model,
+                            "--sentences", sentences, "--out", str(out)], check=True,
+                           capture_output=True, env=dict(env, TEXTOVISION_THREADS=threads))
+            encoded.append(formats.read_features(str(out)).matrix.tobytes())
+        assert encoded[1] == encoded[0]
+        assert encoded[2] == encoded[0]
 
     def test_reencode_identical(self, tmp_path, capsys, trained):
         paths, model = trained
@@ -665,6 +722,28 @@ class TestModelFileFuzz:
         assert code == 2
         assert err == (f"textovision: error: {tmp_path / 'm.bin'}: "
                        "the model predicts non-finite features\n")
+
+    def test_overflow_in_worker_blocks_is_the_same_data_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a 3-word first layer of 1e308 weights and biases, cut into 2 blocks
+        # that run on 2 threads: the bias add overflows in both
+        from textovision import neuralnet
+
+        rows = 2 * (neuralnet.ENCODE_BLOCK_BYTES // (3 * 8) // 8 * 8)
+        assert len(neuralnet._blocks(np.empty((rows, 3)))) == 2
+        model = HandModel()
+        model.field("<4sBB", b"W2VV", 1, 0)
+        model.field("<Q", 3)
+        model.words(["a", "cat", "dog"])
+        model.field("<Q", 1)
+        model.field("<QQ", rows, 3)
+        model.payload(np.full(4 * rows, 1e308).tobytes())
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        code, err = encode_model_bytes(tmp_path, model.data)
+        assert code == 2
+        assert err == (f"textovision: error: {tmp_path / 'm.bin'}: "
+                       "the model predicts non-finite features\n")
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 class TestModelLoad:
@@ -1201,6 +1280,55 @@ class TestThreadCap:
         assert capsys.readouterr().err == (
             "textovision: error: TEXTOVISION_THREADS must be a positive integer, got 'two'\n")
 
+    @pytest.mark.parametrize("command", ["build-vocab", "train", "encode", "rank", "pool",
+                                         "evaluate"])
+    def test_malformed_cap_is_a_usage_error_for_every_command(self, tmp_path, capsys,
+                                                              monkeypatch, command):
+        # every input is missing: reading one would be a data error
+        missing = str(tmp_path / "missing")
+        out = str(tmp_path / "out")
+        argv = {
+            "build-vocab": ["build-vocab", "--sentences", missing, "--vectorizer", "bow",
+                            "--out", out],
+            "train": train_args(dict.fromkeys(["train_sentences", "val_sentences", "features"],
+                                              missing), out),
+            "encode": ["encode", "--model", missing, "--sentences", missing, "--out", out],
+            "rank": ["rank", "--queries", missing, "--items", missing, "--out", out],
+            "pool": ["pool", "--features", missing, "--out", out],
+            "evaluate": ["evaluate", "--rankings", missing, "--ground-truth", missing],
+        }[command]
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for value in ("abc", "0", "-1", "1.5", "\u00b2"):
+            monkeypatch.setenv("TEXTOVISION_THREADS", value)
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "textovision: error: TEXTOVISION_THREADS must be "
+                                               f"a positive integer, got {value!r}\n")
+            assert not any(var in os.environ for var in BLAS_THREAD_VARS)
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def save_bow_model(dirpath, widths, seed):
+    """A bow model of ``widths[0]`` words and random layers of the widths
+    after it, and a file of 40 sentences of its words: their paths."""
+    from oracles import random_net
+
+    from textovision import modelio, textvec
+
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:05}" for i in range(widths[0])]
+    params = random_net(widths, rng)
+    model, sentences = dirpath / "m.bin", dirpath / "s.tsv"
+    modelio.save_model(str(model), modelio.TrainedModel(textvec.TermIndex("bow", words), params))
+    write_sentences(str(sentences), [
+        Sentence(f"s#{k}", " ".join(rng.choice(words, size=rng.integers(1, 30))))
+        for k in range(40)])
+    return str(model), str(sentences)
+
 
 def checkout_env():
     """This environment with this checkout's package on ``PYTHONPATH``, for a
@@ -1293,14 +1421,18 @@ class TestImportGraph:
                              str(sentences), "--vectorizer", kind,
                              "--out", str(tmp_path / "vocab.txt")) == "False"
 
-    def test_encode_does_not_load_the_thread_pool(self, trained, tmp_path):
-        paths, model = trained
+    def test_encode_does_not_load_the_thread_pool(self, tmp_path, monkeypatch):
+        # a first layer of 2 blocks: at one thread encode starts no pool, at
+        # two it runs the second block on a pool thread
+        model, sentences = save_bow_model(tmp_path, [1000, 256], 0)
         code = ("import sys\n"
                 "from textovision.cli import main\n"
                 "assert main(sys.argv[1:]) == 0\n"
                 "print('concurrent.futures' in sys.modules)\n")
-        assert run_fresh(code, "encode", "--model", model, "--sentences", paths["val_sentences"],
-                         "--out", str(tmp_path / "e.feat")) == "False"
+        for threads, loaded in (("1", "False"), ("2", "True")):
+            monkeypatch.setenv("TEXTOVISION_THREADS", threads)
+            assert run_fresh(code, "encode", "--model", model, "--sentences", sentences,
+                             "--out", str(tmp_path / "e.feat")) == loaded
 
     def test_ranking_still_loads_numpy(self):
         code = (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    encode_per_row,
     max_relative_error,
     numeric_gradients,
     random_net,
@@ -624,3 +625,97 @@ class TestEncode:
         )
         pred = nn.encode(result.params, OVERFIT_X)
         assert nn.mse_loss(pred, OVERFIT_T) < 1e-3
+
+
+class TestEncodeBlocks:
+    @pytest.mark.parametrize("rows, width, step", [
+        (1000, 4000, 32),  # train_bow's first layer: 31 blocks, the last of 40 rows
+        (512, 1000, 128),
+        (513, 1000, 128),  # the odd row joins the last block
+        (7, 1000, 128),  # fewer rows than a block: one block
+        (1, 4000, 32),
+        (20, 200_000, 8),  # wider than a block: 8 rows, never 1
+    ])
+    def test_blocks_are_multiples_of_8_rows_with_the_remainder_last(self, rows, width, step):
+        blocks = nn._blocks(np.empty((rows, width)))
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(z == a for (_, z), (a, _) in zip(blocks, blocks[1:]))
+        assert all(z - a == step for a, z in blocks[:-1])
+        assert step <= blocks[-1][1] - blocks[-1][0] < 2 * step or len(blocks) == 1
+        assert min(z - a for a, z in blocks) > 1 or rows == 1
+
+    # widths drawn as multiples of 8 or any; 1024-byte blocks cut even small
+    # layers into many blocks, the real size only wide ones
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.one_of(st.integers(1, 40).map(lambda k: 8 * k), st.integers(1, 130)),
+                        min_size=2, max_size=4),
+        count=st.sampled_from([1, nn.ENCODE_CHUNK - 1, nn.ENCODE_CHUNK, nn.ENCODE_CHUNK + 1]),
+        block_bytes=st.sampled_from([1024, nn.ENCODE_BLOCK_BYTES]),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(widths=[1000, 264, 8], count=nn.ENCODE_CHUNK + 1,
+             block_bytes=nn.ENCODE_BLOCK_BYTES, sparse=True, seed=0)
+    @example(widths=[1000, 513, 1], count=3, block_bytes=nn.ENCODE_BLOCK_BYTES, sparse=False,
+             seed=1)
+    def test_rows_equal_one_forward_pass_each_at_any_thread_count(
+            self, widths, count, block_bytes, sparse, seed):
+        rng = np.random.default_rng(seed)
+        params = random_net(widths, rng)
+        if sparse and widths[0] > 1:
+            x = sparse_matrix(rng, count, widths[0])
+        else:
+            x = rng.normal(size=(count, widths[0]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "ENCODE_BLOCK_BYTES", block_bytes)
+            encoded = []
+            for workers in (1, 2):
+                mp.setenv("TEXTOVISION_THREADS", str(workers))
+                encoded.append(nn.encode(params, (row for row in x)).tobytes())
+            alone = nn.encode(params, x[-1:]).tobytes()
+        assert encoded[0] == encoded[1]
+        # a row's bytes do not depend on the rows that share its chunk
+        assert alone == encoded[0][-len(alone):]
+        if all(width % 8 == 0 for width in widths):
+            assert encoded[0] == encode_per_row(params, x).tobytes()
+
+    def test_more_threads_than_cores_write_the_same_bytes(self, monkeypatch):
+        # 7 threads over 64 blocks per layer, switching as often as the
+        # interpreter allows: a lost or misplaced block write would show
+        import sys
+
+        rng = np.random.default_rng(3)
+        params = random_net([64, 512, 512], rng)
+        x = rng.normal(size=(nn.ENCODE_CHUNK + 3, 64))
+        monkeypatch.setattr(nn, "ENCODE_BLOCK_BYTES", 8 * 64 * 8)
+        assert len(nn._blocks(params[1][0])) == 64
+        monkeypatch.setenv("TEXTOVISION_THREADS", "1")
+        serial = nn.encode(params, x).tobytes()
+        monkeypatch.setenv("TEXTOVISION_THREADS", "7")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert nn.encode(params, x).tobytes() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_row_of_the_wrong_width_is_rejected(self):
+        with pytest.raises(ValueError, match="does not match first layer width 2"):
+            nn.encode(identity_params(2), [np.zeros(2), np.zeros(3)])
+
+    def test_a_failing_worker_reaches_the_caller(self, monkeypatch):
+        params = [(np.zeros((16, nn.ENCODE_BLOCK_BYTES // 8 // 8)), np.zeros(16))]
+        assert len(nn._blocks(params[0][0])) == 2
+        real = nn._encode_blocks
+
+        def failing(blocks, *args):
+            if blocks[0][0] > 0:
+                raise MemoryError("worker failed")
+            real(blocks, *args)
+
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        monkeypatch.setattr(nn, "_encode_blocks", failing)
+        with pytest.raises(MemoryError, match="worker failed"):
+            nn.encode(params, np.ones((3, params[0][0].shape[1])))
