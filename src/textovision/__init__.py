@@ -6,4 +6,15 @@ package root stays import-light so the CLI can configure threading
 environment variables before numpy loads.
 """
 
+import os
+
 __version__ = "0.1.0"
+
+
+def thread_cap() -> int | None:
+    """``TEXTOVISION_THREADS``, read at each call, or None if it is unset or
+    empty; a value that is not a positive ASCII integer is a ``ValueError``."""
+    value = os.environ.get("TEXTOVISION_THREADS")
+    if value and not (value.isascii() and value.isdigit() and int(value) >= 1):
+        raise ValueError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
+    return int(value) if value else None

@@ -4,13 +4,13 @@ Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
 The environment variable ``TEXTOVISION_THREADS`` caps internal
 parallelism: the BLAS threads, ``train``'s optimizer threads and
 ``encode``'s block threads; a value that is not a positive integer is a
-usage error for every command. It is applied before numpy loads,
-together with a short BLAS idle timeout, so heavyweight imports stay
-inside the command handlers; ``encode`` runs BLAS at one thread, so its
-bytes do not depend on the cap. ``evaluate`` and ``build-vocab`` do no
-array math and never import numpy, which is most of a short command's
-start-up time; ``formats``, ``metrics`` and ``textvec`` load it only
-where they use it.
+usage error for every command. ``main`` passes it on to BLAS, with a
+short idle timeout, only if numpy has not loaded, so heavyweight imports
+stay inside the command handlers; ``encode`` runs BLAS at one thread,
+so its bytes do not depend on the cap. ``evaluate`` and ``build-vocab``
+do no array math and never import numpy, which is most of a short
+command's start-up time; ``formats``, ``metrics`` and ``textvec`` load
+it only where they use it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from . import thread_cap
 
 _DEFAULT_METRICS = "r@1,r@5,r@10,medr,meanr,mir,map"
 
@@ -33,19 +35,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_thread_cap(blas_threads: str = "") -> None:
-    """Check ``TEXTOVISION_THREADS`` and set the BLAS thread count to it,
-    unless a BLAS variable is already set, or to ``blas_threads`` over
-    any setting. numpy reads these variables only as it loads."""
-    value = os.environ.get("TEXTOVISION_THREADS")
-    if value and not (value.isascii() and value.isdigit() and int(value) >= 1):
-        raise UsageError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
+    """Check ``TEXTOVISION_THREADS`` and, before numpy loads (it reads them
+    only then), set the BLAS thread counts to it, unless already set, or
+    to ``blas_threads`` over any setting; set later, they would only leak."""
+    try:
+        cap = thread_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if "numpy" in sys.modules:
+        return
     # idle OpenBLAS workers sleep at once instead of spinning on the cores
     # that rmsprop_step's threads need between products
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        if blas_threads or value:
-            os.environ[var] = blas_threads or os.environ.get(var, value)
+        if blas_threads or cap:
+            os.environ[var] = blas_threads or os.environ.get(var, str(cap))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +120,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _apply_thread_cap()
+        # encode runs BLAS at one thread, so its bytes do not depend on the cap
+        _apply_thread_cap(blas_threads="1" if args.command == "encode" else "")
         return args.func(args)
     except UsageError as exc:
         print(f"textovision: error: {exc}", file=sys.stderr)
@@ -230,39 +236,29 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    # encode's blocks run on the cap's threads and BLAS at one thread, so
-    # the bytes do not depend on the cap; numpy reads the variables only
-    # as it loads, and after that they would only leak to child processes
-    if "numpy" not in sys.modules:
-        _apply_thread_cap(blas_threads="1")
     import numpy as np
 
     from . import formats, modelio, neuralnet, retrieval
 
     model = modelio.load_model(args.model)
     sentences = formats.read_sentences(args.sentences)
-
-    ids = []
-
-    def vectors():
-        for sentence in sentences:
-            try:
-                row = model.vectorizer.vectorize(sentence)
-            except ValueError as exc:
-                print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
-                continue
-            ids.append(sentence.id)
-            yield row
+    kept = []
+    for sentence in sentences:
+        try:
+            model.vectorizer.lookup(sentence)
+            kept.append(sentence)
+        except ValueError as exc:
+            print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
+    if not kept:
+        raise ValueError("no sentence could be encoded")
 
     with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
-        encoded = neuralnet.encode(model.params, vectors())
-    if not ids:
-        raise ValueError("no sentence could be encoded")
+        encoded = neuralnet.encode(model.params, model.vectorizer.rows(kept))
     if not np.isfinite(encoded).all():
         raise ValueError(f"{args.model}: the model predicts non-finite features")
-    formats.write_features(args.out, retrieval.Features(ids, encoded))
-    zero, skipped = len(ids) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(ids)
-    print(f"encoded {len(ids)} sentences, skipped {skipped}, {zero} all-zero predictions",
+    formats.write_features(args.out, retrieval.Features([s.id for s in kept], encoded))
+    zero, skipped = len(kept) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(kept)
+    print(f"encoded {len(kept)} sentences, skipped {skipped}, {zero} all-zero predictions",
           file=sys.stderr)
     return 0
 

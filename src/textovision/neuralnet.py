@@ -15,14 +15,14 @@ the loss history.
 or dense matrices, one row per example, and gathers each only one
 mini-batch at a time: term-count sentence vectors stay compressed
 (``TermIndex.rows``) and targets are row indices into the feature matrix,
-so a sparse corpus of any size never exists as one dense matrix. ``encode`` maps
-rows, as they arrive, to a matrix of predicted features, a chunk of rows
-at a time through cache-sized weight blocks on ``thread_count()``
-threads; it only reads its params (a loaded model's arrays are
-read-only). ``rmsprop_step`` mutates the ``params`` and ``state`` it
-is given and only reads ``grads``; ``train`` keeps a copy of the best
-epoch's parameters, so later in-place steps never change what it
-returns.
+so a sparse corpus of any size never exists as one dense matrix.
+``encode`` takes the same row forms and maps them to a matrix of
+predicted features, a chunk of rows at a time through cache-sized
+weight blocks on ``thread_count()`` threads; it only reads its params
+(a loaded model's arrays are read-only). ``rmsprop_step`` mutates the
+``params`` and ``state`` it is given and only reads ``grads``;
+``train`` keeps a copy of the best epoch's parameters, so later
+in-place steps never change what it returns.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+
+from . import thread_cap
 
 #: ordered (weight matrix, bias vector) pairs; W_i has shape (n_i, n_{i-1})
 NetworkParams = list[tuple[np.ndarray, np.ndarray]]
@@ -362,14 +364,9 @@ def _on_workers(fn, items: list, *args) -> None:
 def thread_count() -> int:
     """The ``TEXTOVISION_THREADS`` cap, read at each call, or when it is
     unset the number of CPUs this process may run on."""
-    value = os.environ.get("TEXTOVISION_THREADS")
-    if not value:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not (value.isascii() and value.isdigit() and int(value) >= 1):
-        raise ValueError(f"TEXTOVISION_THREADS must be a positive integer, got {value!r}")
-    return int(value)
+    if hasattr(os, "sched_getaffinity"):
+        return thread_cap() or len(os.sched_getaffinity(0))
+    return thread_cap() or os.cpu_count() or 1
 
 
 def _in_place_view(a: np.ndarray, layer: int, what: str) -> np.ndarray:
@@ -468,38 +465,25 @@ def _step(params, state, inputs, targets, cfg, rng) -> float:
     return loss
 
 
-def encode(params: NetworkParams, rows: Iterable[np.ndarray]) -> np.ndarray:
+def encode(params: NetworkParams, x: SparseRows | SelectedRows | np.ndarray) -> np.ndarray:
     """Predicted visual features, one row per input row (inference mode).
 
-    ``rows`` is a 2-D matrix or any iterable of 1-D rows, such as a
-    generator that vectorizes sentences as they are read. They are copied
-    as they arrive into a matrix of ``ENCODE_CHUNK`` rows, so no input
-    matrix need exist. Each layer runs in weight blocks (``_blocks``) on
-    ``thread_count()`` threads, and a block stays in cache while every
-    row of the chunk passes through it. Each row still gets its own
-    matrix-vector product, the BLAS call of a one-row ``forward``: a
-    batched product sums in another order. So at one BLAS thread, as the
-    CLI runs it, every row has the bits of its own ``forward`` at any
-    thread count.
+    ``x`` is in a form ``train``'s inputs take, and ``ENCODE_CHUNK`` rows
+    at a time are gathered, as ``train`` gathers a mini-batch. Each layer
+    runs in weight blocks (``_blocks``) on ``thread_count()`` threads, a
+    block staying in cache while every row of the chunk passes through it.
+    Each row still gets its own matrix-vector product, the BLAS call of a
+    one-row ``forward``: a batched product sums in another order. So at
+    one BLAS thread, as the CLI runs it, every row has the bits of its own
+    ``forward`` at any thread count and in any input form.
     """
-    if isinstance(rows, np.ndarray) and rows.ndim != 2:
-        raise ValueError("encode expects a 2-D (rows, dim) input")
-    width = params[0][0].shape[1]
-    chunk = np.empty((ENCODE_CHUNK, width))
+    shape, width = np.shape(x), params[0][0].shape[1]
+    if len(shape) != 2 or shape[1] != width:
+        raise ValueError(f"encode expects a 2-D (rows, {width}) input, got shape {shape}")
+    x, rows = _rows(x), np.arange(shape[0])
     outputs = [np.empty((0, params[-1][0].shape[0]))]
-    filled = 0
-    for row in rows:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (width,):
-            raise ValueError(f"input row of shape {row.shape} does not match "
-                             f"first layer width {width}")
-        chunk[filled] = row
-        filled += 1
-        if filled == ENCODE_CHUNK:
-            outputs.append(_encode_chunk(params, chunk))
-            filled = 0
-    if filled:
-        outputs.append(_encode_chunk(params, chunk[:filled]))
+    for start in range(0, len(rows), ENCODE_CHUNK):
+        outputs.append(_encode_chunk(params, x.take(rows[start : start + ENCODE_CHUNK])))
     return np.concatenate(outputs)
 
 

@@ -5,13 +5,13 @@ A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
 ``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``: the
 ``Features`` table ``formats.read_features`` reads from an embedding
 file, as one matrix, and each word's row). Each knows its ``kind`` and
-``dim``, and its ``vectorize`` turns a ``Sentence`` into a float64 row,
-raising ``ValueError`` naming the sentence when none of its terms is
-known; ``rows`` gives many sentences' rows in the form
-``neuralnet.train`` takes. Vectorizers are immutable after construction
-and safe for concurrent read-only use. Term lists are kept sorted by
-byte order so that serialized vocabularies are identical across
-platforms.
+``dim``; its ``lookup`` gives the known terms of a ``Sentence``, in text
+order, raising ``ValueError`` naming the sentence when there is none,
+and ``rows`` gives many sentences' float64 rows in the form both
+``neuralnet.train`` and ``neuralnet.encode`` take. Vectorizers are
+immutable after construction and safe for concurrent read-only use.
+Term lists are kept sorted by byte order so that serialized
+vocabularies are identical across platforms.
 """
 
 from __future__ import annotations
@@ -108,21 +108,15 @@ class TermIndex:
     def __eq__(self, other) -> bool:
         return isinstance(other, TermIndex) and (self.kind, self.terms) == (other.kind, other.terms)
 
-    def _term_indices(self, sentence: Sentence) -> list[int]:
+    def lookup(self, sentence: Sentence) -> list[int]:
         """The index of each known term of the sentence, in text order, repeats kept."""
         found = [self.index[t] for t in self._terms(sentence.text) if t in self.index]
         if not found:
             raise ValueError(f"sentence {sentence.id!r} has no term in the {self.noun}")
         return found
 
-    def vectorize(self, sentence: Sentence) -> np.ndarray:
-        """Count occurrences of each indexed term; unknown terms contribute nothing."""
-        import numpy as np
-
-        return np.bincount(self._term_indices(sentence), minlength=self.dim).astype(np.float64)
-
     def rows(self, sentences: Sequence[Sentence]) -> SparseRows:
-        """All sentences' ``vectorize`` rows, compressed: one entry per distinct known term."""
+        """All sentences' term counts, compressed: one entry per distinct known term."""
         import numpy as np
 
         from .neuralnet import SparseRows
@@ -132,7 +126,7 @@ class TermIndex:
         def term_indices():
             # streamed, so no sentence's terms outlive their copy into the array
             for row, sentence in enumerate(sentences):
-                found = self._term_indices(sentence)
+                found = self.lookup(sentence)
                 lengths[row] = len(found)
                 yield from found
 
@@ -155,30 +149,25 @@ class WordEmbeddingTable:
         self.dim = table.dim
         self.index: dict[str, int] = {word: row for row, word in enumerate(table.ids)}
 
-    def vectorize(self, sentence: Sentence) -> np.ndarray:
-        """Mean-pool the embeddings of in-table tokens.
-
-        Out-of-table tokens are excluded from both the sum and the
-        denominator, so a sentence with a single known word maps exactly
-        to that word's embedding.
-        """
-        import numpy as np
-
+    def lookup(self, sentence: Sentence) -> list[int]:
+        """The table row of each in-table token of the sentence, in text order, repeats kept."""
         found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
         if not found:
             raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
-        total = np.zeros(self.dim, dtype=np.float64)
-        for row in found:  # summed in text order, which fixes the bits
-            total += self.table.matrix[row]
-        return total / len(found)
+        return found
 
     def rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """All sentences' ``vectorize`` rows as one dense matrix: means have few zeros."""
+        """Each sentence's mean of its ``lookup`` rows, as one dense matrix
+        (means have few zeros): a sentence with one known word maps exactly
+        to that word's embedding."""
         import numpy as np
 
-        matrix = np.empty((len(sentences), self.dim))
+        matrix = np.zeros((len(sentences), self.dim))
         for row, sentence in zip(matrix, sentences):
-            row[:] = self.vectorize(sentence)
+            found = self.lookup(sentence)
+            for word in found:  # summed in text order, which fixes the bits
+                row += self.table.matrix[word]
+            row /= len(found)
         return matrix
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the library:
 finite-difference gradients, the allocating RMSprop formula, the dense
 training loop that compressed input rows replaced, the per-row encode
-that blocked encoding replaced, loop-based metric
+that blocked encoding replaced, the one-sentence rows that the
+vectorizers' ``rows`` replaced, loop-based metric
 recomputation, and the per-row feature file reader/writer and
 sorted-key cosine ranking that the matrix code replaced. These
 deliberately avoid the code paths they verify."""
@@ -15,6 +16,7 @@ import numpy as np
 
 from textovision import neuralnet as nn
 from textovision.retrieval import Ranking
+from textovision.textvec import tokenize
 
 
 def random_net(sizes, rng):
@@ -147,6 +149,41 @@ def encode_per_row(params, rows):
     empty = np.empty((0, params[-1][0].shape[0]))
     return np.concatenate([empty, *(nn.forward(params, np.asarray(row, dtype=np.float64)[None, :])
                                     .output for row in rows)])
+
+
+def vectorize_terms(index, sentence):
+    """``TermIndex.vectorize`` as it was before one row builder served
+    ``train`` and ``encode``, its term lookup inlined: count occurrences
+    of each indexed term; unknown terms contribute nothing."""
+    found = [index.index[t] for t in index._terms(sentence.text) if t in index.index]
+    if not found:
+        raise ValueError(f"sentence {sentence.id!r} has no term in the {index.noun}")
+    return np.bincount(found, minlength=index.dim).astype(np.float64)
+
+
+def vectorize_embeddings(table, sentence):
+    """``WordEmbeddingTable.vectorize`` as it was before one row builder
+    served ``train`` and ``encode``: mean-pool the embeddings of in-table
+    tokens.
+
+    Out-of-table tokens are excluded from both the sum and the
+    denominator, so a sentence with a single known word maps exactly
+    to that word's embedding.
+    """
+    found = [table.index[t] for t in tokenize(sentence.text) if t in table.index]
+    if not found:
+        raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
+    total = np.zeros(table.dim, dtype=np.float64)
+    for row in found:  # summed in text order, which fixes the bits
+        total += table.table.matrix[row]
+    return total / len(found)
+
+
+def vectorize(vectorizer, sentence):
+    """The float64 row of one sentence, for either kind of vectorizer."""
+    if vectorizer.kind == "word2vec":
+        return vectorize_embeddings(vectorizer, sentence)
+    return vectorize_terms(vectorizer, sentence)
 
 
 def max_relative_error(analytic, numeric):

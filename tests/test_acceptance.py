@@ -71,7 +71,7 @@ def test_criterion_2_rmsprop_unit_fixture():
 
 def _matrices(vocab, corpus, sentences):
     """Bag-of-words rows and item targets of ``sentences``."""
-    x = np.stack([vocab.vectorize(s) for s in sentences])
+    x = vocab.rows(sentences).take(np.arange(len(sentences)))
     t = np.stack([corpus.targets[item_id_of(s.id)] for s in sentences])
     return x, t
 
@@ -131,7 +131,7 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
         initial_val_loss = nn.mse_loss(nn.forward(initial_params, x_val).output, t_val)
         assert result.best_val_loss < initial_val_loss
 
-        encoded = nn.encode(result.params, np.stack([vocab.vectorize(s) for s in pool]))
+        encoded = nn.encode(result.params, vocab.rows(pool))
         candidates = Features([s.id for s in pool], encoded)
         r_at_1, med_r = metrics.evaluate(["r@1", "medr"],
                                          retrieval.rank_all(queries, candidates), truth)
@@ -310,16 +310,16 @@ def test_criterion_9_text_to_text_in_visual_space():
             }
         )
 
-        def map_score(vectorize):
-            qs = _table([s.id for s in queries], [vectorize(s) for s in queries])
-            cs = _table([s.id for s in pool], [vectorize(s) for s in pool])
+        def map_score(vectors):
+            qs = Features([s.id for s in queries], vectors(queries))
+            cs = Features([s.id for s in pool], vectors(pool))
             (value,) = metrics.evaluate(["map"], retrieval.rank_all(qs, cs), truth)
             return value
 
-        in_visual_space = map_score(
-            lambda s: nn.encode(result.params, vocab.vectorize(s)[None, :])[0]
-        )
-        raw_bag_of_words = map_score(vocab.vectorize)
+        in_visual_space = map_score(lambda sentences: nn.encode(result.params,
+                                                                vocab.rows(sentences)))
+        raw_bag_of_words = map_score(
+            lambda sentences: vocab.rows(sentences).take(np.arange(len(sentences))))
         assert in_visual_space > raw_bag_of_words, (
             f"visual-space mAP {in_visual_space:.4f} "
             f"not above bag-of-words mAP {raw_bag_of_words:.4f}"

@@ -1,6 +1,7 @@
 import errno
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,10 +424,10 @@ class TestEncode:
     # the per-row oracle, in a child whose BLAS runs at one thread
     PER_ROW_ORACLE = (
         "import sys\n"
-        "from oracles import encode_per_row\n"
+        "from oracles import encode_per_row, vectorize\n"
         "from textovision import formats, modelio\n"
         "model = modelio.load_model(sys.argv[1])\n"
-        "rows = map(model.vectorizer.vectorize, formats.read_sentences(sys.argv[2]))\n"
+        "rows = [vectorize(model.vectorizer, s) for s in formats.read_sentences(sys.argv[2])]\n"
         "sys.stdout.buffer.write(encode_per_row(model.params, rows).tobytes())\n"
     )
 
@@ -480,6 +481,47 @@ class TestEncode:
         assert "bad#0" in err
         assert "skipped 1" in err
         assert len(formats.read_features(str(out))) == 1
+
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_a_skipped_sentence_mid_chunk_leaves_the_per_row_bytes(self, tmp_path, capsys,
+                                                                    kind):
+        # 257 sentences, the middle one all out of vocabulary: the other 256
+        # fill one chunk. Every width is a multiple of 8, so at any BLAS
+        # thread count the bytes are those of one forward pass per row.
+        from oracles import encode_per_row, random_net, vectorize
+
+        from textovision import modelio, textvec
+
+        rng = np.random.default_rng(17)
+        # 64 two-letter words; each one's first hashing term '#xy' is known
+        words = [a + b for a in "abcdefgh" for b in "abcdefgh"]
+        vectorizer = {
+            "bow": lambda: textvec.TermIndex("bow", words),
+            "hashing": lambda: textvec.TermIndex("hashing", ["#" + w for w in words]),
+            "word2vec": lambda: textvec.WordEmbeddingTable(
+                Features(words, rng.normal(size=(len(words), 16)))),
+        }[kind]()
+        params = random_net([vectorizer.dim, 24, 8], rng)
+        model = tmp_path / "m.bin"
+        modelio.save_model(str(model), modelio.TrainedModel(vectorizer, params))
+        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(words, size=rng.integers(1, 9))))
+                     for k in range(257)]
+        sentences[128] = Sentence("s#128", "zzz qqq")
+        write_sentences(str(tmp_path / "s.tsv"), sentences)
+        out = tmp_path / "e.feat"
+        assert main(["encode", "--model", str(model), "--sentences", str(tmp_path / "s.tsv"),
+                     "--out", str(out)]) == 0
+        kept = sentences[:128] + sentences[129:]
+        expected = encode_per_row(params, [vectorize(vectorizer, s) for s in kept])
+        encoded = formats.read_features(str(out))
+        assert list(encoded.ids) == [s.id for s in kept]
+        assert encoded.matrix.tobytes() == expected.tobytes()
+        noun = {"bow": "term in the vocabulary", "hashing": "term in the trigram index",
+                "word2vec": "token in the embedding table"}[kind]
+        zero = 256 - np.count_nonzero(expected.any(axis=1))
+        assert capsys.readouterr().err == (
+            f"textovision: skipping 's#128': sentence 's#128' has no {noun}\n"
+            f"encoded 256 sentences, skipped 1, {zero} all-zero predictions\n")
 
     def test_sentence_id_with_whitespace_is_data_error(self, tmp_path, capsys, trained):
         # a feature file splits on whitespace: 'apple 1#0' would come back
@@ -744,6 +786,51 @@ class TestModelFileFuzz:
         assert err == (f"textovision: error: {tmp_path / 'm.bin'}: "
                        "the model predicts non-finite features\n")
         assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+def mutate_sentences(data, kind, rng):
+    """``data``, the bytes of a sentence file, with one seeded ``kind`` of
+    damage at a random line or byte."""
+    at = int(rng.integers(len(data)))
+    lines = data.splitlines(keepends=True)
+    k = int(rng.integers(len(lines)))
+    sid, _, text = lines[k].partition(b"\t")
+    if kind in ("tab", "nul", "non-utf-8"):
+        return data[:at] + {"tab": b"\t", "nul": b"\0", "non-utf-8": b"\xff\xfe"}[kind] + data[at:]
+    if kind == "truncation":
+        return data[:at]
+    lines[k] = {"empty text": sid + b"\t\n", "all-oov text": sid + b"\tzzz qqq\n",
+                "duplicate id": lines[k] + sid + b"\t" + text,
+                "whitespace in id": sid[:1] + b" " + sid[1:] + b"\t" + text}[kind]
+    return b"".join(lines)
+
+
+SENTENCE_MUTATIONS = ("tab", "nul", "non-utf-8", "empty text", "all-oov text", "duplicate id",
+                      "whitespace in id", "truncation")
+
+
+class TestSentenceFileFuzz:
+    def test_mutated_sentence_files_exit_cleanly(self, tmp_path, capsys, trained):
+        # each damaged file goes to train as its training sentences and to
+        # encode: every run returns an exit code, prints no traceback and
+        # leaves no temporary file
+        paths, model = trained
+        clean = Path(paths["train_sentences"]).read_bytes()
+        damaged = tmp_path / "damaged.tsv"
+        rng = np.random.default_rng(2024)
+        for case in range(6 * len(SENTENCE_MUTATIONS)):
+            kind = SENTENCE_MUTATIONS[case % len(SENTENCE_MUTATIONS)]
+            damaged.write_bytes(mutate_sentences(clean, kind, rng))
+            runs = [train_args(dict(paths, train_sentences=str(damaged)),
+                               str(tmp_path / "m.bin"), ["--max-epochs", "2"]),
+                    ["encode", "--model", model, "--sentences", str(damaged),
+                     "--out", str(tmp_path / "e.feat")]]
+            for argv in runs:
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (kind, argv[0], err)
+                assert "Traceback" not in out + err, (kind, argv[0], err)
+                assert not list(tmp_path.glob("*.tmp")), (kind, argv[0])
 
 
 class TestModelLoad:
@@ -1232,44 +1319,57 @@ class TestVectorizerBackends:
         assert len(rows) == 3 and rows.dim == 4
 
 
+def env_after_thread_cap():
+    """``os.environ`` after ``_apply_thread_cap()`` in a new interpreter,
+    where numpy has not loaded, started with this environment."""
+    import json
+
+    return json.loads(run_fresh(
+        "import json, os, sys\n"
+        "from textovision.cli import _apply_thread_cap\n"
+        "assert 'numpy' not in sys.modules\n"
+        "_apply_thread_cap()\n"
+        "print(json.dumps(dict(os.environ)))\n"))
+
+
 class TestThreadCap:
     def test_env_var_propagates_to_blas_knobs(self, monkeypatch):
-        from textovision.cli import _apply_thread_cap
-
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        _apply_thread_cap()
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        env = env_after_thread_cap()
+        assert env["OMP_NUM_THREADS"] == "2"
+        assert env["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_explicit_settings_win(self, monkeypatch):
-        from textovision.cli import _apply_thread_cap
-
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        _apply_thread_cap()
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "8"
+        assert env_after_thread_cap()["OMP_NUM_THREADS"] == "8"
 
     def test_idle_blas_workers_sleep_at_once(self, monkeypatch):
-        from textovision.cli import _apply_thread_cap
-
         monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
         monkeypatch.delenv("TEXTOVISION_THREADS", raising=False)
-        _apply_thread_cap()
-        assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == "4"
+        assert env_after_thread_cap()["OPENBLAS_THREAD_TIMEOUT"] == "4"
 
     def test_explicit_blas_timeout_wins(self, monkeypatch):
-        from textovision.cli import _apply_thread_cap
-
         monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "28")
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        _apply_thread_cap()
-        assert os.environ["OPENBLAS_THREAD_TIMEOUT"] == "28"
+        assert env_after_thread_cap()["OPENBLAS_THREAD_TIMEOUT"] == "28"
+
+    def test_an_in_process_call_leaves_the_environment_unchanged(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # numpy has loaded in this process, so setting the BLAS variables
+        # could only leak them to the caller's later child processes
+        for var in (*BLAS_THREAD_VARS, "OPENBLAS_THREAD_TIMEOUT"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        model, sentences = save_bow_model(tmp_path, [16, 8], 0)
+        before = dict(os.environ)
+        assert main(["build-vocab", "--sentences", sentences, "--vectorizer", "bow",
+                     "--out", str(tmp_path / "vocab.txt")]) == 0
+        assert main(["encode", "--model", model, "--sentences", sentences,
+                     "--out", str(tmp_path / "e.feat")]) == 0
+        assert dict(os.environ) == before
 
     def test_malformed_cap_is_a_usage_error_before_train_reads_any_input(self, tmp_path, capsys,
                                                                          monkeypatch):

@@ -603,15 +603,19 @@ class TestEncode:
         for row, encoded in zip(x, out):
             assert encoded.tobytes() == nn.forward(params, row[None, :]).output[0].tobytes()
 
-    def test_rows_from_a_generator_match_the_matrix_bit_for_bit(self):
+    def test_sparse_and_selected_rows_match_the_matrix_bit_for_bit(self):
         rng = np.random.default_rng(9)
         params = nn.init_network([40, 30, 20], 4)
         x = sparse_matrix(rng, 25, 40)
-        assert nn.encode(params, (row for row in x)).tobytes() == nn.encode(params, x).tobytes()
+        order = rng.permutation(len(x))
+        dense = nn.encode(params, x).tobytes()
+        assert nn.encode(params, sparse_rows(x)).tobytes() == dense
+        assert nn.encode(params, nn.SelectedRows(x[order], np.argsort(order))).tobytes() == dense
 
     def test_no_rows_encode_to_an_empty_matrix(self):
         params = nn.init_network([4, 3], 3)
-        assert nn.encode(params, iter([])).shape == (0, 3)
+        assert nn.encode(params, np.empty((0, 4))).shape == (0, 3)
+        assert nn.encode(params, sparse_rows(np.empty((0, 4)))).shape == (0, 3)
 
     def test_rejects_a_single_vector(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -667,14 +671,17 @@ class TestEncodeBlocks:
             x = sparse_matrix(rng, count, widths[0])
         else:
             x = rng.normal(size=(count, widths[0]))
+        # the same rows in each form train takes, SelectedRows out of order
+        order = rng.permutation(count)
+        forms = [x, sparse_rows(x), nn.SelectedRows(x[order], np.argsort(order))]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "ENCODE_BLOCK_BYTES", block_bytes)
             encoded = []
             for workers in (1, 2):
                 mp.setenv("TEXTOVISION_THREADS", str(workers))
-                encoded.append(nn.encode(params, (row for row in x)).tobytes())
+                encoded += [nn.encode(params, form).tobytes() for form in forms]
             alone = nn.encode(params, x[-1:]).tobytes()
-        assert encoded[0] == encoded[1]
+        assert encoded == [encoded[0]] * len(encoded)
         # a row's bytes do not depend on the rows that share its chunk
         assert alone == encoded[0][-len(alone):]
         if all(width % 8 == 0 for width in widths):
@@ -702,8 +709,9 @@ class TestEncodeBlocks:
             sys.setswitchinterval(interval)
 
     def test_a_row_of_the_wrong_width_is_rejected(self):
-        with pytest.raises(ValueError, match="does not match first layer width 2"):
-            nn.encode(identity_params(2), [np.zeros(2), np.zeros(3)])
+        for x in (np.zeros((2, 3)), sparse_rows(np.zeros((2, 3)))):
+            with pytest.raises(ValueError, match=re.escape("2-D (rows, 2) input, got shape (2, 3)")):
+                nn.encode(identity_params(2), x)
 
     def test_a_failing_worker_reaches_the_caller(self, monkeypatch):
         params = [(np.zeros((16, nn.ENCODE_BLOCK_BYTES // 8 // 8)), np.zeros(16))]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import vectorize
 
 from textovision import formats, neuralnet
 from textovision.retrieval import Features
@@ -23,6 +24,12 @@ texts = st.text(max_size=80)
 
 def sent(text, sid="s#0"):
     return Sentence(sid, text)
+
+
+def row_of(vectorizer, text):
+    """The dense row ``vectorizer.rows`` gives the sentence ``sent(text)``."""
+    rows = vectorizer.rows([sent(text)])
+    return (rows if isinstance(rows, np.ndarray) else rows.take(np.arange(1)))[0]
 
 
 class TestTokenize:
@@ -110,22 +117,22 @@ class TestBuildVocab:
 class TestVectorizeBow:
     def test_direct_counts(self):
         vocab = TermIndex("bow", ["a", "dog", "leaps", "log", "over"])
-        row = vocab.vectorize(sent("a dog leaps over a log"))
+        row = row_of(vocab, "a dog leaps over a log")
         assert row.tolist() == [2, 1, 1, 1, 1]
         assert row.dtype == np.float64
         assert row.shape == (vocab.dim,) == (5,)
 
     def test_oov_dropped(self):
-        row = TermIndex("bow", ["a", "dog"]).vectorize(sent("a zebra"))
+        row = row_of(TermIndex("bow", ["a", "dog"]), "a zebra")
         assert row.tolist() == [1, 0]
 
     def test_no_in_vocab_token(self):
         with pytest.raises(ValueError, match="sentence 's#0' has no term in the vocabulary"):
-            TermIndex("bow", ["a", "dog"]).vectorize(sent("zebra lion"))
+            row_of(TermIndex("bow", ["a", "dog"]), "zebra lion")
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
-            TermIndex("bow", ["a"]).vectorize(sent(""))
+            row_of(TermIndex("bow", ["a"]), "")
 
     @given(st.lists(words, min_size=1, max_size=20), st.lists(words, min_size=1, max_size=20))
     def test_l1_norm_counts_in_vocab_tokens(self, vocab_words, sentence_words):
@@ -134,9 +141,9 @@ class TestVectorizeBow:
         in_vocab = sum(1 for t in tokenize(text) if t in vocab.index)
         if in_vocab == 0:
             with pytest.raises(ValueError):
-                vocab.vectorize(sent(text))
+                row_of(vocab, text)
         else:
-            row = vocab.vectorize(sent(text))
+            row = row_of(vocab, text)
             assert row.sum() == in_vocab
             assert np.all(row >= 0)
             assert np.all(row == np.floor(row))
@@ -192,16 +199,16 @@ class TestTrigramIndex:
 class TestVectorizeHashing:
     def test_each_window_once(self):
         index = build_vocab("hashing", [sent("cat")])
-        assert index.vectorize(sent("cat")).tolist() == [1, 1, 1]
+        assert row_of(index, "cat").tolist() == [1, 1, 1]
 
     def test_doubled_counts(self):
         index = build_vocab("hashing", [sent("cat")])
-        assert index.vectorize(sent("cat cat")).tolist() == [2, 2, 2]
+        assert row_of(index, "cat cat").tolist() == [2, 2, 2]
 
     def test_fully_unseen(self):
         index = build_vocab("hashing", [sent("cat")])
         with pytest.raises(ValueError, match="sentence 's#0' has no term in the trigram index"):
-            index.vectorize(sent("dog"))
+            row_of(index, "dog")
 
     @given(st.lists(words, min_size=1, max_size=10), st.lists(words, min_size=1, max_size=10))
     def test_l1_norm_counts_indexed_trigram_occurrences(self, index_words, sentence_words):
@@ -212,9 +219,9 @@ class TestVectorizeHashing:
         )
         if occurrences == 0:
             with pytest.raises(ValueError):
-                index.vectorize(sent(text))
+                row_of(index, text)
         else:
-            row = index.vectorize(sent(text))
+            row = row_of(index, text)
             assert row.sum() == occurrences
             assert np.all(row == np.floor(row))
 
@@ -288,29 +295,29 @@ class TestVectorizeW2v:
         return WordEmbeddingTable(Features(["dog", "cat"], np.array([[1.0, 0.0], [0.0, 1.0]])))
 
     def test_arithmetic_mean(self):
-        assert self.table().vectorize(sent("dog cat")).tolist() == [0.5, 0.5]
+        assert row_of(self.table(), "dog cat").tolist() == [0.5, 0.5]
 
     def test_repeated_word(self):
-        assert self.table().vectorize(sent("dog dog")).tolist() == [1.0, 0.0]
+        assert row_of(self.table(), "dog dog").tolist() == [1.0, 0.0]
 
     def test_oov_excluded_from_denominator(self):
-        assert self.table().vectorize(sent("dog zebra")).tolist() == [1.0, 0.0]
+        assert row_of(self.table(), "dog zebra").tolist() == [1.0, 0.0]
 
     def test_all_oov(self):
         with pytest.raises(ValueError, match="no token in the embedding table"):
-            self.table().vectorize(sent("zebra lion"))
+            row_of(self.table(), "zebra lion")
 
     def test_single_word_is_exact_embedding(self):
         table = self.table()
         cat = table.table.matrix[table.index["cat"]]
-        assert np.array_equal(table.vectorize(sent("cat")), cat)
+        assert np.array_equal(row_of(table, "cat"), cat)
 
     @settings(max_examples=50)
     @given(st.lists(st.sampled_from(["dog", "cat", "fish"]), min_size=1, max_size=12))
     def test_output_in_convex_hull(self, sentence_words):
         rng = np.random.default_rng(3)
         table = WordEmbeddingTable(Features(["dog", "cat", "fish"], rng.normal(size=(3, 4))))
-        row = table.vectorize(sent(" ".join(sentence_words)))
+        row = row_of(table, " ".join(sentence_words))
         used = table.table.matrix[[table.index[w] for w in sentence_words]]
         assert np.all(row >= used.min(axis=0) - 1e-12)
         assert np.all(row <= used.max(axis=0) + 1e-12)
@@ -329,7 +336,8 @@ def sentences_with_one_known_word(known, word_lists):
 
 
 def stacked(vectorizer, sentences):
-    return np.stack([vectorizer.vectorize(s) for s in sentences])
+    """The reference rows of ``sentences``, one sentence at a time."""
+    return np.stack([vectorize(vectorizer, s) for s in sentences])
 
 
 class TestRows:
@@ -390,16 +398,17 @@ class TestRows:
             vectorizer = build_vocab(kind, [sent("dog")])
         sentences = [sent("a dog", "s#0"), sent("zebra", "s#1"), sent("lion", "s#2")]
         with pytest.raises(ValueError) as from_vectorize:
-            vectorizer.vectorize(sentences[1])
+            vectorize(vectorizer, sentences[1])
         with pytest.raises(ValueError, match="'s#1'") as from_rows:
             vectorizer.rows(sentences)
-        assert str(from_rows.value) == str(from_vectorize.value)
+        with pytest.raises(ValueError) as from_lookup:
+            vectorizer.lookup(sentences[1])
+        assert str(from_rows.value) == str(from_vectorize.value) == str(from_lookup.value)
 
 
 class TestDeterminism:
     def test_bit_identical_outputs(self):
         corpus = [sent("a dog leaps"), sent("a cat sits", "s#1")]
-        s = sent("a dog sits")
         for kind in ("bow", "hashing"):
             index = build_vocab(kind, corpus)
-            assert index.vectorize(s).tobytes() == index.vectorize(s).tobytes()
+            assert row_of(index, "a dog sits").tobytes() == row_of(index, "a dog sits").tobytes()
