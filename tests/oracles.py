@@ -1,6 +1,7 @@
 """Independent reference implementations used to cross-check the library:
-finite-difference gradients, the allocating RMSprop formula, the dense
-training loop that compressed input rows replaced, the per-row encode
+finite-difference gradients, whole weight gradients, the allocating
+RMSprop formula, the dense training loop that compressed input rows and
+blocked weight gradients replaced, the per-row encode
 that blocked encoding replaced, the one-sentence rows that the
 vectorizers' ``rows`` replaced, loop-based metric
 recomputation, and the per-row feature file reader/writer and
@@ -61,6 +62,37 @@ def numeric_gradients(params, inputs, targets, dropout_rate=0.0, seed=0, h=1e-5)
     return grads
 
 
+def backward_dense(params, cache, targets):
+    """The exact batch MSE gradient as ``neuralnet.backward`` made it
+    before it left each weight gradient as factors: every
+    ``delta.T @ below`` formed whole."""
+    targets = np.asarray(targets, dtype=np.float64)
+    output = cache.output
+    if targets.shape != output.shape:
+        raise ValueError(f"target shape {targets.shape} does not match output {output.shape}")
+
+    n, d = output.shape
+    grads = [None] * len(params)
+
+    # dL/dz at the output layer; the output has no dropout
+    delta = (2.0 / (n * d)) * (output - targets) * (cache.preacts[-1] > 0.0)
+    for i in range(len(params) - 1, -1, -1):
+        below = cache.inputs if i == 0 else cache.acts[i - 1]
+        grads[i] = (delta.T @ below, delta.sum(axis=0))
+        if i > 0:
+            upstream = delta @ params[i][0]
+            if cache.masks is not None:
+                upstream = upstream * cache.masks[i - 1]
+            delta = upstream * (cache.preacts[i - 1] > 0.0)
+    return grads
+
+
+def whole_gradients(grads):
+    """``neuralnet.backward``'s gradients with each weight gradient's
+    factors (delta, below) multiplied out."""
+    return [(delta.T @ below, gb) for (delta, below), gb in grads]
+
+
 def rmsprop_reference(params, grads, state, config):
     """The textbook RMSprop step, one new array per operation, inputs untouched."""
     new_params = []
@@ -87,8 +119,10 @@ def train_dense(
 ) -> nn.TrainResult:
     """``neuralnet.train`` as it was before its inputs became ``SparseRows``
     and its targets ``SelectedRows``: dense matrices, indexed per mini-batch,
-    the loop kept as it was. It counts the epochs since the last strictly
-    lower validation loss itself, and stops when they reach the patience.
+    the loop kept as it was, with whole weight gradients (``backward_dense``),
+    the whole validation set in one forward pass and a fresh copy of each
+    best epoch. It counts the epochs since the last strictly lower
+    validation loss itself, and stops when they reach the patience.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         if x.ndim != 2 or t.ndim != 2 or len(x) == 0 or len(x) != len(t):
@@ -116,7 +150,7 @@ def train_dense(
                 batch = order[start : start + cfg.batch_size]
                 cache = nn.forward(params, x_train[batch], dropout_rate=cfg.dropout_rate, rng=rng)
                 loss_sum += nn.mse_loss(cache.output, t_train[batch]) * batch.size
-                grads = nn.backward(params, cache, t_train[batch])
+                grads = backward_dense(params, cache, t_train[batch])
                 params, state = nn.rmsprop_step(params, grads, state, cfg)
 
             train_loss = loss_sum / n

@@ -11,7 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import synthdata
-from oracles import brute_force_metrics, max_relative_error, numeric_gradients, random_net
+from oracles import (
+    brute_force_metrics,
+    max_relative_error,
+    numeric_gradients,
+    random_net,
+    whole_gradients,
+)
 
 from textovision import formats, metrics
 from textovision import neuralnet as nn
@@ -48,7 +54,7 @@ def test_criterion_1_gradient_oracle():
             # finite differences are invalid within h of a ReLU kink
             if any(np.any(np.abs(z) < 1e-4) for z in cache.preacts):
                 continue
-            analytic = nn.backward(params, cache, targets)
+            analytic = whole_gradients(nn.backward(params, cache, targets))
             numeric = numeric_gradients(params, inputs, targets, h=1e-5)
             err = max_relative_error(analytic, numeric)
             assert err <= 1e-4, f"config {sizes} batch {batch}: relative error {err}"

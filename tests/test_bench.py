@@ -58,3 +58,21 @@ def test_traced_run_counts_ranking_lines():
     metrics = result["metrics"]
     assert metrics["formats.write_ranking.lines"]["value"] > 0, metrics
     assert metrics["formats.read_ranking.lines"]["value"] > 0, metrics
+
+
+def test_traced_train_counts_every_hooked_training_layer():
+    # train calls forward, backward and rmsprop_step as module globals, so
+    # the tracer's wrappers see every step
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", "train_bow", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout
+    metrics = result["metrics"]
+    for name in ("neuralnet.forward.flops", "neuralnet.backward.flops",
+                 "neuralnet.rmsprop_step.bytes"):
+        assert metrics[name]["value"] > 0, (name, metrics)

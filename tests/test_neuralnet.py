@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from oracles import (
     random_net,
     rmsprop_reference,
     train_dense,
+    whole_gradients,
 )
 
 from textovision import neuralnet as nn
@@ -154,7 +157,7 @@ class TestBackward:
         params = identity_params(3)
         x = np.array([[1.0, 2.0, 3.0]])
         cache = nn.forward(params, x)
-        grads = nn.backward(params, cache, cache.output.copy())
+        grads = whole_gradients(nn.backward(params, cache, cache.output.copy()))
         for gw, gb in grads:
             assert np.all(gw == 0.0)
             assert np.all(gb == 0.0)
@@ -162,7 +165,7 @@ class TestBackward:
     def test_hand_derived_single_layer(self):
         params = [(np.array([[1.0]]), np.array([0.0]))]
         cache = nn.forward(params, np.array([[1.0]]))
-        (gw, gb), = nn.backward(params, cache, np.array([[3.0]]))
+        (gw, gb), = whole_gradients(nn.backward(params, cache, np.array([[3.0]])))
         assert gw.tolist() == [[-4.0]]
         assert gb.tolist() == [-4.0]
 
@@ -180,7 +183,7 @@ class TestBackward:
             # central differences are meaningless within h of a ReLU kink
             if any(np.any(np.abs(z) < 1e-4) for z in cache.preacts):
                 continue
-            analytic = nn.backward(params, cache, t)
+            analytic = whole_gradients(nn.backward(params, cache, t))
             numeric = numeric_gradients(params, x, t)
             assert max_relative_error(analytic, numeric) <= 1e-4, f"config {sizes}x{batch}"
             checked += 1
@@ -195,7 +198,7 @@ class TestBackward:
         # the check means something only if some units are kept and others dropped
         for mask in cache.masks:
             assert np.any(mask > 0.0) and np.any(mask == 0.0)
-        analytic = nn.backward(params, cache, t)
+        analytic = whole_gradients(nn.backward(params, cache, t))
         numeric = numeric_gradients(params, x, t, dropout_rate=0.4, seed=5)
         assert max_relative_error(analytic, numeric) <= 1e-4
 
@@ -204,7 +207,7 @@ class TestBackward:
         params = [(np.array([[1.0]]), np.array([-1.0]))]
         cache = nn.forward(params, np.array([[1.0]]))
         assert cache.preacts[0][0, 0] == 0.0
-        (gw, gb), = nn.backward(params, cache, np.array([[5.0]]))
+        (gw, gb), = whole_gradients(nn.backward(params, cache, np.array([[5.0]])))
         assert gw[0, 0] == 0.0
         assert gb[0] == 0.0
 
@@ -584,6 +587,119 @@ class TestTrain:
             assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
+class TestGradientBlocks:
+    # 1-byte blocks cut every weight into 8-row blocks, the remainder joining
+    # the last; 8-row chunks score a longer validation set in several passes
+    @settings(max_examples=40, deadline=None)
+    @given(
+        widths=st.lists(st.one_of(st.integers(1, 5).map(lambda k: 8 * k), st.integers(1, 40)),
+                        min_size=2, max_size=4),
+        n_train=st.integers(1, 20),
+        batch_size=st.integers(1, 8),
+        n_val=st.integers(1, 30),
+        dropout=st.sampled_from([0.0, 0.3]),
+        block_bytes=st.sampled_from([1, 1024, nn.GRAD_BLOCK_BYTES]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(widths=[30, 40, 17], n_train=9, batch_size=4, n_val=25, dropout=0.3,
+             block_bytes=1, seed=0)  # a 1-row last batch, 5-block weights
+    @example(widths=[16, 24, 8], n_train=12, batch_size=6, n_val=17, dropout=0.0,
+             block_bytes=1, seed=1)
+    # widths that are not multiples of 8 in products large enough for BLAS's
+    # blocked kernels, where row blocks would change the last columns' bits:
+    # a 301-wide input and a 9-wide output over 600 validation rows
+    @example(widths=[301, 200, 9], n_train=70, batch_size=64, n_val=600, dropout=0.2,
+             block_bytes=1, seed=2)
+    def test_train_is_the_whole_gradient_loop_byte_for_byte(
+            self, widths, n_train, batch_size, n_val, dropout, block_bytes, seed):
+        rng = np.random.default_rng(seed)
+        x = np.abs(rng.normal(size=(n_train + n_val, widths[0])))
+        t = np.abs(rng.normal(size=(n_train + n_val, widths[-1])))
+        cfg = nn.TrainConfig(hidden_sizes=tuple(widths[1:-1]), dropout_rate=dropout, seed=seed,
+                             batch_size=batch_size, max_epochs=4, patience=2)
+        sets = (x[:n_train], t[:n_train], x[n_train:], t[n_train:])
+        dense = train_dense(*sets, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "GRAD_BLOCK_BYTES", block_bytes)
+            mp.setattr(nn, "ENCODE_CHUNK", 8)
+            for workers in (1, 2):
+                mp.setenv("TEXTOVISION_THREADS", str(workers))
+                result = nn.train(*sets, cfg)
+                assert [(s.epoch, s.train_loss, s.val_loss) for s in result.history] == [
+                    (s.epoch, s.train_loss, s.val_loss) for s in dense.history]
+                assert (result.best_epoch, result.best_val_loss) == (dense.best_epoch,
+                                                                     dense.best_val_loss)
+                assert param_bytes(result.params) == param_bytes(dense.params)
+
+    def test_a_step_holds_one_block_of_the_first_layer_gradient(self, monkeypatch):
+        # a 4000-1000-512 net, whose first-layer gradient alone is 32 MB; each
+        # worker thread holds two slice-sized scratch buffers
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        rng = np.random.default_rng(0)
+        params = nn.init_network([4000, 1000, 512], 0)
+        state = nn.zero_state(params)
+        x = np.zeros((64, 4000))
+        x[np.arange(64)[:, None], rng.integers(4000, size=(64, 12))] = 1.0
+        t = np.abs(rng.normal(size=(64, 512)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nn._step(params, state, x, t, nn.TrainConfig(), np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 12e6, f"step peak {(peak - start) / 1e6:.1f} MB"
+
+    def test_improving_epochs_keep_one_snapshot(self, monkeypatch):
+        # three improving epochs of a 36 MB 4000-1000-512 net: the parameters,
+        # the RMSprop state and one best-epoch snapshot, not a fresh copy each
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        rng = np.random.default_rng(1)
+        x = np.abs(rng.normal(size=(8, 4000)))
+        t = np.abs(rng.normal(size=(8, 512)))
+        losses = iter([3.0, 2.0, 1.0])
+        real = nn.mse_loss
+        monkeypatch.setattr(nn, "mse_loss", lambda p, target: next(losses) if len(p) == 2
+                            else real(p, target))
+        cfg = nn.TrainConfig(batch_size=6, max_epochs=3)
+        size = sum(w.nbytes + b.nbytes for w, b in nn.init_network([4000, 1000, 512], 0))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = nn.train(x[:6], t[:6], x[6:], t[6:], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.best_epoch == 3
+        assert peak - start < 3 * size + 12e6, f"train peak {(peak - start) / 1e6:.1f} MB"
+
+    def test_workers_come_from_one_pool_per_thread_count(self, monkeypatch):
+        monkeypatch.setenv("TEXTOVISION_THREADS", "3")
+        nn._on_workers(lambda run: None, [1, 2, 3])
+        made = nn._worker_pool.cache_info().misses
+        pool = nn._worker_pool(3)
+        nn._on_workers(lambda run: None, [1, 2])
+        assert nn._worker_pool.cache_info().misses == made
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        nn._on_workers(lambda run: None, [1, 2])
+        assert nn._worker_pool.cache_info().misses == made + 1
+        assert nn._worker_pool(2) is not pool
+
+    def test_a_failing_caller_run_waits_for_the_workers(self, monkeypatch):
+        done = []
+
+        def run(items):
+            if items == [0]:
+                raise MemoryError("caller failed")
+            time.sleep(0.05)
+            done.append(items)
+
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        with pytest.raises(MemoryError, match="caller failed"):
+            nn._on_workers(run, [0, 1])
+        assert done == [[1]]
+
+
 class TestEncode:
     def test_identity_passthrough(self):
         out = nn.encode(identity_params(2), np.array([[1.0, 2.0], [3.0, 0.5]]))
@@ -641,7 +757,7 @@ class TestEncodeBlocks:
         (20, 200_000, 8),  # wider than a block: 8 rows, never 1
     ])
     def test_blocks_are_multiples_of_8_rows_with_the_remainder_last(self, rows, width, step):
-        blocks = nn._blocks(np.empty((rows, width)))
+        blocks = nn._blocks(np.empty((rows, width)), nn.ENCODE_BLOCK_BYTES)
         assert blocks[0][0] == 0 and blocks[-1][1] == rows
         assert all(z == a for (_, z), (a, _) in zip(blocks, blocks[1:]))
         assert all(z - a == step for a, z in blocks[:-1])
@@ -696,7 +812,7 @@ class TestEncodeBlocks:
         params = random_net([64, 512, 512], rng)
         x = rng.normal(size=(nn.ENCODE_CHUNK + 3, 64))
         monkeypatch.setattr(nn, "ENCODE_BLOCK_BYTES", 8 * 64 * 8)
-        assert len(nn._blocks(params[1][0])) == 64
+        assert len(nn._blocks(params[1][0], nn.ENCODE_BLOCK_BYTES)) == 64
         monkeypatch.setenv("TEXTOVISION_THREADS", "1")
         serial = nn.encode(params, x).tobytes()
         monkeypatch.setenv("TEXTOVISION_THREADS", "7")
@@ -715,7 +831,7 @@ class TestEncodeBlocks:
 
     def test_a_failing_worker_reaches_the_caller(self, monkeypatch):
         params = [(np.zeros((16, nn.ENCODE_BLOCK_BYTES // 8 // 8)), np.zeros(16))]
-        assert len(nn._blocks(params[0][0])) == 2
+        assert len(nn._blocks(params[0][0], nn.ENCODE_BLOCK_BYTES)) == 2
         real = nn._encode_blocks
 
         def failing(blocks, *args):

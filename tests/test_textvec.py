@@ -357,15 +357,18 @@ class TestRows:
         assert rows.values.size == np.count_nonzero(expected)
         assert rows.take(np.arange(len(sentences))).tobytes() == expected.tobytes()
 
+    # normal values round, so a sum in another order shows; a share of
+    # them, or all, are -0.0
     @settings(max_examples=60, deadline=None)
     @given(known=st.lists(short_words, min_size=1, max_size=6, unique=True),
-           values=st.lists(st.sampled_from([-0.0, 0.0, 1.5, -2.25, 1e-300, 3.0]),
-                           min_size=6 * 3, max_size=6 * 3),
+           seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.25, 1.0]),
            word_lists=sentence_words)
-    @example(known=["ab"], values=[-0.0] * 18, word_lists=[["ab", "cd"]])  # one sentence
-    def test_embedding_rows_are_the_vectorize_rows(self, known, values, word_lists):
+    @example(known=["ab"], seed=0, zeros=1.0, word_lists=[["ab", "cd"]])  # one sentence
+    def test_embedding_rows_are_the_vectorize_rows(self, known, seed, zeros, word_lists):
         known = sorted(known)
-        matrix = np.array(values[: 3 * len(known)]).reshape(len(known), 3)
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(len(known), 3))
+        matrix[rng.random(matrix.shape) < zeros] = -0.0
         table = WordEmbeddingTable(Features(known, matrix))
         sentences = sentences_with_one_known_word(known, word_lists)
         rows = table.rows(sentences)
