@@ -20,9 +20,9 @@ so a sparse corpus of any size never exists as one dense matrix.
 predicted features, a chunk of rows at a time through cache-sized
 weight blocks on ``thread_count()`` threads; it only reads its params
 (a loaded model's arrays are read-only). ``rmsprop_step`` mutates the
-``params`` and ``state`` it is given, a block of weight rows at a time,
-and only reads ``grads``; ``train`` copies the best epoch's parameters
-into one snapshot, so later in-place steps never change what it returns.
+``params`` and ``state`` it is given and only reads ``grads``;
+``train`` copies the best epoch's parameters into one snapshot, so later
+in-place steps never change what it returns.
 """
 
 from __future__ import annotations
@@ -52,11 +52,8 @@ RMSPROP_SLICE = 32768
 #: cache while every row of a chunk passes through it
 ENCODE_BLOCK_BYTES = 1 << 20
 
-#: rows ``encode``, or ``train`` scoring its validation set, gathers at a time
+#: input rows ``encode`` gathers into one matrix before it runs the layers
 ENCODE_CHUNK = 256
-
-#: bytes per block of rows in which ``rmsprop_step`` makes a weight gradient
-GRAD_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +251,9 @@ def backward(
     params: NetworkParams, cache: ForwardCache, targets: np.ndarray
 ) -> list[tuple[tuple[np.ndarray, np.ndarray], np.ndarray]]:
     """Exact gradient of the batch MSE loss for a matching forward pass, per
-    layer ((delta, below), bias gradient); ``rmsprop_step`` forms ``delta.T @ below``.
+    layer ((delta, below), bias gradient): the weight gradient is
+    ``delta.T @ below``, left to the caller so that only one layer's need
+    exist at a time. Every delta is made before any weight is updated.
 
     The ReLU subgradient at exactly zero is taken as zero.
     """
@@ -281,63 +280,42 @@ def backward(
 
 def rmsprop_step(
     params: NetworkParams,
-    grads: Sequence[tuple],
+    grads: Sequence[tuple[np.ndarray, np.ndarray]],
     state: OptimizerState,
     config: TrainConfig,
 ) -> tuple[NetworkParams, OptimizerState]:
     """One update: E' = g*E + (1-g)*grad^2, p' = p - lr*grad/sqrt(E'+eps).
 
     ``params`` and ``state`` are updated in place and returned; ``grads``
-    is only read. A weight gradient is an array or ``backward``'s factors
-    ``(delta, below)``, whose row blocks (a, z) of about ``GRAD_BLOCK_BYTES``
-    (``_blocks``), ``delta[:, a:z].T @ below``, are made in turn on the
-    calling thread at the BLAS cap into one buffer, each just before its
-    update. BLAS gives them the bits of the whole product, which never
-    exists, only where the input width is a multiple of 8: a weight of
-    another width is one block. The ``RMSPROP_SLICE``-element slices of
-    a block (the bias's after the last) are cut into one contiguous run
+    is only read. Each flattened array is walked in slices of
+    ``RMSPROP_SLICE`` elements, so no full-size temporary is allocated.
+    The slices of all arrays, in order, are cut into one contiguous run
     per worker thread, ``thread_count()`` workers (the
     ``TEXTOVISION_THREADS`` cap) but never more than there are slices;
     numpy's element-wise loops release the GIL, so the runs proceed in
     parallel, each through two slice-sized scratch buffers of its own.
-    They need cores that idle BLAS threads do not spin on (the CLI's short
-    ``OPENBLAS_THREAD_TIMEOUT``). Every element sees the same IEEE
-    operations in the same order as the textbook formula, so the result
-    is bit-identical to it for any worker count.
+    They need cores that idle BLAS threads do not spin on, which the
+    CLI's short ``OPENBLAS_THREAD_TIMEOUT`` provides. Every element sees
+    the same IEEE operations in the same order as the textbook formula,
+    so the result is bit-identical to it for any worker count.
     """
+    slices = []
     for layer, ((w, b), (gw, gb), (ew, eb)) in enumerate(zip(params, grads, state), start=1):
-        gw_shape = (gw[0].shape[1], gw[1].shape[1]) if isinstance(gw, tuple) else np.shape(gw)
-        for p, g_shape, e in ((w, gw_shape, ew), (b, np.shape(gb), eb)):
-            _check_in_place(p, layer, "parameter")
-            _check_in_place(e, layer, "optimizer state")
-            if p.shape != e.shape or p.shape != g_shape:
+        for p, g, e in ((w, gw, ew), (b, gb, eb)):
+            p_flat = _in_place_view(p, layer, "parameter")
+            e_flat = _in_place_view(e, layer, "optimizer state")
+            g_flat = np.asarray(g, dtype=np.float64).reshape(-1)
+            if p.shape != e.shape or p.shape != np.shape(g):
                 raise ValueError(
-                    f"layer {layer}: parameter {p.shape}, gradient {g_shape} "
+                    f"layer {layer}: parameter {p.shape}, gradient {np.shape(g)} "
                     f"and state {e.shape} shapes differ"
                 )
+            for start in range(0, p_flat.size, RMSPROP_SLICE):
+                end = start + RMSPROP_SLICE
+                slices.append((p_flat[start:end], g_flat[start:end], e_flat[start:end]))
 
-    buffer = np.empty(0)
-    for (w, b), (gw, gb), (ew, eb) in zip(params, grads, state):
-        blocks = _blocks(w, w.nbytes if w.shape[1] % 8 else GRAD_BLOCK_BYTES)
-        if isinstance(gw, tuple) and buffer.size < w[blocks[-1][0] :].size:  # the largest block
-            buffer = np.empty(w[blocks[-1][0] :].size)
-        for a, z in blocks:
-            if isinstance(gw, tuple):
-                g = buffer[: (z - a) * w.shape[1]].reshape(z - a, -1)
-                np.matmul(gw[0][:, a:z].T, gw[1], out=g)
-            else:
-                g = np.asarray(gw)[a:z]
-            bias = _slices(b, gb, eb) if z == len(w) else []
-            _on_workers(_rmsprop_run, _slices(w[a:z], g, ew[a:z]) + bias,
-                        config.learning_rate, config.gamma, config.epsilon)
+    _on_workers(_rmsprop_run, slices, config.learning_rate, config.gamma, config.epsilon)
     return params, state
-
-
-def _slices(p: np.ndarray, g, e: np.ndarray) -> list:
-    """Matching slices of ``RMSPROP_SLICE`` elements of the flattened arrays."""
-    p, g, e = (np.asarray(a, dtype=np.float64).reshape(-1) for a in (p, g, e))
-    return [(p[k : k + RMSPROP_SLICE], g[k : k + RMSPROP_SLICE], e[k : k + RMSPROP_SLICE])
-            for k in range(0, p.size, RMSPROP_SLICE)]
 
 
 def _rmsprop_run(run, lr: float, gamma: float, eps: float) -> None:
@@ -392,6 +370,11 @@ def _worker_pool(threads: int):
     return ThreadPoolExecutor(threads - 1)
 
 
+# a forked child has none of the pool's threads, so it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_worker_pool.cache_clear)
+
+
 def thread_count() -> int:
     """The ``TEXTOVISION_THREADS`` cap, read at each call, or when it is
     unset the number of CPUs this process may run on."""
@@ -400,13 +383,14 @@ def thread_count() -> int:
     return thread_cap() or os.cpu_count() or 1
 
 
-def _check_in_place(a: np.ndarray, layer: int, what: str) -> None:
-    """Reject an array ``rmsprop_step`` could not overwrite in place."""
+def _in_place_view(a: np.ndarray, layer: int, what: str) -> np.ndarray:
+    """Flat view of an array ``rmsprop_step`` may overwrite."""
     if a.dtype != np.float64 or not a.flags.c_contiguous or not a.flags.writeable:
         raise ValueError(
             f"layer {layer}: rmsprop_step updates the {what} in place and needs "
             "a writable C-contiguous float64 array"
         )
+    return a.reshape(-1)
 
 
 def train(
@@ -431,11 +415,12 @@ def train(
     non-finite training or validation loss raises ``ValueError`` naming
     the epoch.
 
-    Only the current mini-batch, or ``ENCODE_CHUNK`` validation rows at a
-    time (all of them if a layer's width is not a multiple of 8), is
-    gathered, with the float64 operands a dense matrix's rows would give,
-    so the result does not depend on the input form. Each improving epoch
-    but the last is copied into one best-epoch snapshot.
+    Only the current mini-batch, or the validation set while it is
+    scored, is gathered; each gets the same float64 operands a dense
+    matrix's rows would, so the result does not depend on the form of
+    the inputs. A dense matrix is taken as ``SelectedRows`` of all its
+    rows. Each improving epoch but the last is copied into one best-epoch
+    snapshot; an improving last epoch returns the live parameters.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         x_shape, t_shape = np.shape(x), np.shape(t)
@@ -455,7 +440,7 @@ def train(
     best_params, best_epoch, best_loss = None, 0, math.inf
     history: list[EpochStats] = []
     n = x_train.shape[0]
-    val_chunk = ENCODE_CHUNK if all(len(w) % 8 == 0 for w, _ in params) else x_val.shape[0]
+    val_rows = np.arange(x_val.shape[0])
 
     # a diverging run overflows long before the epoch ends; the finite-loss
     # check below reports it, so numpy's own warnings would only be noise
@@ -469,10 +454,8 @@ def train(
                                   cfg, rng) * batch.size
 
             train_loss = loss_sum / n
-            prediction = np.empty((x_val.shape[0], t_dim))
-            for a, z in _bounds(len(prediction), val_chunk):
-                prediction[a:z] = forward(params, x_val.take(np.arange(a, z))).output
-            val_loss = mse_loss(prediction, t_val.take(np.arange(len(prediction))))
+            val_loss = mse_loss(forward(params, x_val.take(val_rows)).output,
+                                t_val.take(val_rows))
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise ValueError(
                     f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
@@ -496,13 +479,20 @@ def train(
 
 def _step(params, state, inputs, targets, cfg, rng) -> float:
     """One RMSprop step on a dense mini-batch; its loss before the step.
-    Its activations die before the update, its deltas and gradient block
-    on return, so no step allocates while the previous step's are alive."""
+    Each layer's weight gradient is made into one buffer, the size of the
+    largest weight, and applied before the next layer's is made. Only the
+    deltas and the activations they multiply outlive ``backward``; they
+    and the buffer die on return, so no step allocates while the previous
+    step's are alive."""
     cache = forward(params, inputs, dropout_rate=cfg.dropout_rate, rng=rng)
     loss = mse_loss(cache.output, targets)
     grads = backward(params, cache, targets)
     del cache  # the update needs only the gradients' factors
-    rmsprop_step(params, grads, state, cfg)
+    buffer = np.empty(max(w.size for w, _ in params))
+    for i, ((delta, below), gb) in enumerate(grads):
+        gw = buffer[: params[i][0].size].reshape(params[i][0].shape)
+        np.matmul(delta.T, below, out=gw)
+        rmsprop_step(params[i : i + 1], [(gw, gb)], state[i : i + 1], cfg)
     return loss
 
 
@@ -531,22 +521,18 @@ def encode(params: NetworkParams, x: SparseRows | SelectedRows | np.ndarray) -> 
 def _encode_chunk(params: NetworkParams, h: np.ndarray) -> np.ndarray:
     for w, b in params:
         out = np.empty((len(h), len(w)))
-        _on_workers(_encode_blocks, _blocks(w, ENCODE_BLOCK_BYTES), h, w, b, out)
+        _on_workers(_encode_blocks, _blocks(w), h, w, b, out)
         h = out
     return h
 
 
-def _blocks(w: np.ndarray, block_bytes: int) -> list[tuple[int, int]]:
+def _blocks(w: np.ndarray) -> list[tuple[int, int]]:
     """(start, stop) row ranges that cover ``w`` in blocks of about
-    ``block_bytes``, each a multiple of 8 rows but the last, which also
-    takes the remainder. BLAS then gives every row the bits it gives it
-    in the whole matrix; a 1-row block would take numpy's dot path."""
-    return _bounds(len(w), max(8, block_bytes // w[0].nbytes // 8 * 8))
-
-
-def _bounds(n: int, step: int) -> list[tuple[int, int]]:
-    """(start, stop) runs of ``step`` over ``range(n)``, the last taking the rest."""
-    bounds = [k * step for k in range(max(1, n // step))] + [n]
+    ``ENCODE_BLOCK_BYTES``, each a multiple of 8 rows but the last, which
+    also takes the remainder. BLAS then gives every row the bits it gives
+    it in the whole matrix; a 1-row block would take numpy's dot path."""
+    step = max(8, ENCODE_BLOCK_BYTES // w[0].nbytes // 8 * 8)
+    bounds = [k * step for k in range(max(1, len(w) // step))] + [len(w)]
     return list(zip(bounds, bounds[1:]))
 
 

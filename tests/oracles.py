@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the library:
 finite-difference gradients, whole weight gradients, the allocating
 RMSprop formula, the dense training loop that compressed input rows and
-blocked weight gradients replaced, the per-row encode
+per-layer weight gradients replaced, the per-row encode
 that blocked encoding replaced, the one-sentence rows that the
 vectorizers' ``rows`` replaced, loop-based metric
 recomputation, and the per-row feature file reader/writer and

@@ -772,7 +772,7 @@ class TestModelFileFuzz:
         from textovision import neuralnet
 
         rows = 2 * (neuralnet.ENCODE_BLOCK_BYTES // (3 * 8) // 8 * 8)
-        assert len(neuralnet._blocks(np.empty((rows, 3)), neuralnet.ENCODE_BLOCK_BYTES)) == 2
+        assert len(neuralnet._blocks(np.empty((rows, 3)))) == 2
         model = HandModel()
         model.field("<4sBB", b"W2VV", 1, 0)
         model.field("<Q", 3)

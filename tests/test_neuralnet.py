@@ -3,6 +3,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -587,9 +588,7 @@ class TestTrain:
             assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
-class TestGradientBlocks:
-    # 1-byte blocks cut every weight into 8-row blocks, the remainder joining
-    # the last; 8-row chunks score a longer validation set in several passes
+class TestLeanTrain:
     @settings(max_examples=40, deadline=None)
     @given(
         widths=st.lists(st.one_of(st.integers(1, 5).map(lambda k: 8 * k), st.integers(1, 40)),
@@ -598,20 +597,17 @@ class TestGradientBlocks:
         batch_size=st.integers(1, 8),
         n_val=st.integers(1, 30),
         dropout=st.sampled_from([0.0, 0.3]),
-        block_bytes=st.sampled_from([1, 1024, nn.GRAD_BLOCK_BYTES]),
         seed=st.integers(0, 2**16),
     )
     @example(widths=[30, 40, 17], n_train=9, batch_size=4, n_val=25, dropout=0.3,
-             block_bytes=1, seed=0)  # a 1-row last batch, 5-block weights
-    @example(widths=[16, 24, 8], n_train=12, batch_size=6, n_val=17, dropout=0.0,
-             block_bytes=1, seed=1)
-    # widths that are not multiples of 8 in products large enough for BLAS's
-    # blocked kernels, where row blocks would change the last columns' bits:
-    # a 301-wide input and a 9-wide output over 600 validation rows
+             seed=0)  # a 1-row last batch
+    @example(widths=[16, 24, 8], n_train=12, batch_size=6, n_val=17, dropout=0.0, seed=1)
+    # products large enough for BLAS's blocked kernels, at widths that are
+    # not multiples of 8: a 301-wide input and a 9-wide output
     @example(widths=[301, 200, 9], n_train=70, batch_size=64, n_val=600, dropout=0.2,
-             block_bytes=1, seed=2)
+             seed=2)
     def test_train_is_the_whole_gradient_loop_byte_for_byte(
-            self, widths, n_train, batch_size, n_val, dropout, block_bytes, seed):
+            self, widths, n_train, batch_size, n_val, dropout, seed):
         rng = np.random.default_rng(seed)
         x = np.abs(rng.normal(size=(n_train + n_val, widths[0])))
         t = np.abs(rng.normal(size=(n_train + n_val, widths[-1])))
@@ -620,8 +616,6 @@ class TestGradientBlocks:
         sets = (x[:n_train], t[:n_train], x[n_train:], t[n_train:])
         dense = train_dense(*sets, cfg)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(nn, "GRAD_BLOCK_BYTES", block_bytes)
-            mp.setattr(nn, "ENCODE_CHUNK", 8)
             for workers in (1, 2):
                 mp.setenv("TEXTOVISION_THREADS", str(workers))
                 result = nn.train(*sets, cfg)
@@ -631,38 +625,47 @@ class TestGradientBlocks:
                                                                      dense.best_val_loss)
                 assert param_bytes(result.params) == param_bytes(dense.params)
 
-    def test_a_step_holds_one_block_of_the_first_layer_gradient(self, monkeypatch):
-        # a 4000-1000-512 net, whose first-layer gradient alone is 32 MB; each
-        # worker thread holds two slice-sized scratch buffers
+    # a 4000-1000-512 net, whose first-layer gradient alone is 32 MB, and a
+    # deeper net of three 8 MB weights
+    @pytest.mark.parametrize("sizes", [[4000, 1000, 512], [1000, 1000, 1000, 1000, 512]])
+    def test_a_step_holds_one_weight_gradient(self, sizes, monkeypatch):
+        # the rest is the batch's activations and deltas and each worker
+        # thread's two slice-sized scratch buffers
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
         rng = np.random.default_rng(0)
-        params = nn.init_network([4000, 1000, 512], 0)
+        params = nn.init_network(sizes, 0)
         state = nn.zero_state(params)
-        x = np.zeros((64, 4000))
-        x[np.arange(64)[:, None], rng.integers(4000, size=(64, 12))] = 1.0
-        t = np.abs(rng.normal(size=(64, 512)))
+        x = np.zeros((64, sizes[0]))
+        x[np.arange(64)[:, None], rng.integers(sizes[0], size=(64, 12))] = 1.0
+        t = np.abs(rng.normal(size=(64, sizes[-1])))
+        cfg = nn.TrainConfig(hidden_sizes=tuple(sizes[1:-1]))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            nn._step(params, state, x, t, nn.TrainConfig(), np.random.default_rng(1))
+            nn._step(params, state, x, t, cfg, np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start < 12e6, f"step peak {(peak - start) / 1e6:.1f} MB"
+        largest = max(w.nbytes for w, _ in params)
+        assert peak - start < largest + 6e6, f"step peak {(peak - start) / 1e6:.1f} MB"
 
-    def test_improving_epochs_keep_one_snapshot(self, monkeypatch):
-        # three improving epochs of a 36 MB 4000-1000-512 net: the parameters,
-        # the RMSprop state and one best-epoch snapshot, not a fresh copy each
+    @pytest.mark.parametrize("sizes", [[4000, 1000, 512], [1000, 1000, 1000, 1000, 512]])
+    def test_improving_epochs_keep_one_snapshot(self, sizes, monkeypatch):
+        # three improving epochs: the parameters, the RMSprop state, one
+        # best-epoch snapshot and one weight gradient, not a fresh copy each
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
         rng = np.random.default_rng(1)
-        x = np.abs(rng.normal(size=(8, 4000)))
-        t = np.abs(rng.normal(size=(8, 512)))
+        x = np.abs(rng.normal(size=(8, sizes[0])))
+        t = np.abs(rng.normal(size=(8, sizes[-1])))
         losses = iter([3.0, 2.0, 1.0])
         real = nn.mse_loss
         monkeypatch.setattr(nn, "mse_loss", lambda p, target: next(losses) if len(p) == 2
                             else real(p, target))
-        cfg = nn.TrainConfig(batch_size=6, max_epochs=3)
-        size = sum(w.nbytes + b.nbytes for w, b in nn.init_network([4000, 1000, 512], 0))
+        cfg = nn.TrainConfig(hidden_sizes=tuple(sizes[1:-1]), batch_size=6, max_epochs=3)
+        net = nn.init_network(sizes, 0)
+        size = sum(w.nbytes + b.nbytes for w, b in net)
+        largest = max(w.nbytes for w, _ in net)
+        del net
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -671,7 +674,7 @@ class TestGradientBlocks:
         finally:
             tracemalloc.stop()
         assert result.best_epoch == 3
-        assert peak - start < 3 * size + 12e6, f"train peak {(peak - start) / 1e6:.1f} MB"
+        assert peak - start < 3 * size + largest + 4e6, f"train peak {(peak - start) / 1e6:.1f} MB"
 
     def test_workers_come_from_one_pool_per_thread_count(self, monkeypatch):
         monkeypatch.setenv("TEXTOVISION_THREADS", "3")
@@ -684,6 +687,37 @@ class TestGradientBlocks:
         nn._on_workers(lambda run: None, [1, 2])
         assert nn._worker_pool.cache_info().misses == made + 1
         assert nn._worker_pool(2) is not pool
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_workers_of_its_own(self, monkeypatch):
+        # the parent's pool threads do not exist in the child; reusing the
+        # pool there would queue the runs and wait for them forever
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        done = []
+        nn._on_workers(done.extend, [1, 2])
+        assert sorted(done) == [1, 2]
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about forking a process that has threads,
+            # which is the case this test exists for
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: exit 0 once its runs have finished
+            try:
+                child_done = []
+                nn._on_workers(child_done.extend, [1, 2])
+                os._exit(0 if sorted(child_done) == [1, 2] else 1)
+            finally:
+                os._exit(1)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            finished, status = os.waitpid(pid, os.WNOHANG)
+            if finished:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.02)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's _on_workers did not return within 30 s")
 
     def test_a_failing_caller_run_waits_for_the_workers(self, monkeypatch):
         done = []
@@ -757,7 +791,7 @@ class TestEncodeBlocks:
         (20, 200_000, 8),  # wider than a block: 8 rows, never 1
     ])
     def test_blocks_are_multiples_of_8_rows_with_the_remainder_last(self, rows, width, step):
-        blocks = nn._blocks(np.empty((rows, width)), nn.ENCODE_BLOCK_BYTES)
+        blocks = nn._blocks(np.empty((rows, width)))
         assert blocks[0][0] == 0 and blocks[-1][1] == rows
         assert all(z == a for (_, z), (a, _) in zip(blocks, blocks[1:]))
         assert all(z - a == step for a, z in blocks[:-1])
@@ -812,7 +846,7 @@ class TestEncodeBlocks:
         params = random_net([64, 512, 512], rng)
         x = rng.normal(size=(nn.ENCODE_CHUNK + 3, 64))
         monkeypatch.setattr(nn, "ENCODE_BLOCK_BYTES", 8 * 64 * 8)
-        assert len(nn._blocks(params[1][0], nn.ENCODE_BLOCK_BYTES)) == 64
+        assert len(nn._blocks(params[1][0])) == 64
         monkeypatch.setenv("TEXTOVISION_THREADS", "1")
         serial = nn.encode(params, x).tobytes()
         monkeypatch.setenv("TEXTOVISION_THREADS", "7")
@@ -831,7 +865,7 @@ class TestEncodeBlocks:
 
     def test_a_failing_worker_reaches_the_caller(self, monkeypatch):
         params = [(np.zeros((16, nn.ENCODE_BLOCK_BYTES // 8 // 8)), np.zeros(16))]
-        assert len(nn._blocks(params[0][0], nn.ENCODE_BLOCK_BYTES)) == 2
+        assert len(nn._blocks(params[0][0])) == 2
         real = nn._encode_blocks
 
         def failing(blocks, *args):
