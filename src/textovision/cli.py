@@ -156,13 +156,17 @@ def _parse_hidden_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _no_term(vectorizer, sentence) -> str:
+    return f"sentence {sentence.id!r} has no {vectorizer.term_noun}"
+
+
 def _training_rows(vectorizer, sentences, features, pair_map):
     """Inputs and targets with one row per sentence: its vector, in the form
     ``vectorizer.rows`` gives, and the feature row of its item, by index.
 
     The item is looked up in ``pair_map`` (from an explicit pairs file)
     if given, otherwise derived from the '<item_id>#<n>' sentence id
-    convention.
+    convention. Then the first sentence without a known term is an error.
     """
     import numpy as np
 
@@ -180,7 +184,9 @@ def _training_rows(vectorizer, sentences, features, pair_map):
         if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
         targets.append(row_of[item])
-    inputs = vectorizer.rows(sentences)
+    inputs, known = vectorizer.rows(sentences)
+    if not known.all():
+        raise ValueError(_no_term(vectorizer, sentences[int(known.argmin())]))
     return inputs, neuralnet.SelectedRows(features.matrix, np.array(targets, dtype=np.intp))
 
 
@@ -242,23 +248,23 @@ def cmd_encode(args) -> int:
 
     model = modelio.load_model(args.model)
     sentences = formats.read_sentences(args.sentences)
-    kept = []
-    for sentence in sentences:
-        try:
-            model.vectorizer.lookup(sentence)
-            kept.append(sentence)
-        except ValueError as exc:
-            print(f"textovision: skipping {sentence.id!r}: {exc}", file=sys.stderr)
-    if not kept:
+    rows, known = model.vectorizer.rows(sentences)
+    for sentence, found in zip(sentences, known):
+        if not found:
+            print(f"textovision: skipping {sentence.id!r}: {_no_term(model.vectorizer, sentence)}",
+                  file=sys.stderr)
+    ids = [s.id for s, found in zip(sentences, known) if found]
+    if not ids:
         raise ValueError("no sentence could be encoded")
 
+    # each row has its own product, so dropping rows after encoding keeps the bytes
     with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
-        encoded = neuralnet.encode(model.params, model.vectorizer.rows(kept))
+        encoded = neuralnet.encode(model.params, rows)[known]
     if not np.isfinite(encoded).all():
         raise ValueError(f"{args.model}: the model predicts non-finite features")
-    formats.write_features(args.out, retrieval.Features([s.id for s in kept], encoded))
-    zero, skipped = len(kept) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(kept)
-    print(f"encoded {len(kept)} sentences, skipped {skipped}, {zero} all-zero predictions",
+    formats.write_features(args.out, retrieval.Features(ids, encoded))
+    zero, skipped = len(ids) - np.count_nonzero(encoded.any(axis=1)), len(sentences) - len(ids)
+    print(f"encoded {len(ids)} sentences, skipped {skipped}, {zero} all-zero predictions",
           file=sys.stderr)
     return 0
 

@@ -4,14 +4,14 @@ word-embedding mean pooling.
 A vectorizer is a ``TermIndex`` (``bow`` or ``hashing``, built by
 ``build_vocab``) or a ``WordEmbeddingTable`` (``word2vec``: the
 ``Features`` table ``formats.read_features`` reads from an embedding
-file, as one matrix, and each word's row). Each knows its ``kind`` and
-``dim``; its ``lookup`` gives the known terms of a ``Sentence``, in text
-order, raising ``ValueError`` naming the sentence when there is none,
-and ``rows`` gives many sentences' float64 rows in the form both
-``neuralnet.train`` and ``neuralnet.encode`` take. Vectorizers are
-immutable after construction and safe for concurrent read-only use.
-Term lists are kept sorted by byte order so that serialized
-vocabularies are identical across platforms.
+file, as one matrix, and each word's row). Each knows its ``kind``,
+``dim`` and ``term_noun`` (a known term, as messages name it). Its
+``rows``, the one finder of a ``Sentence``'s terms, gives sentences'
+float64 rows in the form ``neuralnet.train`` and ``encode`` take, all
+zeros for a sentence with no known term, and which sentences have one.
+Vectorizers are immutable after construction and safe for concurrent
+read-only use. Term lists are kept sorted by byte order so that
+serialized vocabularies are identical across platforms.
 """
 
 from __future__ import annotations
@@ -98,6 +98,7 @@ class TermIndex:
             if a >= b:
                 raise ValueError(f"{self.noun} entries must be strictly ascending: {a!r} before {b!r}")
         self.kind = kind
+        self.term_noun = f"term in the {self.noun}"
         self.terms: list[str] = terms
         self.index: dict[str, int] = {t: i for i, t in enumerate(terms)}
 
@@ -108,15 +109,9 @@ class TermIndex:
     def __eq__(self, other) -> bool:
         return isinstance(other, TermIndex) and (self.kind, self.terms) == (other.kind, other.terms)
 
-    def lookup(self, sentence: Sentence) -> list[int]:
-        """The index of each known term of the sentence, in text order, repeats kept."""
-        found = [self.index[t] for t in self._terms(sentence.text) if t in self.index]
-        if not found:
-            raise ValueError(f"sentence {sentence.id!r} has no term in the {self.noun}")
-        return found
-
-    def rows(self, sentences: Sequence[Sentence]) -> SparseRows:
-        """All sentences' term counts, compressed: one entry per distinct known term."""
+    def rows(self, sentences: Sequence[Sentence]) -> tuple[SparseRows, np.ndarray]:
+        """All sentences' term counts, compressed: one entry per distinct
+        known term; and a bool per sentence, whether it has one."""
         import numpy as np
 
         from .neuralnet import SparseRows
@@ -126,7 +121,7 @@ class TermIndex:
         def term_indices():
             # streamed, so no sentence's terms outlive their copy into the array
             for row, sentence in enumerate(sentences):
-                found = self.lookup(sentence)
+                found = [self.index[t] for t in self._terms(sentence.text) if t in self.index]
                 lengths[row] = len(found)
                 yield from found
 
@@ -136,39 +131,35 @@ class TermIndex:
                                  return_counts=True)
         indptr = np.searchsorted(keys, np.arange(len(sentences) + 1) * self.dim)
         return SparseRows(self.dim, indptr, (keys % self.dim).astype(np.int32),
-                          counts.astype(np.float64))
+                          counts.astype(np.float64)), lengths > 0
 
 
 class WordEmbeddingTable:
     """Word to dense-vector map: the given ``table``, uncopied, and ``index``, each word's row."""
 
     kind = "word2vec"
+    term_noun = "token in the embedding table"
 
     def __init__(self, table: Features):
         self.table = table
         self.dim = table.dim
         self.index: dict[str, int] = {word: row for row, word in enumerate(table.ids)}
 
-    def lookup(self, sentence: Sentence) -> list[int]:
-        """The table row of each in-table token of the sentence, in text order, repeats kept."""
-        found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
-        if not found:
-            raise ValueError(f"sentence {sentence.id!r} has no token in the embedding table")
-        return found
-
-    def rows(self, sentences: Sequence[Sentence]) -> np.ndarray:
-        """Each sentence's mean of its ``lookup`` rows, as one dense matrix
-        (means have few zeros): a sentence with one known word maps exactly
-        to that word's embedding."""
+    def rows(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray]:
+        """Each sentence's mean of its in-table tokens' rows, as one dense
+        matrix (means have few zeros), and a bool per sentence, whether it
+        has one: a sentence with one known word maps to its embedding."""
         import numpy as np
 
         matrix = np.zeros((len(sentences), self.dim))
-        for row, sentence in zip(matrix, sentences):
-            found = self.lookup(sentence)
+        known = np.zeros(len(sentences), bool)
+        for i, (row, sentence) in enumerate(zip(matrix, sentences)):
+            found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
             for word in found:  # summed in text order, which fixes the bits
                 row += self.table.matrix[word]
-            row /= len(found)
-        return matrix
+            row /= max(len(found), 1)  # a row with no known word stays zero
+            known[i] = bool(found)
+        return matrix, known
 
 
 def build_vocab(kind: str, sentences: Sequence[Sentence]) -> TermIndex:

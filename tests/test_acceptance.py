@@ -75,9 +75,16 @@ def test_criterion_2_rmsprop_unit_fixture():
         assert abs(new_state[0][0][0, 0] - 0.1) <= 1e-12
 
 
+def _rows(vocab, sentences):
+    """``vocab.rows`` of ``sentences``, each of which has a known word."""
+    rows, known = vocab.rows(sentences)
+    assert known.all()
+    return rows
+
+
 def _matrices(vocab, corpus, sentences):
     """Bag-of-words rows and item targets of ``sentences``."""
-    x = vocab.rows(sentences).take(np.arange(len(sentences)))
+    x = _rows(vocab, sentences).take(np.arange(len(sentences)))
     t = np.stack([corpus.targets[item_id_of(s.id)] for s in sentences])
     return x, t
 
@@ -137,7 +144,7 @@ def test_criterion_3_synthetic_end_to_end_retrieval():
         initial_val_loss = nn.mse_loss(nn.forward(initial_params, x_val).output, t_val)
         assert result.best_val_loss < initial_val_loss
 
-        encoded = nn.encode(result.params, vocab.rows(pool))
+        encoded = nn.encode(result.params, _rows(vocab, pool))
         candidates = Features([s.id for s in pool], encoded)
         r_at_1, med_r = metrics.evaluate(["r@1", "medr"],
                                          retrieval.rank_all(queries, candidates), truth)
@@ -323,9 +330,9 @@ def test_criterion_9_text_to_text_in_visual_space():
             return value
 
         in_visual_space = map_score(lambda sentences: nn.encode(result.params,
-                                                                vocab.rows(sentences)))
+                                                                _rows(vocab, sentences)))
         raw_bag_of_words = map_score(
-            lambda sentences: vocab.rows(sentences).take(np.arange(len(sentences))))
+            lambda sentences: _rows(vocab, sentences).take(np.arange(len(sentences))))
         assert in_visual_space > raw_bag_of_words, (
             f"visual-space mAP {in_visual_space:.4f} "
             f"not above bag-of-words mAP {raw_bag_of_words:.4f}"

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -68,6 +69,44 @@ def train_args(paths, out, extra=()):
         "--out", out,
         *extra,
     ]
+
+
+def prefix_pairs(paths):
+    """A pairs file's lines pairing each sentence of the corpus with the
+    item its id names."""
+    return [f"{s.id}\t{s.id.rpartition('#')[0]}\n" for key in ("train_sentences", "val_sentences")
+            for s in formats.read_sentences(paths[key])]
+
+
+def write_embeddings(dirpath):
+    """A word2vec file with a random 4-d vector for every word of ``ITEM_WORDS``."""
+    words = [w for pool in ITEM_WORDS.values() for w in pool]
+    rng = np.random.default_rng(9)
+    lines = [f"{len(words)} 4"]
+    for word in words:
+        values = " ".join(repr(float(v)) for v in rng.normal(size=4))
+        lines.append(f"{word} {values}")
+    path = dirpath / "emb.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+#: what each kind of vectorizer calls a known term in its messages
+TERM_NOUNS = {"bow": "term in the vocabulary", "hashing": "term in the trigram index",
+              "word2vec": "token in the embedding table"}
+#: 64 two-letter words; each one's first hashing term '#xy' is known
+TWO_LETTER_WORDS = [a + b for a in "abcdefgh" for b in "abcdefgh"]
+
+
+def small_vectorizer(kind, rng):
+    """A hand-built ``kind`` vectorizer that knows ``TWO_LETTER_WORDS``."""
+    from textovision import textvec
+
+    if kind == "word2vec":
+        return textvec.WordEmbeddingTable(Features(TWO_LETTER_WORDS, rng.normal(size=(64, 16))))
+    if kind == "hashing":
+        return textvec.TermIndex("hashing", ["#" + w for w in TWO_LETTER_WORDS])
+    return textvec.TermIndex("bow", TWO_LETTER_WORDS)
 
 
 class FullDiskFile:
@@ -260,6 +299,33 @@ class TestTrain:
         args[args.index("--sentences") + 1] = str(extra)
         assert main(args) == 2
         assert "zebra" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_validation_sentence_without_a_known_term_is_data_error(self, tmp_path, capsys,
+                                                                    kind):
+        paths = write_corpus(tmp_path)
+        with open(paths["val_sentences"], "a", encoding="utf-8") as fh:
+            fh.write("brick#7\tzzz qqq\n")
+        extra = ["--vectorizer", kind]
+        if kind == "word2vec":
+            extra += ["--embeddings", write_embeddings(tmp_path)]
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model), extra)) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: sentence 'brick#7' has no {TERM_NOUNS[kind]}\n")
+        assert not model.exists()
+
+    def test_missing_pairs_entry_is_reported_before_a_sentence_without_a_known_term(
+            self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        val = Path(paths["val_sentences"])
+        val.write_text("brick#7\tzzz qqq\n" + val.read_text(encoding="utf-8"), encoding="utf-8")
+        pairs_path = tmp_path / "pairs.tsv"
+        pairs_path.write_text("".join(line for line in prefix_pairs(paths)
+                                      if not line.startswith("cloud#3\t")), encoding="utf-8")
+        assert main(train_args(paths, str(tmp_path / "m.bin"), ["--pairs", str(pairs_path)])) == 2
+        assert capsys.readouterr().err == (
+            "textovision: error: sentence 'cloud#3' is missing from the pairs file\n")
 
     def test_diverging_loss_is_data_error_naming_the_epoch(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
@@ -490,21 +556,14 @@ class TestEncode:
         # thread count the bytes are those of one forward pass per row.
         from oracles import encode_per_row, random_net, vectorize
 
-        from textovision import modelio, textvec
+        from textovision import modelio
 
         rng = np.random.default_rng(17)
-        # 64 two-letter words; each one's first hashing term '#xy' is known
-        words = [a + b for a in "abcdefgh" for b in "abcdefgh"]
-        vectorizer = {
-            "bow": lambda: textvec.TermIndex("bow", words),
-            "hashing": lambda: textvec.TermIndex("hashing", ["#" + w for w in words]),
-            "word2vec": lambda: textvec.WordEmbeddingTable(
-                Features(words, rng.normal(size=(len(words), 16)))),
-        }[kind]()
+        vectorizer = small_vectorizer(kind, rng)
         params = random_net([vectorizer.dim, 24, 8], rng)
         model = tmp_path / "m.bin"
         modelio.save_model(str(model), modelio.TrainedModel(vectorizer, params))
-        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(words, size=rng.integers(1, 9))))
+        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(TWO_LETTER_WORDS, size=rng.integers(1, 9))))
                      for k in range(257)]
         sentences[128] = Sentence("s#128", "zzz qqq")
         write_sentences(str(tmp_path / "s.tsv"), sentences)
@@ -516,12 +575,61 @@ class TestEncode:
         encoded = formats.read_features(str(out))
         assert list(encoded.ids) == [s.id for s in kept]
         assert encoded.matrix.tobytes() == expected.tobytes()
-        noun = {"bow": "term in the vocabulary", "hashing": "term in the trigram index",
-                "word2vec": "token in the embedding table"}[kind]
         zero = 256 - np.count_nonzero(expected.any(axis=1))
         assert capsys.readouterr().err == (
-            f"textovision: skipping 's#128': sentence 's#128' has no {noun}\n"
+            f"textovision: skipping 's#128': sentence 's#128' has no {TERM_NOUNS[kind]}\n"
             f"encoded 256 sentences, skipped 1, {zero} all-zero predictions\n")
+
+    def save_small_model(self, dirpath, kind):
+        from oracles import random_net
+
+        from textovision import modelio
+
+        rng = np.random.default_rng(3)
+        vectorizer = small_vectorizer(kind, rng)
+        model = dirpath / "m.bin"
+        modelio.save_model(str(model), modelio.TrainedModel(
+            vectorizer, random_net([vectorizer.dim, 8, 4], rng)))
+        return str(model)
+
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_each_sentence_is_tokenized_once(self, tmp_path, capsys, monkeypatch, kind):
+        from textovision import textvec
+
+        texts = []
+
+        def counted(terms):
+            def recorded(text):
+                texts.append(text)
+                return terms(text)
+            return recorded
+
+        # a term index takes its term finder from TERM_KINDS when the model loads
+        if kind == "word2vec":
+            monkeypatch.setattr(textvec, "tokenize", counted(textvec.tokenize))
+        else:
+            noun, terms, length = textvec.TERM_KINDS[kind]
+            monkeypatch.setitem(textvec.TERM_KINDS, kind, (noun, counted(terms), length))
+        model = self.save_small_model(tmp_path, kind)
+        sentences = [Sentence("s#0", "ab cd ab"), Sentence("s#1", "zzz qqq"),
+                     Sentence("s#2", "hh")]
+        write_sentences(str(tmp_path / "s.tsv"), sentences)
+        assert main(["encode", "--model", model, "--sentences", str(tmp_path / "s.tsv"),
+                     "--out", str(tmp_path / "e.feat")]) == 0
+        assert "skipped 1," in capsys.readouterr().err
+        assert sorted(texts) == sorted(s.text for s in sentences)
+
+    @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
+    def test_no_sentence_with_a_known_term_is_data_error(self, tmp_path, capsys, kind):
+        model = self.save_small_model(tmp_path, kind)
+        (tmp_path / "s.tsv").write_text("a#0\tzzz qqq\nb#0\t\nc#0\t!!\n", encoding="utf-8")
+        out = tmp_path / "e.feat"
+        assert main(["encode", "--model", model, "--sentences", str(tmp_path / "s.tsv"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "".join(
+            f"textovision: skipping '{sid}': sentence '{sid}' has no {TERM_NOUNS[kind]}\n"
+            for sid in ("a#0", "b#0", "c#0")) + "textovision: error: no sentence could be encoded\n")
+        assert not out.exists()
 
     def test_sentence_id_with_whitespace_is_data_error(self, tmp_path, capsys, trained):
         # a feature file splits on whitespace: 'apple 1#0' would come back
@@ -831,6 +939,86 @@ class TestSentenceFileFuzz:
                 assert code in (0, 1, 2), (kind, argv[0], err)
                 assert "Traceback" not in out + err, (kind, argv[0], err)
                 assert not list(tmp_path.glob("*.tmp")), (kind, argv[0])
+
+
+def mutate_text(data, kind, rng):
+    """``data``, the bytes of a line-oriented text file, with one seeded
+    ``kind`` of damage at a random line, field or byte."""
+    at = int(rng.integers(len(data)))
+    lines = data.splitlines(keepends=True)
+    k = int(rng.integers(len(lines)))
+    if kind in ("tab", "space", "newline", "nul", "non-utf-8"):
+        insert = {"tab": b"\t", "space": b" ", "newline": b"\n", "nul": b"\0",
+                  "non-utf-8": b"\xff\xfe"}[kind]
+        return data[:at] + insert + data[at:]
+    if kind == "truncation":
+        return data[:at]
+    if kind == "field":
+        # one field, keeping the separators around it, becomes a bad or odd value
+        parts = re.split(rb"(\s+)", lines[k])
+        fields = [i for i in range(0, len(parts), 2) if parts[i]]
+        value = [b"nan", b"-inf", b"1e999", b"x", b"", b"-0", b"#"][int(rng.integers(7))]
+        parts[fields[int(rng.integers(len(fields)))]] = value
+        lines[k] = b"".join(parts)
+    elif kind == "swapped lines":
+        j = int(rng.integers(len(lines)))
+        lines[k], lines[j] = lines[j], lines[k]
+    else:
+        lines[k] = {"dropped line": b"", "duplicate line": lines[k] * 2,
+                    "extra field": lines[k].rstrip(b"\n") + b"\t1 2\n"}[kind]
+    return b"".join(lines)
+
+
+TEXT_MUTATIONS = ("tab", "space", "newline", "nul", "non-utf-8", "truncation", "field",
+                  "swapped lines", "dropped line", "duplicate line", "extra field")
+
+
+class TestTextFileFuzz:
+    """Each damaged file goes to the commands that read it: every run
+    returns an exit code, prints no traceback and leaves no temporary file."""
+
+    def fuzz(self, tmp_path, capsys, clean, runs, rounds=5):
+        damaged = tmp_path / "damaged"
+        rng = np.random.default_rng(2025)
+        for case in range(rounds * len(TEXT_MUTATIONS)):
+            kind = TEXT_MUTATIONS[case % len(TEXT_MUTATIONS)]
+            damaged.write_bytes(mutate_text(clean.read_bytes(), kind, rng))
+            for argv in runs(str(damaged)):
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (clean.name, kind, argv[0], err)
+                assert "Traceback" not in out + err, (clean.name, kind, argv[0], err)
+                assert not list(tmp_path.glob("*.tmp")), (clean.name, kind, argv[0])
+
+    def test_mutated_feature_ranking_and_truth_files_exit_cleanly(self, tmp_path, capsys):
+        # frame features go to pool and, as queries, to rank --top; a
+        # ranking and its ground truth to evaluate
+        frames, ranking, truth = (tmp_path / name
+                                  for name in ("frames.feat", "ranking.tsv", "truth.tsv"))
+        ids = [f"v{v}#{n}" for v in range(3) for n in range(2)]
+        formats.write_features(str(frames), Features(ids, np.random.default_rng(8).normal(
+            size=(6, 3))))
+        assert main(["rank", "--queries", str(frames), "--items", str(frames),
+                     "--out", str(ranking)]) == 0
+        truth.write_text("".join(f"{i}\t{i}\n" for i in ids), encoding="utf-8")
+
+        def evaluate(rankings, ground_truth):
+            return [["evaluate", "--rankings", rankings, "--ground-truth", ground_truth,
+                     "--out", str(tmp_path / "report.tsv")]]
+
+        self.fuzz(tmp_path, capsys, frames, lambda damaged: [
+            ["pool", "--features", damaged, "--out", str(tmp_path / "pooled.feat")],
+            ["rank", "--queries", damaged, "--items", str(frames), "--top", "2",
+             "--out", str(tmp_path / "top.tsv")]])
+        self.fuzz(tmp_path, capsys, ranking, lambda damaged: evaluate(damaged, str(truth)))
+        self.fuzz(tmp_path, capsys, truth, lambda damaged: evaluate(str(ranking), damaged))
+
+    def test_mutated_pairs_files_exit_cleanly(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(prefix_pairs(paths)), encoding="utf-8")
+        self.fuzz(tmp_path, capsys, pairs, lambda damaged: [train_args(
+            paths, str(tmp_path / "m.bin"), ["--pairs", damaged, "--max-epochs", "2"])], rounds=2)
 
 
 class TestModelLoad:
@@ -1240,17 +1428,6 @@ class TestEvaluate:
 
 
 class TestVectorizerBackends:
-    def embeddings_file(self, tmp_path):
-        words = [w for pool in ITEM_WORDS.values() for w in pool]
-        rng = np.random.default_rng(9)
-        lines = [f"{len(words)} 4"]
-        for word in words:
-            values = " ".join(repr(float(v)) for v in rng.normal(size=4))
-            lines.append(f"{word} {values}")
-        path = tmp_path / "emb.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
-
     def test_word2vec_pipeline_and_layer_widths(self, tmp_path, capsys):
         from textovision import modelio
 
@@ -1258,7 +1435,7 @@ class TestVectorizerBackends:
         model_path = tmp_path / "m.bin"
         args = train_args(paths, str(model_path),
                           ["--vectorizer", "word2vec",
-                           "--embeddings", self.embeddings_file(tmp_path),
+                           "--embeddings", write_embeddings(tmp_path),
                            "--layers", "5"])
         assert main(args) == 0
         model = modelio.load_model(str(model_path))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import vectorize
 
-from textovision import formats, neuralnet
+from textovision import cli, formats, neuralnet
 from textovision.retrieval import Features
 from textovision.textvec import (
     Sentence,
@@ -26,10 +26,27 @@ def sent(text, sid="s#0"):
     return Sentence(sid, text)
 
 
+def dense_rows(vectorizer, sentences):
+    """The rows ``vectorizer.rows`` gives ``sentences``, as one dense matrix,
+    and its report of which sentences have a known term."""
+    rows, known = vectorizer.rows(sentences)
+    assert known.dtype == bool and known.shape == (len(sentences),)
+    return (rows if isinstance(rows, np.ndarray) else rows.take(np.arange(len(sentences)))), known
+
+
+def unknown_row_of(vectorizer, text):
+    """The row of ``sent(text)``, reported to have no known term."""
+    (row,), (known,) = dense_rows(vectorizer, [sent(text)])
+    assert not known
+    return row
+
+
 def row_of(vectorizer, text):
-    """The dense row ``vectorizer.rows`` gives the sentence ``sent(text)``."""
-    rows = vectorizer.rows([sent(text)])
-    return (rows if isinstance(rows, np.ndarray) else rows.take(np.arange(1)))[0]
+    """The dense row ``vectorizer.rows`` gives the sentence ``sent(text)``,
+    reported to have a known term."""
+    (row,), (known,) = dense_rows(vectorizer, [sent(text)])
+    assert known
+    return row
 
 
 class TestTokenize:
@@ -127,26 +144,22 @@ class TestVectorizeBow:
         assert row.tolist() == [1, 0]
 
     def test_no_in_vocab_token(self):
-        with pytest.raises(ValueError, match="sentence 's#0' has no term in the vocabulary"):
-            row_of(TermIndex("bow", ["a", "dog"]), "zebra lion")
+        vocab = TermIndex("bow", ["a", "dog"])
+        assert unknown_row_of(vocab, "zebra lion").tolist() == [0, 0]
+        assert vocab.term_noun == "term in the vocabulary"
 
     def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            row_of(TermIndex("bow", ["a"]), "")
+        assert unknown_row_of(TermIndex("bow", ["a"]), "").tolist() == [0]
 
     @given(st.lists(words, min_size=1, max_size=20), st.lists(words, min_size=1, max_size=20))
     def test_l1_norm_counts_in_vocab_tokens(self, vocab_words, sentence_words):
         vocab = TermIndex("bow", sorted(set(vocab_words)))
         text = " ".join(sentence_words)
         in_vocab = sum(1 for t in tokenize(text) if t in vocab.index)
-        if in_vocab == 0:
-            with pytest.raises(ValueError):
-                row_of(vocab, text)
-        else:
-            row = row_of(vocab, text)
-            assert row.sum() == in_vocab
-            assert np.all(row >= 0)
-            assert np.all(row == np.floor(row))
+        row = row_of(vocab, text) if in_vocab else unknown_row_of(vocab, text)
+        assert row.sum() == in_vocab
+        assert np.all(row >= 0)
+        assert np.all(row == np.floor(row))
 
 
 class TestTrigramIndex:
@@ -207,8 +220,8 @@ class TestVectorizeHashing:
 
     def test_fully_unseen(self):
         index = build_vocab("hashing", [sent("cat")])
-        with pytest.raises(ValueError, match="sentence 's#0' has no term in the trigram index"):
-            row_of(index, "dog")
+        assert unknown_row_of(index, "dog").tolist() == [0, 0, 0]
+        assert index.term_noun == "term in the trigram index"
 
     @given(st.lists(words, min_size=1, max_size=10), st.lists(words, min_size=1, max_size=10))
     def test_l1_norm_counts_indexed_trigram_occurrences(self, index_words, sentence_words):
@@ -217,13 +230,9 @@ class TestVectorizeHashing:
         occurrences = sum(
             1 for t in tokenize(text) for g in letter_trigrams(t) if g in index.index
         )
-        if occurrences == 0:
-            with pytest.raises(ValueError):
-                row_of(index, text)
-        else:
-            row = row_of(index, text)
-            assert row.sum() == occurrences
-            assert np.all(row == np.floor(row))
+        row = row_of(index, text) if occurrences else unknown_row_of(index, text)
+        assert row.sum() == occurrences
+        assert np.all(row == np.floor(row))
 
 
 EMBEDDINGS_2D = "2 2\ndog 1 0\ncat 0 1\n"
@@ -304,8 +313,10 @@ class TestVectorizeW2v:
         assert row_of(self.table(), "dog zebra").tolist() == [1.0, 0.0]
 
     def test_all_oov(self):
-        with pytest.raises(ValueError, match="no token in the embedding table"):
-            row_of(self.table(), "zebra lion")
+        # zero, not the 0/0 of an empty mean
+        table = self.table()
+        assert unknown_row_of(table, "zebra lion").tobytes() == np.zeros(2).tobytes()
+        assert table.term_noun == "token in the embedding table"
 
     def test_single_word_is_exact_embedding(self):
         table = self.table()
@@ -349,7 +360,8 @@ class TestRows:
     def test_term_rows_are_the_vectorize_rows(self, kind, known, word_lists):
         index = build_vocab(kind, [sent(" ".join(known))])
         sentences = sentences_with_one_known_word(known, word_lists)
-        rows = index.rows(sentences)
+        rows, known = index.rows(sentences)
+        assert known.all()
         assert isinstance(rows, neuralnet.SparseRows)
         assert (rows.indices.dtype, rows.values.dtype) == (np.int32, np.float64)
         assert rows.shape == (len(sentences), index.dim)
@@ -372,7 +384,8 @@ class TestRows:
         matrix[special] = rng.choice([0.0, -0.0, 1e-300], size=special.sum())
         table = WordEmbeddingTable(Features(known, matrix))
         sentences = sentences_with_one_known_word(known, word_lists)
-        rows = table.rows(sentences)
+        rows, known = table.rows(sentences)
+        assert known.all()
         assert isinstance(rows, np.ndarray)
         assert rows.tobytes() == stacked(table, sentences).tobytes()
 
@@ -387,7 +400,7 @@ class TestRows:
         index = build_vocab("bow", sentences)
         tracemalloc.start()
         try:
-            rows = index.rows(sentences)
+            rows, _ = index.rows(sentences)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -396,6 +409,8 @@ class TestRows:
 
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
     def test_sentence_without_a_known_term_fails_as_in_vectorize(self, kind):
+        # rows reports it; train's row builder fails on the first such
+        # sentence with the reference's message
         if kind == "word2vec":
             vectorizer = WordEmbeddingTable(Features(["dog"], np.ones((1, 2))))
         else:
@@ -403,11 +418,39 @@ class TestRows:
         sentences = [sent("a dog", "s#0"), sent("zebra", "s#1"), sent("lion", "s#2")]
         with pytest.raises(ValueError) as from_vectorize:
             vectorize(vectorizer, sentences[1])
+        rows, known = dense_rows(vectorizer, sentences)
+        assert known.tolist() == [True, False, False]
+        assert rows[0].tobytes() == vectorize(vectorizer, sentences[0]).tobytes()
+        assert not rows[1:].any()
+        features = Features(["s"], np.ones((1, 2)))
         with pytest.raises(ValueError, match="'s#1'") as from_rows:
-            vectorizer.rows(sentences)
-        with pytest.raises(ValueError) as from_lookup:
-            vectorizer.lookup(sentences[1])
-        assert str(from_rows.value) == str(from_vectorize.value) == str(from_lookup.value)
+            cli._training_rows(vectorizer, sentences, features, None)
+        assert str(from_rows.value) == str(from_vectorize.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["bow", "hashing", "word2vec"]),
+           known=st.lists(short_words, min_size=1, max_size=6, unique=True),
+           word_lists=sentence_words)
+    @example(kind="word2vec", known=["ab"], word_lists=[["cd"], [], ["ab"]])
+    def test_known_is_where_the_reference_finds_a_term(self, kind, known, word_lists):
+        # a sentence the reference rejects is reported and left all zeros
+        if kind == "word2vec":
+            known = sorted(known)
+            vectorizer = WordEmbeddingTable(
+                Features(known, np.random.default_rng(5).normal(size=(len(known), 3))))
+        else:
+            vectorizer = build_vocab(kind, [sent(" ".join(known))])
+        sentences = [sent(" ".join(words), f"s#{i}") for i, words in enumerate(word_lists)]
+        rows, found = dense_rows(vectorizer, sentences)
+        for row, has_term, sentence in zip(rows, found, sentences):
+            try:
+                expected = vectorize(vectorizer, sentence)
+            except ValueError:
+                expected = np.zeros(vectorizer.dim)
+                assert not has_term
+            else:
+                assert has_term
+            assert row.tobytes() == expected.tobytes()
 
 
 class TestDeterminism:
