@@ -74,7 +74,8 @@ def train_args(paths, out, extra=()):
 def prefix_pairs(paths):
     """A pairs file's lines pairing each sentence of the corpus with the
     item its id names."""
-    return [f"{s.id}\t{s.id.rpartition('#')[0]}\n" for key in ("train_sentences", "val_sentences")
+    return [f"{s.id}\t{s.id.rpartition('#')[0]}\n"
+            for key in ("train_sentences", "val_sentences")
             for s in formats.read_sentences(paths[key])]
 
 
@@ -213,11 +214,7 @@ class TestTrain:
     def test_explicit_pairs_equivalent_to_prefix_rule(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         pairs_path = tmp_path / "pairs.tsv"
-        lines = []
-        for key in ("train_sentences", "val_sentences"):
-            for s in formats.read_sentences(paths[key]):
-                lines.append(f"{s.id}\t{s.id.rpartition('#')[0]}\n")
-        pairs_path.write_text("".join(lines), encoding="utf-8")
+        pairs_path.write_text("".join(prefix_pairs(paths)), encoding="utf-8")
         by_prefix = tmp_path / "prefix.bin"
         by_pairs = tmp_path / "pairs.bin"
         assert main(train_args(paths, str(by_prefix))) == 0
@@ -392,9 +389,7 @@ class TestTrain:
     def test_sentence_repeated_in_pairs_file_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         pairs_path = tmp_path / "pairs.tsv"
-        lines = [f"{s.id}\t{s.id.rpartition('#')[0]}\n"
-                 for key in ("train_sentences", "val_sentences")
-                 for s in formats.read_sentences(paths[key])]
+        lines = prefix_pairs(paths)
         lines.insert(3, "apple#1\tcloud\n")  # line 4 pairs apple#1 a second time
         pairs_path.write_text("".join(lines), encoding="utf-8")
         model = tmp_path / "m.bin"
@@ -405,9 +400,7 @@ class TestTrain:
     def test_pairs_file_id_with_whitespace_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         pairs_path = tmp_path / "pairs.tsv"
-        lines = [f"{s.id}\t{s.id.rpartition('#')[0]}\n"
-                 for key in ("train_sentences", "val_sentences")
-                 for s in formats.read_sentences(paths[key])]
+        lines = prefix_pairs(paths)
         lines[2] = lines[2].replace("\n", " \n")  # line 3's item id ends in a space
         pairs_path.write_text("".join(lines), encoding="utf-8")
         model = tmp_path / "m.bin"
@@ -563,7 +556,8 @@ class TestEncode:
         params = random_net([vectorizer.dim, 24, 8], rng)
         model = tmp_path / "m.bin"
         modelio.save_model(str(model), modelio.TrainedModel(vectorizer, params))
-        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(TWO_LETTER_WORDS, size=rng.integers(1, 9))))
+        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(TWO_LETTER_WORDS,
+                                                             size=rng.integers(1, 9))))
                      for k in range(257)]
         sentences[128] = Sentence("s#128", "zzz qqq")
         write_sentences(str(tmp_path / "s.tsv"), sentences)
@@ -626,9 +620,11 @@ class TestEncode:
         out = tmp_path / "e.feat"
         assert main(["encode", "--model", model, "--sentences", str(tmp_path / "s.tsv"),
                      "--out", str(out)]) == 2
-        assert capsys.readouterr() == ("", "".join(
+        skips = "".join(
             f"textovision: skipping '{sid}': sentence '{sid}' has no {TERM_NOUNS[kind]}\n"
-            for sid in ("a#0", "b#0", "c#0")) + "textovision: error: no sentence could be encoded\n")
+            for sid in ("a#0", "b#0", "c#0"))
+        assert capsys.readouterr() == (
+            "", skips + "textovision: error: no sentence could be encoded\n")
         assert not out.exists()
 
     def test_sentence_id_with_whitespace_is_data_error(self, tmp_path, capsys, trained):
@@ -978,11 +974,11 @@ class TestTextFileFuzz:
     returns an exit code, prints no traceback and leaves no temporary file."""
 
     def fuzz(self, tmp_path, capsys, clean, runs, rounds=5):
-        damaged = tmp_path / "damaged"
+        damaged, data = tmp_path / "damaged", clean.read_bytes()
         rng = np.random.default_rng(2025)
         for case in range(rounds * len(TEXT_MUTATIONS)):
             kind = TEXT_MUTATIONS[case % len(TEXT_MUTATIONS)]
-            damaged.write_bytes(mutate_text(clean.read_bytes(), kind, rng))
+            damaged.write_bytes(mutate_text(data, kind, rng))
             for argv in runs(str(damaged)):
                 code = main(argv)
                 out, err = capsys.readouterr()
@@ -996,8 +992,8 @@ class TestTextFileFuzz:
         frames, ranking, truth = (tmp_path / name
                                   for name in ("frames.feat", "ranking.tsv", "truth.tsv"))
         ids = [f"v{v}#{n}" for v in range(3) for n in range(2)]
-        formats.write_features(str(frames), Features(ids, np.random.default_rng(8).normal(
-            size=(6, 3))))
+        features = Features(ids, np.random.default_rng(8).normal(size=(len(ids), 3)))
+        formats.write_features(str(frames), features)
         assert main(["rank", "--queries", str(frames), "--items", str(frames),
                      "--out", str(ranking)]) == 0
         truth.write_text("".join(f"{i}\t{i}\n" for i in ids), encoding="utf-8")
