@@ -1,13 +1,13 @@
 """Command-line surface: build-vocab, train, encode, rank, pool, evaluate.
 
 Exit codes: 0 success, 1 usage error, 2 data error or out of memory.
-The environment variable ``TEXTOVISION_THREADS`` caps internal
-parallelism: the BLAS threads, ``train``'s optimizer threads and
-``encode``'s block threads; a value that is not a positive integer is a
-usage error for every command. ``main`` passes it on to BLAS, with a
-short idle timeout, only if numpy has not loaded, so heavyweight imports
-stay inside the command handlers; ``encode`` runs BLAS at one thread,
-so its bytes do not depend on the cap. ``evaluate`` and ``build-vocab``
+``textovision.thread_count()`` (``TEXTOVISION_THREADS``, or else the
+usable CPUs) sizes the BLAS threads, ``train``'s optimizer threads and
+``encode``'s block threads; a malformed ``TEXTOVISION_THREADS`` is a
+usage error for every command. ``main`` sets the BLAS variables over any
+caller's, only if numpy has not loaded, so heavyweight imports stay
+inside the command handlers; ``encode`` runs BLAS at one thread, so its
+bytes do not depend on the count. ``evaluate`` and ``build-vocab``
 do no array math and never import numpy, which is most of a short
 command's start-up time; ``formats``, ``metrics`` and ``textvec`` load
 it only where they use it.
@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from . import thread_cap
+from . import thread_count
 
 _DEFAULT_METRICS = "r@1,r@5,r@10,medr,meanr,mir,map"
 
@@ -34,23 +34,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _apply_thread_cap(blas_threads: str = "") -> None:
+def _apply_thread_cap(command: str) -> None:
     """Check ``TEXTOVISION_THREADS`` and, before numpy loads (it reads them
-    only then), set the BLAS thread counts to it, unless already set, or
-    to ``blas_threads`` over any setting; set later, they would only leak."""
+    only then; later they would only leak), set the BLAS thread counts over
+    any caller's: to 1 for ``encode``, to ``thread_count()`` otherwise."""
     try:
-        cap = thread_cap()
+        threads = thread_count()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if "numpy" in sys.modules:
         return
     # idle OpenBLAS workers sleep at once instead of spinning on the cores
     # that rmsprop_step's threads need between products
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        if blas_threads or cap:
-            os.environ[var] = blas_threads or os.environ.get(var, str(cap))
+        # encode runs BLAS at one thread, so its bytes do not depend on the count
+        os.environ[var] = "1" if command == "encode" else str(threads)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,15 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-features", required=True)
     p.add_argument("--vectorizer", choices=["bow", "hashing", "word2vec"], default="bow")
     p.add_argument("--embeddings", help="word2vec text file (required with --vectorizer word2vec)")
-    p.add_argument("--layers", default="1000", help="comma-separated hidden sizes")
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--max-epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--layers", dest="hidden_sizes", help="comma-separated hidden sizes")
+    p.add_argument("--dropout", dest="dropout_rate", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--pairs", help="explicit sentence-to-item pairs file")
     p.add_argument("--out", required=True, help="model file path")
     p.add_argument("--history", help="history TSV path (default: <out>.history.tsv)")
@@ -120,8 +120,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        # encode runs BLAS at one thread, so its bytes do not depend on the cap
-        _apply_thread_cap(blas_threads="1" if args.command == "encode" else "")
+        _apply_thread_cap(args.command)
         return args.func(args)
     except UsageError as exc:
         print(f"textovision: error: {exc}", file=sys.stderr)
@@ -191,16 +190,16 @@ def _training_rows(vectorizer, sentences, features, pair_map):
 
 
 def _train_config(args):
-    """The ``TrainConfig`` of ``train``'s flags; a value out of range is a
-    usage error."""
+    """The ``TrainConfig`` of the training flags given, each stored under
+    its field's name; a value out of range is a usage error."""
     from . import neuralnet
 
+    given = {name: value for name, value in vars(args).items()
+             if value is not None and name in neuralnet.TrainConfig.__dataclass_fields__}
+    if "hidden_sizes" in given:
+        given["hidden_sizes"] = _parse_hidden_sizes(given["hidden_sizes"])
     try:
-        return neuralnet.TrainConfig(
-            hidden_sizes=_parse_hidden_sizes(args.layers), dropout_rate=args.dropout,
-            learning_rate=args.lr, gamma=args.gamma, epsilon=args.epsilon,
-            batch_size=args.batch_size, max_epochs=args.max_epochs, patience=args.patience,
-            seed=args.seed)
+        return neuralnet.TrainConfig(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import thread_cap
+from . import thread_count
 
 #: ordered (weight matrix, bias vector) pairs; W_i has shape (n_i, n_{i-1})
 NetworkParams = list[tuple[np.ndarray, np.ndarray]]
@@ -290,12 +290,13 @@ def rmsprop_step(
     is only read. Each flattened array is walked in slices of
     ``RMSPROP_SLICE`` elements, so no full-size temporary is allocated.
     The slices of all arrays, in order, are cut into one contiguous run
-    per worker thread, ``thread_count()`` workers (the
-    ``TEXTOVISION_THREADS`` cap) but never more than there are slices;
-    numpy's element-wise loops release the GIL, so the runs proceed in
-    parallel, each through two slice-sized scratch buffers of its own.
-    They need cores that idle BLAS threads do not spin on, which the
-    CLI's short ``OPENBLAS_THREAD_TIMEOUT`` provides. Every element sees
+    per worker thread, ``textovision.thread_count()`` workers
+    (``TEXTOVISION_THREADS``, or else the CPUs this process may run on)
+    but never more than there are slices; numpy's element-wise loops
+    release the GIL, so the runs proceed in parallel, each through two
+    slice-sized scratch buffers of its own. They need cores that idle
+    BLAS threads do not spin on, which the CLI's short
+    ``OPENBLAS_THREAD_TIMEOUT`` provides. Every element sees
     the same IEEE operations in the same order as the textbook formula,
     so the result is bit-identical to it for any worker count.
     """
@@ -343,7 +344,8 @@ def _on_workers(fn, items: list, *args) -> None:
     ``items``, never more runs than items: the first on the calling thread,
     the others on ``_worker_pool`` under the caller's numpy error state (kept
     per thread). Every run ends before this returns; errors reach the caller."""
-    workers = min(thread_count(), len(items))
+    threads = thread_count()
+    workers = min(threads, len(items))
     if workers <= 1:
         fn(items, *args)
         return
@@ -355,7 +357,7 @@ def _on_workers(fn, items: list, *args) -> None:
 
     runs = [items[k * len(items) // workers : (k + 1) * len(items) // workers]
             for k in range(workers)]
-    others = [_worker_pool(thread_count()).submit(run_under_errstate, run) for run in runs[1:]]
+    others = [_worker_pool(threads).submit(run_under_errstate, run) for run in runs[1:]]
     try:
         fn(runs[0], *args)
     finally:
@@ -373,14 +375,6 @@ def _worker_pool(threads: int):
 # a forked child has none of the pool's threads, so it makes its own
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_worker_pool.cache_clear)
-
-
-def thread_count() -> int:
-    """The ``TEXTOVISION_THREADS`` cap, read at each call, or when it is
-    unset the number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return thread_cap() or len(os.sched_getaffinity(0))
-    return thread_cap() or os.cpu_count() or 1
 
 
 def _in_place_view(a: np.ndarray, layer: int, what: str) -> np.ndarray:
@@ -501,12 +495,13 @@ def encode(params: NetworkParams, x: SparseRows | SelectedRows | np.ndarray) -> 
 
     ``x`` is in a form ``train``'s inputs take, and ``ENCODE_CHUNK`` rows
     at a time are gathered, as ``train`` gathers a mini-batch. Each layer
-    runs in weight blocks (``_blocks``) on ``thread_count()`` threads, a
-    block staying in cache while every row of the chunk passes through it.
-    Each row still gets its own matrix-vector product, the BLAS call of a
-    one-row ``forward``: a batched product sums in another order. So at
-    one BLAS thread, as the CLI runs it, every row has the bits of its own
-    ``forward`` at any thread count and in any input form.
+    runs in weight blocks (``_blocks``) on ``textovision.thread_count()``
+    threads, a block staying in cache while every row of the chunk passes
+    through it. Each row still gets its own matrix-vector product, the
+    BLAS call of a one-row ``forward``: a batched product sums in another
+    order. So at one BLAS thread, which the CLI sets for ``encode`` over
+    any caller setting, every row has the bits of its own ``forward`` at
+    any thread count and in any input form.
     """
     shape, width = np.shape(x), params[0][0].shape[1]
     if len(shape) != 2 or shape[1] != width:

@@ -273,6 +273,17 @@ class TestTrain:
              "--val-features", "g", "--out", "m"])
         assert cli._train_config(args) == neuralnet.TrainConfig()
 
+    def test_given_flags_reach_the_train_config(self):
+        # an empty --layers is given: it means no hidden layer, not the default
+        from textovision import cli, neuralnet
+
+        args = cli.build_parser().parse_args(
+            ["train", "--sentences", "s", "--features", "f", "--val-sentences", "v",
+             "--val-features", "g", "--out", "m", "--layers", "", "--lr", "0.01",
+             "--batch-size", "8", "--seed", "3"])
+        assert cli._train_config(args) == neuralnet.TrainConfig(
+            hidden_sizes=(), learning_rate=0.01, batch_size=8, seed=3)
+
     def test_validation_feature_dim_mismatch_is_data_error(self, tmp_path, capsys):
         paths = write_corpus(tmp_path)
         narrow = tmp_path / "narrow.feat"
@@ -1492,17 +1503,17 @@ class TestVectorizerBackends:
         assert len(rows) == 3 and rows.dim == 4
 
 
-def env_after_thread_cap():
-    """``os.environ`` after ``_apply_thread_cap()`` in a new interpreter,
-    where numpy has not loaded, started with this environment."""
+def env_after_thread_cap(command):
+    """``os.environ`` after ``_apply_thread_cap(command)`` in a new
+    interpreter, where numpy has not loaded, started with this environment."""
     import json
 
     return json.loads(run_fresh(
         "import json, os, sys\n"
         "from textovision.cli import _apply_thread_cap\n"
         "assert 'numpy' not in sys.modules\n"
-        "_apply_thread_cap()\n"
-        "print(json.dumps(dict(os.environ)))\n"))
+        "_apply_thread_cap(sys.argv[1])\n"
+        "print(json.dumps(dict(os.environ)))\n", command))
 
 
 class TestThreadCap:
@@ -1510,24 +1521,67 @@ class TestThreadCap:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        env = env_after_thread_cap()
+        env = env_after_thread_cap("train")
         assert env["OMP_NUM_THREADS"] == "2"
         assert env["OPENBLAS_NUM_THREADS"] == "2"
 
-    def test_explicit_settings_win(self, monkeypatch):
+    def test_caller_blas_settings_yield_to_the_cap(self, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        assert env_after_thread_cap()["OMP_NUM_THREADS"] == "8"
+        assert env_after_thread_cap("train")["OMP_NUM_THREADS"] == "2"
+
+    def test_unset_cap_gives_blas_the_usable_cpus(self, monkeypatch):
+        for var in ("TEXTOVISION_THREADS", *BLAS_THREAD_VARS):
+            monkeypatch.delenv(var, raising=False)
+        env = env_after_thread_cap("rank")
+        assert {var: env.get(var) for var in BLAS_THREAD_VARS} == dict.fromkeys(
+            BLAS_THREAD_VARS, str(len(os.sched_getaffinity(0))))
+
+    def test_encode_runs_blas_at_one_thread_over_caller_settings(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "8")
+        monkeypatch.setenv("TEXTOVISION_THREADS", "2")
+        env = env_after_thread_cap("encode")
+        assert {var: env[var] for var in BLAS_THREAD_VARS} == dict.fromkeys(BLAS_THREAD_VARS, "1")
 
     def test_idle_blas_workers_sleep_at_once(self, monkeypatch):
         monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
         monkeypatch.delenv("TEXTOVISION_THREADS", raising=False)
-        assert env_after_thread_cap()["OPENBLAS_THREAD_TIMEOUT"] == "4"
+        assert env_after_thread_cap("train")["OPENBLAS_THREAD_TIMEOUT"] == "4"
 
-    def test_explicit_blas_timeout_wins(self, monkeypatch):
+    def test_caller_blas_timeout_yields_to_the_short_one(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", "28")
         monkeypatch.setenv("TEXTOVISION_THREADS", "2")
-        assert env_after_thread_cap()["OPENBLAS_THREAD_TIMEOUT"] == "28"
+        assert env_after_thread_cap("train")["OPENBLAS_THREAD_TIMEOUT"] == "4"
+
+    def test_train_bytes_do_not_depend_on_caller_blas_settings(self, tmp_path):
+        # at 1000-256-64, OpenBLAS at one thread sums some products in
+        # another order than at two, so a caller's setting would change them
+        import subprocess
+        import sys
+
+        rng = np.random.default_rng(0)
+        words = [f"w{i:04}" for i in range(1000)]
+        sentences = [Sentence(f"i{k % 16}#{k}", " ".join(
+            [words[(8 * k + j) % 1000] for j in range(8)] + list(rng.choice(words, size=4))))
+            for k in range(128)]
+        write_sentences(str(tmp_path / "train.tsv"), sentences)
+        write_sentences(str(tmp_path / "val.tsv"), sentences[:16])
+        formats.write_features(str(tmp_path / "items.feat"), table(
+            {f"i{k}": row for k, row in enumerate(rng.random((16, 64)))}))
+        paths = {"train_sentences": str(tmp_path / "train.tsv"),
+                 "val_sentences": str(tmp_path / "val.tsv"),
+                 "features": str(tmp_path / "items.feat")}
+        env = {k: v for k, v in checkout_env().items() if k not in BLAS_THREAD_VARS}
+        outputs = []
+        for name, caller in (("plain", {}), ("blas1", {"OPENBLAS_NUM_THREADS": "1"})):
+            model = tmp_path / f"{name}.bin"
+            subprocess.run([sys.executable, "-m", "textovision", *train_args(
+                                paths, str(model), ["--layers", "256", "--max-epochs", "1"])],
+                           check=True, capture_output=True,
+                           env=dict(env, TEXTOVISION_THREADS="2", **caller))
+            outputs.append([model.read_bytes(), (tmp_path / f"{name}.bin.history.tsv").read_bytes()])
+        assert outputs[1] == outputs[0]
 
     def test_an_in_process_call_leaves_the_environment_unchanged(self, tmp_path, capsys,
                                                                   monkeypatch):
