@@ -9,21 +9,30 @@ six decimal digits. A feature file reads into, and is written from, one
 ``retrieval.Features`` table; so is an embedding file, whose ids are
 words. Every file is written through ``atomic_open``: a failed write
 leaves any earlier file intact.
+
+Beside each feature file it writes, ``write_features`` leaves a binary
+twin, ``<path>.twin``, that holds the same table and the sha256 of the
+text. ``read_features`` loads the table from the twin only when that
+digest matches the text's bytes and the twin passes the text's checks;
+otherwise it parses the text. The text stays the one source of truth,
+so a twin may be deleted at any time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
+import stat
 import warnings
 from typing import TYPE_CHECKING, Sequence
 
 from .metrics import Ranking
-from .textvec import Sentence
 
 if TYPE_CHECKING:
     from .neuralnet import EpochStats
     from .retrieval import Features
+    from .textvec import Sentence
 
 
 @contextlib.contextmanager
@@ -46,6 +55,8 @@ def atomic_open(path: str, mode: str = "w"):
 
 
 def read_sentences(path: str) -> list[Sentence]:
+    from .textvec import Sentence
+
     sentences: list[Sentence] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -70,12 +81,18 @@ def read_sentences(path: str) -> list[Sentence]:
 
 
 # -- feature files: header "<count> <dim>", rows "<id> v1 ... v_dim" ------
+#
+# A twin, "<path>.twin", is four numpy .npy records: the text's size (8
+# bytes, little-endian) and sha256 as 40 uint8; the ids in UTF-8 joined by
+# "\n" as uint8; the matrix as <f8; the sha256 of the ids' bytes and the
+# matrix's bytes as 32 uint8.
 
 
 def read_features(path: str) -> Features:
     """One ``Features`` table from a feature file, rows in file order.
 
-    The values of all rows go through numpy's C tokenizer in one pass;
+    The table comes from the file's twin if ``_twin_table`` vouches for it.
+    Otherwise the values of all rows go through numpy's C tokenizer in one pass;
     its double parser rounds correctly, so the matrix equals what
     ``float`` gives per value. If that parse or a check of its result
     fails, the file is scanned again line by line only to name the
@@ -93,6 +110,9 @@ def read_features(path: str) -> Features:
             raise ValueError(f"{path}: malformed feature header") from None
         if count < 1 or dim < 1:
             raise ValueError(f"{path}: feature header declares count {count}, dim {dim}")
+        twin = _twin_table(path, fh.fileno(), count, dim)
+        if twin is not None:
+            return Features(*twin)
 
         ids: list[str] = []
         with warnings.catch_warnings():
@@ -105,6 +125,70 @@ def read_features(path: str) -> Features:
     if not (clean and len(ids) == len(set(ids)) == count):
         raise _feature_row_error(path, count, dim)
     return Features(ids, matrix)
+
+
+def _twin_table(path: str, fd: int, count: int, dim: int):
+    """``(ids, matrix)`` from ``<path>.twin``, or None. The text, open at
+    ``fd``, and the twin must be regular files; the twin must record the
+    text's size and sha256, and its ids and matrix must match their own
+    sha256, have the text's ``count`` and ``dim``, and hold finite values
+    and unique ids."""
+    import numpy as np
+    from numpy.lib.format import read_array
+
+    text = os.fstat(fd)
+    if not stat.S_ISREG(text.st_mode):
+        return None
+    try:
+        if not stat.S_ISREG(os.stat(f"{path}.twin").st_mode):
+            return None  # opening a pipe would wait for a writer
+        twin = open(f"{path}.twin", "rb")
+    except OSError:
+        return None
+    with twin, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            recorded = read_array(twin, allow_pickle=False).tobytes()
+            if recorded[:8] != text.st_size.to_bytes(8, "little"):
+                return None
+            if recorded[8:] != _file_sha256(fd):
+                return None
+            ids, matrix, content = (read_array(twin, allow_pickle=False) for _ in range(3))
+            if not (matrix.dtype == np.dtype("<f8") and matrix.shape == (count, dim)
+                    and matrix.flags.c_contiguous):
+                return None
+            if _table_sha256(ids.tobytes(), matrix) != content.tobytes():
+                return None
+            ids = ids.tobytes().decode("utf-8").split("\n")
+        except Exception:
+            # a damaged twin: numpy's .npy reader raises ValueError,
+            # SyntaxError, tokenize.TokenError or warns, and a damaged
+            # shape may ask for more memory than there is
+            return None
+    if len(ids) == len(set(ids)) == count and np.isfinite(matrix).all():
+        return ids, matrix
+    return None
+
+
+def _file_sha256(fd: int) -> bytes:
+    """The sha256 of the whole file open at ``fd``, read in chunks at
+    offsets, so that the file position does not move."""
+    import hashlib
+
+    digest, offset = hashlib.sha256(), 0
+    while chunk := os.pread(fd, 1 << 20, offset):
+        digest.update(chunk)
+        offset += len(chunk)
+    return digest.digest()
+
+
+def _table_sha256(id_bytes: bytes, matrix) -> bytes:
+    """A twin's last record: the sha256 of its id bytes, then its matrix's."""
+    import hashlib
+
+    digest = hashlib.sha256(id_bytes)
+    digest.update(matrix)
+    return digest.digest()
 
 
 def _value_parts(lines, ids: list[str]):
@@ -142,13 +226,37 @@ def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
 
 
 def write_features(path: str, features: Features) -> None:
-    """Write ``features`` atomically, each value as its ``repr``."""
+    """Write ``features`` atomically, each value as its ``repr``, hashing
+    the bytes as they go; then, if the text reads back to exactly this
+    table (ids without whitespace, unique; finite values), its twin."""
+    import hashlib
+
+    import numpy as np
+    from numpy.lib.format import write_array
+
     if not (len(features) and features.dim):
         raise ValueError(f"refusing to write an empty feature file, shape {features.matrix.shape}")
-    with atomic_open(path) as fh:
-        fh.write(f"{len(features)} {features.dim}\n")
-        for item_id, row in zip(features.ids, features.matrix):
-            fh.write(f"{item_id} {' '.join(map(repr, row.tolist()))}\n")
+    text = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        rows = (f"{item_id} {' '.join(map(repr, row.tolist()))}\n"
+                for item_id, row in zip(features.ids, features.matrix))
+        for line in itertools.chain([f"{len(features)} {features.dim}\n"], rows):
+            data = line.encode("utf-8")
+            text.update(data)
+            fh.write(data)
+        size = fh.tell()
+    ids, matrix = features.ids, features.matrix.astype("<f8", copy=False)
+    if not (len(set(ids)) == len(ids) and all(item_id.split() == [item_id] for item_id in ids)
+            and np.isfinite(matrix).all()):
+        return
+    id_bytes = "\n".join(ids).encode("utf-8")
+    records = (size.to_bytes(8, "little") + text.digest(), id_bytes, matrix,
+               _table_sha256(id_bytes, matrix))
+    with atomic_open(f"{path}.twin", "wb") as fh:
+        for record in records:
+            if isinstance(record, bytes):
+                record = np.frombuffer(record, dtype=np.uint8)
+            write_array(fh, record, allow_pickle=False)
 
 
 # -- vocabulary / trigram listings: one entry per line, index order -------

@@ -7,19 +7,18 @@ at each is its average precision."""
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass
+import math
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, eq=False)
 class Ranking:
     """Descending ordering of candidates for one query (all, or the best ``L`` under
     ``rank --top L``) as parallel columns: lists, or numpy rows; ``==`` is identity."""
 
-    query_id: str
-    item_ids: Sequence[str]
-    scores: Sequence[float]
+    def __init__(self, query_id: str, item_ids: Sequence[str], scores: Sequence[float]):
+        self.query_id = query_id
+        self.item_ids = item_ids
+        self.scores = scores
 
     @property
     def entries(self) -> tuple[tuple[str, float], ...]:
@@ -27,14 +26,12 @@ class Ranking:
         return tuple(zip(self.item_ids, self.scores))
 
 
-@dataclass(frozen=True)
 class GroundTruth:
     """Query id to set of relevant item ids."""
 
-    relevance: dict[str, set[str]]
-
-    def __post_init__(self):
-        for query_id, items in self.relevance.items():
+    def __init__(self, relevance: dict[str, set[str]]):
+        self.relevance = relevance
+        for query_id, items in relevance.items():
             if not query_id:
                 raise ValueError("ground truth contains an empty query id")
             if not items:
@@ -107,14 +104,28 @@ def evaluate(names: Sequence[str], rankings: Sequence[Ranking], truth: GroundTru
         if k is not None:
             values.append(100.0 * sum(1 for r in ranks if r <= k) / len(ranks))
         elif name == "medr":
-            values.append(float(statistics.median(ranks)))
+            values.append(_median(ranks))
         elif name == "meanr":
-            values.append(statistics.fmean(ranks))
+            values.append(_mean(ranks))
         elif name == "mir":
-            values.append(statistics.fmean(1.0 / r for r in ranks))
+            values.append(_mean([1.0 / r for r in ranks]))
         else:
-            values.append(statistics.fmean(
-                statistics.fmean(hits / pos for hits, pos in enumerate(found, start=1))
+            values.append(_mean([
+                _mean([hits / pos for hits, pos in enumerate(found, start=1)])
                 for found in positions
-            ))
+            ]))
     return values
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The mean from the correctly rounded sum, as ``statistics.fmean`` gives it."""
+    return math.fsum(values) / len(values)
+
+
+def _median(values: Sequence[int]) -> float:
+    """The middle value, or the mean of the middle two, as ``float(statistics.median)``."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return (ordered[middle - 1] + ordered[middle]) / 2

@@ -4,10 +4,12 @@ RMSprop formula, the dense training loop that compressed input rows and
 per-layer weight gradients replaced, the per-row encode
 that blocked encoding replaced, the one-sentence rows that the
 vectorizers' ``rows`` replaced, loop-based metric
-recomputation, and the per-row feature file reader/writer and
-sorted-key cosine ranking that the matrix code replaced. These
+recomputation, the per-row feature file reader/writer and
+sorted-key cosine ranking that the matrix code replaced, and a writer of
+feature-file twins from their documented record layout. These
 deliberately avoid the code paths they verify."""
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -329,6 +331,25 @@ def write_features(path: str, features: Sequence[VisualFeature]) -> None:
                 raise ValueError(f"row {f.item_id!r} has dim {len(f.values)}, expected {dim}")
             values = " ".join(_float_text(v) for v in f.values)
             fh.write(f"{f.item_id} {values}\n")
+
+
+def write_twin(path, ids, matrix) -> None:
+    """Write ``<path>.twin`` for the feature text at ``path``, holding ``ids``
+    and ``matrix`` with both digests right: four .npy records, the text's
+    size (8 bytes, little-endian) and sha256, the ids in UTF-8 joined by
+    newlines, the matrix as <f8, and the sha256 of those ids' and matrix's bytes."""
+    from numpy.lib.format import write_array
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    id_bytes = "\n".join(ids).encode("utf-8")
+    matrix = np.asarray(matrix, dtype="<f8")
+    text_record = len(text).to_bytes(8, "little") + hashlib.sha256(text).digest()
+    table_record = hashlib.sha256(id_bytes + matrix.tobytes()).digest()
+    with open(f"{path}.twin", "wb") as fh:
+        for record in (np.frombuffer(text_record, np.uint8), np.frombuffer(id_bytes, np.uint8),
+                       matrix, np.frombuffer(table_record, np.uint8)):
+            write_array(fh, record, allow_pickle=False)
 
 
 def _candidate_matrix(candidates: Sequence[VisualFeature]) -> tuple[np.ndarray, np.ndarray]:

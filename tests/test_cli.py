@@ -5,6 +5,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -810,7 +811,7 @@ FUZZ_MODELS = fuzz_models()
 
 def encode_model_bytes(dirpath, data):
     """Exit code and stderr of ``encode`` with a model file holding ``data``;
-    the directory must hold only its inputs afterwards, or the output."""
+    the directory must hold only its inputs afterwards, or the output and its twin."""
     import contextlib
     import io
 
@@ -822,8 +823,10 @@ def encode_model_bytes(dirpath, data):
         code = main(["encode", "--model", str(model), "--sentences", str(sentences),
                      "--out", str(out)])
     left = sorted(p.name for p in dirpath.iterdir())
-    assert left == (["m.bin", "o.feat", "s.tsv"] if code == 0 else ["m.bin", "s.tsv"]), left
+    written = ["m.bin", "o.feat", "o.feat.twin", "s.tsv"]
+    assert left == (written if code == 0 else ["m.bin", "s.tsv"]), left
     out.unlink(missing_ok=True)
+    Path(f"{out}.twin").unlink(missing_ok=True)
     return code, err.getvalue()
 
 
@@ -984,18 +987,32 @@ class TestTextFileFuzz:
     """Each damaged file goes to the commands that read it: every run
     returns an exit code, prints no traceback and leaves no temporary file."""
 
-    def fuzz(self, tmp_path, capsys, clean, runs, rounds=5):
+    def fuzz(self, tmp_path, capsys, clean, runs, rounds=5, twin=None):
+        """With ``twin``, the bytes of the clean file's twin, each damaged
+        file is sent again with them beside it as a stale twin: the outcomes
+        must be the same."""
         damaged, data = tmp_path / "damaged", clean.read_bytes()
         rng = np.random.default_rng(2025)
-        for case in range(rounds * len(TEXT_MUTATIONS)):
-            kind = TEXT_MUTATIONS[case % len(TEXT_MUTATIONS)]
-            damaged.write_bytes(mutate_text(data, kind, rng))
+
+        def outcomes(kind):
+            results = []
             for argv in runs(str(damaged)):
                 code = main(argv)
                 out, err = capsys.readouterr()
                 assert code in (0, 1, 2), (clean.name, kind, argv[0], err)
                 assert "Traceback" not in out + err, (clean.name, kind, argv[0], err)
                 assert not list(tmp_path.glob("*.tmp")), (clean.name, kind, argv[0])
+                results.append((code, out, err))
+            return results
+
+        for case in range(rounds * len(TEXT_MUTATIONS)):
+            kind = TEXT_MUTATIONS[case % len(TEXT_MUTATIONS)]
+            damaged.write_bytes(mutate_text(data, kind, rng))
+            without = outcomes(kind)
+            if twin is not None:
+                Path(f"{damaged}.twin").write_bytes(twin)
+                assert outcomes(kind) == without, (clean.name, kind)
+                Path(f"{damaged}.twin").unlink()
 
     def test_mutated_feature_ranking_and_truth_files_exit_cleanly(self, tmp_path, capsys):
         # frame features go to pool and, as queries, to rank --top; a
@@ -1016,7 +1033,7 @@ class TestTextFileFuzz:
         self.fuzz(tmp_path, capsys, frames, lambda damaged: [
             ["pool", "--features", damaged, "--out", str(tmp_path / "pooled.feat")],
             ["rank", "--queries", damaged, "--items", str(frames), "--top", "2",
-             "--out", str(tmp_path / "top.tsv")]])
+             "--out", str(tmp_path / "top.tsv")]], twin=Path(f"{frames}.twin").read_bytes())
         self.fuzz(tmp_path, capsys, ranking, lambda damaged: evaluate(damaged, str(truth)))
         self.fuzz(tmp_path, capsys, truth, lambda damaged: evaluate(str(ranking), damaged))
 
@@ -1266,6 +1283,105 @@ class TestPool:
         assert main(["pool", "--features", frames, "--audio", str(audio),
                      "--out", str(tmp_path / "p.feat")]) == 2
         assert "v2" in capsys.readouterr().err
+
+
+def assert_reference_twin(path):
+    """The twin beside the feature file ``path`` is the reference twin of
+    the table its text parses to."""
+    twin = Path(f"{path}.twin")
+    written = twin.read_bytes()
+    twin.unlink()
+    parsed = formats.read_features(str(path))
+    oracles.write_twin(path, parsed.ids, parsed.matrix)
+    assert twin.read_bytes() == written
+
+
+class TestFeatureTwins:
+    def test_pool_and_encode_write_a_twin(self, tmp_path, capsys, trained):
+        paths, model = trained
+        frames = TestPool().write_frames(tmp_path)
+        pooled, encoded = tmp_path / "pooled.feat", tmp_path / "enc.feat"
+        assert main(["pool", "--features", frames, "--out", str(pooled)]) == 0
+        assert main(["encode", "--model", model, "--sentences", paths["val_sentences"],
+                     "--out", str(encoded)]) == 0
+        for path in (pooled, encoded):
+            assert_reference_twin(path)
+
+    def test_outputs_are_the_same_with_twins_deleted(self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        encoded = tmp_path / "enc.feat"
+
+        def run(tag):
+            model, ranking, top = (str(tmp_path / f"{tag}.{name}")
+                                   for name in ("model.bin", "rank.tsv", "top.tsv"))
+            assert main(train_args(paths, model)) == 0
+            if tag == "twins":
+                assert main(["encode", "--model", model, "--sentences",
+                             paths["val_sentences"], "--out", str(encoded)]) == 0
+            assert main(["rank", "--queries", str(encoded), "--items", paths["features"],
+                         "--out", ranking]) == 0
+            assert main(["rank", "--queries", paths["features"], "--items", str(encoded),
+                         "--top", "2", "--out", top]) == 0
+            return [Path(p).read_bytes() for p in (model, f"{model}.history.tsv", ranking, top)]
+
+        with_twins = run("twins")
+        for path in (encoded, Path(paths["features"])):
+            assert_reference_twin(path)
+            Path(f"{path}.twin").unlink()
+        assert run("texts") == with_twins
+
+    def test_features_from_a_pipe_stream_without_a_twin_lookup(self, tmp_path, capsys,
+                                                               monkeypatch):
+        import threading
+
+        queries, items = TestRank().write_pool(tmp_path)
+        expected = tmp_path / "expected.tsv"
+        assert main(["rank", "--queries", queries, "--items", items,
+                     "--out", str(expected)]) == 0
+        fifo = tmp_path / "q.fifo"
+        os.mkfifo(fifo)
+        Path(f"{fifo}.twin").write_bytes(Path(f"{queries}.twin").read_bytes())
+        opened = []
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(Path(queries).read_bytes())
+
+        monkeypatch.setattr(formats, "open", recording_open, raising=False)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "rank.tsv"
+        code = main(["rank", "--queries", str(fifo), "--items", items, "--out", str(out)])
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert code == 0
+        assert f"{fifo}.twin" not in opened and f"{items}.twin" in opened
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_failed_twin_write_is_a_data_error_after_the_whole_text(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        frames = TestPool().write_frames(tmp_path)
+        pooled = tmp_path / "pooled.feat"
+        assert main(["pool", "--features", frames, "--out", str(pooled)]) == 0
+        text = pooled.read_bytes()
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        pooled.unlink()
+        Path(f"{pooled}.twin").unlink()
+
+        def full_twin_disk(file, mode="r", **kwargs):
+            return (FullDiskFile if ".twin." in str(file) else open)(file, mode, **kwargs)
+
+        monkeypatch.setattr(formats, "open", full_twin_disk, raising=False)
+        assert main(["pool", "--features", frames, "--out", str(pooled)]) == 2
+        assert capsys.readouterr().err == (
+            "textovision: error: [Errno 28] No space left on device\n")
+        assert pooled.read_bytes() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            name for name in listing if name != "pooled.feat.twin"]
 
 
 class TestEvaluate:
@@ -1678,14 +1794,14 @@ class TestModuleEntryPoint:
         assert "evaluate" in proc.stdout
 
 
-def run_fresh(code, *args):
-    """Run ``code`` in a new interpreter with this checkout's package on
-    the path; its last line of standard output."""
+def run_fresh(code, *args, flags=()):
+    """Run ``code`` in a new interpreter, started with ``flags``, with this
+    checkout's package on the path; its last line of standard output."""
     import subprocess
     import sys
 
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=checkout_env())
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], capture_output=True,
+                          text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 
@@ -1736,9 +1852,14 @@ class TestImportGraph:
     )
 
     def test_evaluate_runs_without_numpy(self, tmp_path):
+        # nor statistics or dataclasses; -S, so that no site hook loads them first
         rank_path, gt_path = TestEvaluate().write_fixture(tmp_path)
-        assert run_fresh(self.MAIN_THEN_REPORT_NUMPY, "evaluate", "--rankings", rank_path,
-                         "--ground-truth", gt_path, "--out", str(tmp_path / "r.tsv")) == "False"
+        code = ("import sys\n"
+                "from textovision.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print([m for m in ('numpy', 'statistics', 'dataclasses') if m in sys.modules])\n")
+        assert run_fresh(code, "evaluate", "--rankings", rank_path, "--ground-truth", gt_path,
+                         "--out", str(tmp_path / "r.tsv"), flags=["-S"]) == "[]"
 
     def test_build_vocab_runs_without_numpy(self, tmp_path):
         sentences = tmp_path / "s.tsv"

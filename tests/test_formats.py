@@ -1,7 +1,9 @@
 import errno
 import math
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -207,14 +209,18 @@ class TestFeatureFile:
         assert back.matrix.tobytes() == matrix.tobytes()
 
     def test_failed_write_leaves_earlier_file_untouched(self, tmp_path, monkeypatch):
-        path = tmp_path / "f.txt"
+        path, twin = tmp_path / "f.txt", tmp_path / "f.txt.twin"
         formats.write_features(str(path), Features(["a"], [[1.0, 2.0]]))
-        earlier = path.read_bytes()
+        earlier, earlier_twin = path.read_bytes(), twin.read_bytes()
         monkeypatch.setattr(formats, "open", FullDiskFile, raising=False)
         with pytest.raises(OSError, match="No space left"):
             formats.write_features(str(path), Features(["b"], [[3.0, 4.0]]))
         assert path.read_bytes() == earlier
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+        assert twin.read_bytes() == earlier_twin
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "f.txt.twin"]
+        monkeypatch.undo()
+        back = formats.read_features(str(path))
+        assert back.ids == ("a",) and back.matrix.tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("shape", [(0, 2), (1, 0)])
     def test_empty_or_dimensionless_table_is_not_written(self, tmp_path, shape):
@@ -222,6 +228,163 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match=re.escape(f"empty feature file, shape {shape}")):
             formats.write_features(str(path), Features(["x#0"][: shape[0]], np.zeros(shape)))
         assert not path.exists()
+
+
+def twin_table(path):
+    """``(ids, matrix)`` that ``read_features`` takes from the twin of the
+    feature file ``path``, or None when it would parse the text."""
+    with open(path, "rb") as fh:
+        count, dim = map(int, fh.readline().split())
+        return formats._twin_table(str(path), fh.fileno(), count, dim)
+
+
+def twin_ids():
+    """Up to six distinct feature ids, non-ASCII ones too: no whitespace, not empty."""
+    one = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
+    return st.lists(one.filter(lambda t: t.split() == [t]), min_size=6, max_size=6, unique=True)
+
+
+class TestFeatureTwin:
+    """A twin, ``<path>.twin``, beside each feature file ``write_features``
+    writes; ``read_features`` takes the table from it only when it vouches
+    for the text, and otherwise gives exactly the text's table or error."""
+
+    def test_twin_follows_the_record_layout(self, tmp_path):
+        path, twin = tmp_path / "f.feat", tmp_path / "f.feat.twin"
+        table = Features(["a", "é#1", "日本"], [[1.5, -0.0], [5e-324, 2.0], [3.0, -1e300]])
+        formats.write_features(str(path), table)
+        written = twin.read_bytes()
+        oracles.write_twin(path, table.ids, table.matrix)
+        assert twin.read_bytes() == written
+
+    def test_a_vouching_twin_is_read_in_place_of_the_text(self, tmp_path):
+        # both digests right, other values: the table comes from the twin
+        path = tmp_path / "f.feat"
+        path.write_text("1 2\na 1.0 2.0\n", encoding="utf-8")
+        oracles.write_twin(path, ["b"], [[7.0, 8.0]])
+        back = formats.read_features(str(path))
+        assert back.ids == ("b",) and back.matrix.tolist() == [[7.0, 8.0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda dim: st.lists(st.lists(finite_floats(), min_size=dim, max_size=dim),
+                             min_size=1, max_size=6)
+    ), twin_ids())
+    def test_round_trip_is_bit_exact_with_and_without_twin(self, tmp_path_factory, rows, ids):
+        path = tmp_path_factory.mktemp("twin") / "f.feat"
+        table = Features(ids[: len(rows)], np.array(rows, dtype=np.float64))
+        formats.write_features(str(path), table)
+        got_ids, got_matrix = twin_table(path)
+        assert tuple(got_ids) == table.ids and got_matrix.tobytes() == table.matrix.tobytes()
+        with_twin = formats.read_features(str(path))
+        Path(f"{path}.twin").unlink()
+        without = formats.read_features(str(path))
+        for back in (with_twin, without):
+            assert back.ids == table.ids
+            assert back.matrix.dtype == np.float64 and back.matrix.flags.c_contiguous
+            assert back.matrix.tobytes() == table.matrix.tobytes()
+
+    def test_stale_twin_of_same_size_and_mtime_is_ignored(self, tmp_path):
+        path = tmp_path / "f.feat"
+        formats.write_features(str(path), Features(["a", "b"], [[1.5, 2.0], [3.0, 4.0]]))
+        before = path.stat()
+        path.write_text("2 2\na 2.5 2.0\nb 3.0 4.0\n", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert twin_table(path) is None
+        assert formats.read_features(str(path)).matrix.tolist() == [[2.5, 2.0], [3.0, 4.0]]
+
+    def test_twin_that_is_a_pipe_is_not_opened(self, tmp_path):
+        # opening a pipe waits for a writer; the read must not wait
+        import threading
+
+        path = tmp_path / "f.feat"
+        formats.write_features(str(path), Features(["a"], [[1.0, 2.0]]))
+        Path(f"{path}.twin").unlink()
+        os.mkfifo(f"{path}.twin")
+        result = []
+        reader = threading.Thread(target=lambda: result.append(formats.read_features(str(path))),
+                                  daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        waited = reader.is_alive()
+        if waited:  # release it: a writer that closes at once
+            os.close(os.open(f"{path}.twin", os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not waited and not reader.is_alive()
+        assert len(result) == 1 and result[0].matrix.tolist() == [[1.0, 2.0]]
+
+    def test_damaged_twin_gives_the_text_parse(self, tmp_path):
+        # every truncation, and seeded bit flips and overwritten byte runs anywhere
+        path, twin = tmp_path / "f.feat", tmp_path / "f.feat.twin"
+        table = Features(["a", "bé", "c#1"], [[1.5, -0.0], [5e-324, 2.0], [3.0, -1e300]])
+        formats.write_features(str(path), table)
+        clean = twin.read_bytes()
+        rng = np.random.default_rng(2026)
+        damaged = [clean[:cut] for cut in range(len(clean))]
+        for _ in range(800):
+            flipped = bytearray(clean)
+            bit = int(rng.integers(8 * len(clean)))
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged.append(bytes(flipped))
+        for _ in range(200):
+            at, n = int(rng.integers(len(clean))), int(rng.integers(1, 40))
+            run = rng.integers(0, 256, size=len(clean[at:at + n]), dtype=np.uint8).tobytes()
+            damaged.append(clean[:at] + run + clean[at + n:])
+        for data in damaged:
+            twin.write_bytes(data)
+            back = formats.read_features(str(path))
+            assert back.ids == table.ids and back.matrix.tobytes() == table.matrix.tobytes()
+
+    @pytest.mark.parametrize("text, ids, matrix, message", [
+        ("3 2\na 1 2\nb 1 2\n", ["a", "b"], [[1, 2], [1, 2]],
+         ":3: header declares 3 rows but file has 2"),
+        ("2 2\na 1 2\nb 1 nan\n", ["a", "b"], [[1, 2], [1, np.nan]],
+         ":3: non-finite value in row 'b'"),
+        ("2 2\na 1 2\na 1 2\n", ["a", "a"], [[1, 2], [1, 2]], ":3: duplicate item id 'a'"),
+        ("2 3\na 1 2\nb 1 2\n", ["a", "b"], [[1, 2], [1, 2]],
+         ":2: row 'a' has 2 values, expected 3"),
+    ])
+    def test_text_errors_are_the_same_with_a_twin(self, tmp_path, text, ids, matrix, message):
+        # each twin vouches for its text by both digests but holds what the
+        # text's checks refuse: a wrong count or width, a nan, a repeated id
+        path = tmp_path / "f.feat"
+        path.write_text(text, encoding="utf-8")
+        oracles.write_twin(path, ids, matrix)
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                formats.read_features(str(path))
+            assert str(exc.value) == f"{path}{message}"
+            Path(f"{path}.twin").unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("ids, matrix", [
+        (["a b"], [[1.0]]), ([""], [[1.0]]), (["a", "a"], [[1.0], [2.0]]),
+        (["a"], [[np.nan]]), (["a"], [[-np.inf]]),
+    ])
+    def test_no_twin_for_a_table_the_text_cannot_give_back(self, tmp_path, ids, matrix):
+        formats.write_features(str(tmp_path / "f.feat"), Features(ids, matrix))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.feat"]
+
+    def test_failed_twin_write_leaves_the_complete_text(self, tmp_path, monkeypatch):
+        # the earlier twin stays and no longer vouches: the new text is read
+        path, twin = tmp_path / "f.feat", tmp_path / "f.feat.twin"
+        formats.write_features(str(path), Features(["a"], [[1.0, 2.0]]))
+        earlier_twin = twin.read_bytes()
+
+        def full_twin_disk(file, mode="r", **kwargs):
+            return (FullDiskFile if ".twin." in str(file) else open)(file, mode, **kwargs)
+
+        monkeypatch.setattr(formats, "open", full_twin_disk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            formats.write_features(str(path), Features(["b"], [[3.0, 4.0]]))
+        monkeypatch.undo()
+        assert path.read_text(encoding="utf-8") == "1 2\nb 3.0 4.0\n"
+        assert twin.read_bytes() == earlier_twin
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.feat", "f.feat.twin"]
+        assert twin_table(path) is None
+        back = formats.read_features(str(path))
+        assert back.ids == ("b",) and back.matrix.tolist() == [[3.0, 4.0]]
 
 
 class TestWordListFile:
