@@ -11,11 +11,12 @@ words. Every file is written through ``atomic_open``: a failed write
 leaves any earlier file intact.
 
 Beside each feature file it writes, ``write_features`` leaves a binary
-twin, ``<path>.twin``, that holds the same table and the sha256 of the
-text. ``read_features`` loads the table from the twin only when that
-digest matches the text's bytes and the twin passes the text's checks;
-otherwise it parses the text. The text stays the one source of truth,
-so a twin may be deleted at any time.
+twin, ``<path>.twin``, that holds the same table and one sha256 of the
+text's bytes followed by the table's. ``read_features`` loads the table
+from the twin only when that digest matches and the twin passes the
+text's checks; otherwise it parses the text. The text stays the one
+source of truth, so a twin may be deleted at any time. A byte that is not
+UTF-8 in any text file is an error naming the file.
 """
 
 from __future__ import annotations
@@ -42,13 +43,29 @@ def atomic_open(path: str, mode: str = "w"):
     removed and ``path`` untouched."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8")
+    except OSError as exc:  # name the output, not its temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _open_text(path: str):
+    """``path`` open for reading as UTF-8 text; a byte that is not UTF-8
+    is an error naming the file. The decoder's position is left out: it
+    counts from the start of the chunk it decoded, not of the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # -- sentence files: "<sentence_id>\t<text>" ------------------------------
@@ -59,7 +76,7 @@ def read_sentences(path: str) -> list[Sentence]:
 
     sentences: list[Sentence] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -82,10 +99,12 @@ def read_sentences(path: str) -> list[Sentence]:
 
 # -- feature files: header "<count> <dim>", rows "<id> v1 ... v_dim" ------
 #
-# A twin, "<path>.twin", is four numpy .npy records: the text's size (8
-# bytes, little-endian) and sha256 as 40 uint8; the ids in UTF-8 joined by
-# "\n" as uint8; the matrix as <f8; the sha256 of the ids' bytes and the
-# matrix's bytes as 32 uint8.
+# A twin, "<path>.twin", is a 48-byte header, _TWIN_TAG, the text's size
+# (8 bytes, little-endian) and the sha256 of the text's bytes followed by
+# the payload; then the payload: the matrix as <f8, then the ids in UTF-8
+# joined by "\n". The header keeps the matrix 8-byte aligned.
+
+_TWIN_TAG = b"tvtwin\x00\x01"
 
 
 def read_features(path: str) -> Features:
@@ -102,7 +121,7 @@ def read_features(path: str) -> Features:
 
     from .retrieval import Features
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().split()
         try:
             count, dim = map(int, header)
@@ -129,66 +148,44 @@ def read_features(path: str) -> Features:
 
 def _twin_table(path: str, fd: int, count: int, dim: int):
     """``(ids, matrix)`` from ``<path>.twin``, or None. The text, open at
-    ``fd``, and the twin must be regular files; the twin must record the
-    text's size and sha256, and its ids and matrix must match their own
-    sha256, have the text's ``count`` and ``dim``, and hold finite values
-    and unique ids."""
+    ``fd``, and the twin must be regular files, the twin's header and digest
+    must vouch for the text, and its table must pass the text's checks."""
+    import hashlib
+
     import numpy as np
-    from numpy.lib.format import read_array
 
     text = os.fstat(fd)
-    if not stat.S_ISREG(text.st_mode):
-        return None
+    matrix_end = 48 + 8 * count * dim
     try:
-        if not stat.S_ISREG(os.stat(f"{path}.twin").st_mode):
-            return None  # opening a pipe would wait for a writer
-        twin = open(f"{path}.twin", "rb")
+        twin = os.stat(f"{path}.twin")
+        # a pipe is never opened (that waits for a writer), and the size is
+        # bounded by the text's before anything is allocated for it
+        if not (stat.S_ISREG(text.st_mode) and stat.S_ISREG(twin.st_mode)
+                and matrix_end < twin.st_size <= matrix_end + text.st_size):
+            return None
+        data = np.empty(twin.st_size, dtype=np.uint8)
+        with open(f"{path}.twin", "rb") as fh:
+            whole = fh.readinto(data) == len(data)
     except OSError:
         return None
-    with twin, warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            recorded = read_array(twin, allow_pickle=False).tobytes()
-            if recorded[:8] != text.st_size.to_bytes(8, "little"):
-                return None
-            if recorded[8:] != _file_sha256(fd):
-                return None
-            ids, matrix, content = (read_array(twin, allow_pickle=False) for _ in range(3))
-            if not (matrix.dtype == np.dtype("<f8") and matrix.shape == (count, dim)
-                    and matrix.flags.c_contiguous):
-                return None
-            if _table_sha256(ids.tobytes(), matrix) != content.tobytes():
-                return None
-            ids = ids.tobytes().decode("utf-8").split("\n")
-        except Exception:
-            # a damaged twin: numpy's .npy reader raises ValueError,
-            # SyntaxError, tokenize.TokenError or warns, and a damaged
-            # shape may ask for more memory than there is
-            return None
-    if len(ids) == len(set(ids)) == count and np.isfinite(matrix).all():
-        return ids, matrix
-    return None
-
-
-def _file_sha256(fd: int) -> bytes:
-    """The sha256 of the whole file open at ``fd``, read in chunks at
-    offsets, so that the file position does not move."""
-    import hashlib
-
+    if not (whole and data[:16].tobytes() == _TWIN_TAG + text.st_size.to_bytes(8, "little")):
+        return None
     digest, offset = hashlib.sha256(), 0
-    while chunk := os.pread(fd, 1 << 20, offset):
+    while chunk := os.pread(fd, 1 << 20, offset):  # the file position stays
         digest.update(chunk)
         offset += len(chunk)
-    return digest.digest()
-
-
-def _table_sha256(id_bytes: bytes, matrix) -> bytes:
-    """A twin's last record: the sha256 of its id bytes, then its matrix's."""
-    import hashlib
-
-    digest = hashlib.sha256(id_bytes)
-    digest.update(matrix)
-    return digest.digest()
+    digest.update(data[48:])
+    if digest.digest() != data[16:48].tobytes():
+        return None
+    matrix = data[48:matrix_end].view("<f8").reshape(count, dim)
+    try:
+        ids = data[matrix_end:].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    # an unaligned matrix would make matmul bypass BLAS, and so change bits
+    if matrix.flags.aligned and len(ids) == len(set(ids)) == count and np.isfinite(matrix).all():
+        return ids, matrix
+    return None
 
 
 def _value_parts(lines, ids: list[str]):
@@ -206,7 +203,7 @@ def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
     import numpy as np
 
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if lineno == 1 or not parts:
@@ -228,21 +225,21 @@ def _feature_row_error(path: str, count: int, dim: int) -> ValueError:
 def write_features(path: str, features: Features) -> None:
     """Write ``features`` atomically, each value as its ``repr``, hashing
     the bytes as they go; then, if the text reads back to exactly this
-    table (ids without whitespace, unique; finite values), its twin."""
+    table (ids without whitespace, unique; finite values), its twin, the
+    same digest carried on over the twin's payload."""
     import hashlib
 
     import numpy as np
-    from numpy.lib.format import write_array
 
     if not (len(features) and features.dim):
         raise ValueError(f"refusing to write an empty feature file, shape {features.matrix.shape}")
-    text = hashlib.sha256()
+    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
         rows = (f"{item_id} {' '.join(map(repr, row.tolist()))}\n"
                 for item_id, row in zip(features.ids, features.matrix))
         for line in itertools.chain([f"{len(features)} {features.dim}\n"], rows):
             data = line.encode("utf-8")
-            text.update(data)
+            digest.update(data)
             fh.write(data)
         size = fh.tell()
     ids, matrix = features.ids, features.matrix.astype("<f8", copy=False)
@@ -250,13 +247,12 @@ def write_features(path: str, features: Features) -> None:
             and np.isfinite(matrix).all()):
         return
     id_bytes = "\n".join(ids).encode("utf-8")
-    records = (size.to_bytes(8, "little") + text.digest(), id_bytes, matrix,
-               _table_sha256(id_bytes, matrix))
+    digest.update(matrix)
+    digest.update(id_bytes)
     with atomic_open(f"{path}.twin", "wb") as fh:
-        for record in records:
-            if isinstance(record, bytes):
-                record = np.frombuffer(record, dtype=np.uint8)
-            write_array(fh, record, allow_pickle=False)
+        fh.write(_TWIN_TAG + size.to_bytes(8, "little") + digest.digest())
+        fh.write(matrix)
+        fh.write(id_bytes)
 
 
 # -- vocabulary / trigram listings: one entry per line, index order -------
@@ -277,7 +273,7 @@ def read_pairs(path: str, unique_left: bool = False) -> list[tuple[str, str]]:
     repeated left id (say, a sentence paired with two items)."""
     pairs: list[tuple[str, str]] = []
     seen: set[str | tuple[str, str]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -361,7 +357,7 @@ def read_ranking(path: str) -> list[Ranking]:
     """One ``Ranking`` per query, in order of first appearance. A bad line,
     out-of-order rank or item ranked twice for a query names its line."""
     grouped: dict[str, tuple[list[str], list[float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -397,7 +393,7 @@ def _repeated_item_error(path: str) -> ValueError:
     """The error naming the first line of a ranking file that ranks an
     item a second time for its query."""
     seen: set[tuple[str, ...]] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             key = tuple(line.split("\t", 2)[:2])
             if key in seen and len(key) == 2:  # a blank line gives a 1-tuple

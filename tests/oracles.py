@@ -6,10 +6,11 @@ that blocked encoding replaced, the one-sentence rows that the
 vectorizers' ``rows`` replaced, loop-based metric
 recomputation, the per-row feature file reader/writer and
 sorted-key cosine ranking that the matrix code replaced, and a writer of
-feature-file twins from their documented record layout. These
+feature-file twins from their documented layout. These
 deliberately avoid the code paths they verify."""
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -335,21 +336,16 @@ def write_features(path: str, features: Sequence[VisualFeature]) -> None:
 
 def write_twin(path, ids, matrix) -> None:
     """Write ``<path>.twin`` for the feature text at ``path``, holding ``ids``
-    and ``matrix`` with both digests right: four .npy records, the text's
-    size (8 bytes, little-endian) and sha256, the ids in UTF-8 joined by
-    newlines, the matrix as <f8, and the sha256 of those ids' and matrix's bytes."""
-    from numpy.lib.format import write_array
-
+    and ``matrix`` with its digest right: a 48-byte header (the tag
+    ``tvtwin\\0\\1``, the text's size as 8 bytes little-endian, the sha256 of
+    the text followed by the payload), then the payload: the matrix as <f8,
+    then the ids in UTF-8 joined by newlines."""
     with open(path, "rb") as fh:
         text = fh.read()
-    id_bytes = "\n".join(ids).encode("utf-8")
-    matrix = np.asarray(matrix, dtype="<f8")
-    text_record = len(text).to_bytes(8, "little") + hashlib.sha256(text).digest()
-    table_record = hashlib.sha256(id_bytes + matrix.tobytes()).digest()
+    payload = np.asarray(matrix, dtype="<f8").tobytes() + "\n".join(ids).encode("utf-8")
+    digest = hashlib.sha256(text + payload).digest()
     with open(f"{path}.twin", "wb") as fh:
-        for record in (np.frombuffer(text_record, np.uint8), np.frombuffer(id_bytes, np.uint8),
-                       matrix, np.frombuffer(table_record, np.uint8)):
-            write_array(fh, record, allow_pickle=False)
+        fh.write(b"tvtwin\0\1" + struct.pack("<Q", len(text)) + digest + payload)
 
 
 def _candidate_matrix(candidates: Sequence[VisualFeature]) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,12 @@ five sentences samples three words from each mixed cluster. Retrieval
 of a held-out item is therefore learnable from other items that reuse
 the same clusters, while a 250-sentence distractor pool (drawn from
 non-test cluster mixes) keeps chance performance near 2%.
+
+``FullDiskFile`` stands in for ``open`` where a test needs every write to
+fail as on a full disk.
 """
 
+import errno
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -143,3 +147,19 @@ def make_corpus(seed: int = 20251101) -> SyntheticCorpus:
         test_sentences=sentences_for(test_ids),
         distractor_sentences=distractors,
     )
+
+
+class FullDiskFile:
+    """Opens the real file, then fails every write as a full disk does."""
+
+    def __init__(self, *args, **kwargs):
+        self.fh = open(*args, **kwargs)
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()

@@ -1,4 +1,3 @@
-import errno
 import os
 import re
 import struct
@@ -9,7 +8,7 @@ import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from synthdata import make_corpus, write_sentences
+from synthdata import FullDiskFile, make_corpus, write_sentences
 
 from textovision import formats
 from textovision.cli import main
@@ -109,22 +108,6 @@ def small_vectorizer(kind, rng):
     if kind == "hashing":
         return textvec.TermIndex("hashing", ["#" + w for w in TWO_LETTER_WORDS])
     return textvec.TermIndex("bow", TWO_LETTER_WORDS)
-
-
-class FullDiskFile:
-    """Opens the real file, then fails every write as a full disk does."""
-
-    def __init__(self, *args, **kwargs):
-        self.fh = open(*args, **kwargs)
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
 
 
 def open_full_disk(file, mode="r", **kwargs):
@@ -1045,6 +1028,39 @@ class TestTextFileFuzz:
             paths, str(tmp_path / "m.bin"), ["--pairs", damaged, "--max-epochs", "2"])], rounds=2)
 
 
+class TestTextNotUtf8:
+    @pytest.mark.parametrize("kind", ["features", "embeddings", "sentences", "pairs",
+                                      "rankings", "ground truth"])
+    def test_byte_that_is_not_utf8_names_the_file(self, tmp_path, capsys, kind):
+        paths = write_corpus(tmp_path)
+        model, vocab = str(tmp_path / "m.bin"), str(tmp_path / "vocab.txt")
+        pairs, ranking, truth = (tmp_path / name for name in ("pairs.tsv", "rank.tsv", "gt.tsv"))
+        pairs.write_text("".join(prefix_pairs(paths)), encoding="utf-8")
+        assert main(["rank", "--queries", paths["features"], "--items", paths["features"],
+                     "--out", str(ranking)]) == 0
+        truth.write_text("".join(f"{item}\t{item}\n" for item in ITEM_WORDS), encoding="utf-8")
+        embeddings = write_embeddings(tmp_path)
+        evaluate = ["evaluate", "--rankings", str(ranking), "--ground-truth", str(truth)]
+        bad, argv = {
+            "features": (paths["features"], train_args(paths, model)),
+            "embeddings": (embeddings, train_args(
+                paths, model, ["--vectorizer", "word2vec", "--embeddings", embeddings])),
+            "sentences": (paths["train_sentences"],
+                          ["build-vocab", "--sentences", paths["train_sentences"],
+                           "--vectorizer", "bow", "--out", vocab]),
+            "pairs": (str(pairs), train_args(paths, model, ["--pairs", str(pairs)])),
+            "rankings": (str(ranking), evaluate),
+            "ground truth": (str(truth), evaluate),
+        }[kind]
+        lines = Path(bad).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        Path(bad).write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: {bad}: not UTF-8 text (invalid start byte)\n")
+
+
 class TestModelLoad:
     @pytest.mark.parametrize("kind, words, message", [
         (0, ["a", "zat", "dog"], "vocabulary entries must be strictly ascending: 'zat' before 'dog'"),
@@ -1275,6 +1291,14 @@ class TestPool:
                      "--out", str(out)]) == 0
         rows = rows_of(formats.read_features(str(out)))
         assert rows["v1"] == [2.0, 4.0, 9.0]
+
+    def test_output_that_cannot_be_created_is_named(self, tmp_path, capsys):
+        # not the temporary file the output is first written to
+        frames = self.write_frames(tmp_path)
+        out = tmp_path / "nodir" / "o.feat"
+        assert main(["pool", "--features", frames, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"textovision: error: [Errno 2] No such file or directory: '{out}'\n")
 
     def test_missing_audio_names_video(self, tmp_path, capsys):
         frames = self.write_frames(tmp_path)

@@ -1,4 +1,4 @@
-import errno
+import hashlib
 import math
 import os
 import re
@@ -11,6 +11,7 @@ import pytest
 import synthdata
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from synthdata import FullDiskFile
 
 from textovision import formats, modelio
 from textovision.neuralnet import EpochStats, init_network
@@ -62,20 +63,18 @@ class TestSentenceFile:
                 formats.read_sentences(str(path))
 
 
-class FullDiskFile:
-    """Opens the real file, then fails every write as a full disk does."""
-
-    def __init__(self, *args, **kwargs):
-        self.fh = open(*args, **kwargs)
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
+class TestAtomicOpen:
+    def test_failed_rename_names_both_ends(self, tmp_path):
+        # unlike a temporary file that cannot be made, named as the output,
+        # a rename that fails keeps the error naming both of its ends
+        directory = tmp_path / "d"
+        directory.mkdir()
+        with pytest.raises(IsADirectoryError) as exc:
+            with formats.atomic_open(str(directory)) as fh:
+                fh.write("x")
+        tmp = f"{directory}.{os.getpid()}.tmp"
+        assert str(exc.value) == f"[Errno 21] Is a directory: '{tmp}' -> '{directory}'"
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 def finite_floats():
@@ -238,6 +237,25 @@ def twin_table(path):
         return formats._twin_table(str(path), fh.fileno(), count, dim)
 
 
+def write_npy_record_twin(path, ids, matrix) -> None:
+    """A frozen copy of the writer of the twin layout before this one: four
+    .npy records, the text's size (8 bytes, little-endian) and sha256, the
+    ids in UTF-8 joined by newlines, the matrix as <f8, and the sha256 of
+    those ids' and matrix's bytes."""
+    from numpy.lib.format import write_array
+
+    with open(path, "rb") as fh:
+        text = fh.read()
+    id_bytes = "\n".join(ids).encode("utf-8")
+    matrix = np.asarray(matrix, dtype="<f8")
+    text_record = len(text).to_bytes(8, "little") + hashlib.sha256(text).digest()
+    table_record = hashlib.sha256(id_bytes + matrix.tobytes()).digest()
+    with open(f"{path}.twin", "wb") as fh:
+        for record in (np.frombuffer(text_record, np.uint8), np.frombuffer(id_bytes, np.uint8),
+                       matrix, np.frombuffer(table_record, np.uint8)):
+            write_array(fh, record, allow_pickle=False)
+
+
 def twin_ids():
     """Up to six distinct feature ids, non-ASCII ones too: no whitespace, not empty."""
     one = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=5)
@@ -258,7 +276,7 @@ class TestFeatureTwin:
         assert twin.read_bytes() == written
 
     def test_a_vouching_twin_is_read_in_place_of_the_text(self, tmp_path):
-        # both digests right, other values: the table comes from the twin
+        # its digest right, other values: the table comes from the twin
         path = tmp_path / "f.feat"
         path.write_text("1 2\na 1.0 2.0\n", encoding="utf-8")
         oracles.write_twin(path, ["b"], [[7.0, 8.0]])
@@ -276,12 +294,14 @@ class TestFeatureTwin:
         formats.write_features(str(path), table)
         got_ids, got_matrix = twin_table(path)
         assert tuple(got_ids) == table.ids and got_matrix.tobytes() == table.matrix.tobytes()
+        assert got_matrix.flags.aligned
         with_twin = formats.read_features(str(path))
         Path(f"{path}.twin").unlink()
         without = formats.read_features(str(path))
         for back in (with_twin, without):
             assert back.ids == table.ids
             assert back.matrix.dtype == np.float64 and back.matrix.flags.c_contiguous
+            assert back.matrix.flags.aligned
             assert back.matrix.tobytes() == table.matrix.tobytes()
 
     def test_stale_twin_of_same_size_and_mtime_is_ignored(self, tmp_path):
@@ -316,7 +336,11 @@ class TestFeatureTwin:
         assert len(result) == 1 and result[0].matrix.tolist() == [[1.0, 2.0]]
 
     def test_damaged_twin_gives_the_text_parse(self, tmp_path):
-        # every truncation, and seeded bit flips and overwritten byte runs anywhere
+        # every truncation, seeded bit flips and overwritten byte runs
+        # anywhere, and the clean twin grown to 64 GiB (sparse), which must
+        # be neither read nor allocated
+        import tracemalloc
+
         path, twin = tmp_path / "f.feat", tmp_path / "f.feat.twin"
         table = Features(["a", "bé", "c#1"], [[1.5, -0.0], [5e-324, 2.0], [3.0, -1e300]])
         formats.write_features(str(path), table)
@@ -336,6 +360,16 @@ class TestFeatureTwin:
             twin.write_bytes(data)
             back = formats.read_features(str(path))
             assert back.ids == table.ids and back.matrix.tobytes() == table.matrix.tobytes()
+        twin.write_bytes(clean)
+        os.truncate(twin, 2**36)
+        tracemalloc.start()
+        try:
+            back = formats.read_features(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.ids == table.ids and back.matrix.tobytes() == table.matrix.tobytes()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("text, ids, matrix, message", [
         ("3 2\na 1 2\nb 1 2\n", ["a", "b"], [[1, 2], [1, 2]],
@@ -347,7 +381,7 @@ class TestFeatureTwin:
          ":2: row 'a' has 2 values, expected 3"),
     ])
     def test_text_errors_are_the_same_with_a_twin(self, tmp_path, text, ids, matrix, message):
-        # each twin vouches for its text by both digests but holds what the
+        # each twin vouches for its text by its digest but holds what the
         # text's checks refuse: a wrong count or width, a nan, a repeated id
         path = tmp_path / "f.feat"
         path.write_text(text, encoding="utf-8")
@@ -357,6 +391,42 @@ class TestFeatureTwin:
                 formats.read_features(str(path))
             assert str(exc.value) == f"{path}{message}"
             Path(f"{path}.twin").unlink(missing_ok=True)
+
+    @pytest.mark.parametrize("dim", [2, 64])
+    def test_twin_in_the_npy_record_layout_is_ignored(self, tmp_path, dim):
+        # the layout before this one vouches for the text by its own rules,
+        # holding other values; at dim 2 it is too large for the text, at
+        # dim 64 it fits and the tag refuses it
+        path = tmp_path / "f.feat"
+        table = Features(["a", "b"], np.random.default_rng(dim).normal(size=(2, dim)))
+        formats.write_features(str(path), table)
+        write_npy_record_twin(path, ["c", "d"], table.matrix + 1.0)
+        fits = 48 + 8 * table.matrix.size + path.stat().st_size
+        assert (Path(f"{path}.twin").stat().st_size <= fits) == (dim == 64)
+        assert twin_table(path) is None
+        back = formats.read_features(str(path))
+        assert back.ids == table.ids and back.matrix.tobytes() == table.matrix.tobytes()
+
+    def test_vouching_twin_with_ids_that_are_not_utf8_gives_the_text(self, tmp_path):
+        path = tmp_path / "f.feat"
+        path.write_text("1 2\na 1.0 2.0\n", encoding="utf-8")
+        text, payload = path.read_bytes(), np.array([7.0, 8.0], "<f8").tobytes() + b"\xff"
+        digest = hashlib.sha256(text + payload).digest()
+        Path(f"{path}.twin").write_bytes(b"tvtwin\0\1" + struct.pack("<Q", len(text)) + digest
+                                         + payload)
+        assert twin_table(path) is None
+        assert formats.read_features(str(path)).matrix.tolist() == [[1.0, 2.0]]
+
+    def test_one_digest_per_write_and_per_read(self, tmp_path, monkeypatch):
+        made, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda *data: made.append(data) or sha256(*data))
+        path = tmp_path / "f.feat"
+        formats.write_features(str(path), Features(["a", "b"], [[1.0, 2.0], [3.0, 4.0]]))
+        assert len(made) == 1
+        oracles.write_twin(path, ["c", "d"], [[5.0, 6.0], [7.0, 8.0]])
+        made.clear()
+        back = formats.read_features(str(path))  # the table from the twin
+        assert back.ids == ("c", "d") and len(made) == 1
 
     @pytest.mark.parametrize("ids, matrix", [
         (["a b"], [[1.0]]), ([""], [[1.0]]), (["a", "a"], [[1.0], [2.0]]),
