@@ -256,9 +256,10 @@ def cmd_encode(args) -> int:
     if not ids:
         raise ValueError("no sentence could be encoded")
 
-    # each row has its own product, so dropping rows after encoding keeps the bytes
+    # only the kept rows are encoded, into one matrix; each has its own product
+    kept = neuralnet.SelectedRows(rows, np.flatnonzero(known))
     with np.errstate(over="ignore", invalid="ignore"):  # a damaged model is reported below
-        encoded = neuralnet.encode(model.params, rows)[known]
+        encoded = neuralnet.encode(model.params, kept)
     if not np.isfinite(encoded).all():
         raise ValueError(f"{args.model}: the model predicts non-finite features")
     formats.write_features(args.out, retrieval.Features(ids, encoded))

@@ -171,9 +171,10 @@ def _twin_table(path: str, fd: int, count: int, dim: int):
     if not (whole and data[:16].tobytes() == _TWIN_TAG + text.st_size.to_bytes(8, "little")):
         return None
     digest, offset = hashlib.sha256(), 0
-    while chunk := os.pread(fd, 1 << 20, offset):  # the file position stays
-        digest.update(chunk)
-        offset += len(chunk)
+    buffer = memoryview(bytearray(min(1 << 20, text.st_size + 1)))  # reused by every read
+    while size := os.preadv(fd, [buffer], offset):  # the file position stays
+        digest.update(buffer[:size])
+        offset += size
     digest.update(data[48:])
     if digest.digest() != data[16:48].tobytes():
         return None

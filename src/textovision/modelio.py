@@ -150,7 +150,7 @@ def _unpack_string(reader: _Reader) -> str:
     try:
         return reader.take(length).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{reader.path}: {exc}") from None
+        raise ValueError(f"{reader.path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_vectorizer(fh, vectorizer: Union[TermIndex, WordEmbeddingTable]) -> None:

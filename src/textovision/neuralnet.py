@@ -16,10 +16,10 @@ or dense matrices, one row per example, and gathers each only one
 mini-batch at a time: term-count sentence vectors stay compressed
 (``TermIndex.rows``) and targets are row indices into the feature matrix,
 so a sparse corpus of any size never exists as one dense matrix.
-``encode`` takes the same row forms and maps them to a matrix of
-predicted features, a chunk of rows at a time through cache-sized
-weight blocks on ``thread_count()`` threads; it only reads its params
-(a loaded model's arrays are read-only). ``rmsprop_step`` mutates the
+``encode`` takes the same row forms and fills one matrix of predicted
+features, a chunk of rows at a time through cache-sized weight blocks
+on ``thread_count()`` threads; it only reads its params (a loaded
+model's arrays are read-only). ``rmsprop_step`` mutates the
 ``params`` and ``state`` it is given and only reads ``grads``;
 ``train`` copies the best epoch's parameters into one snapshot, so later
 in-place steps never change what it returns.
@@ -85,9 +85,9 @@ class SparseRows:
 
 @dataclass(frozen=True)
 class SelectedRows:
-    """Rows ``index`` of ``matrix``, in that order, gathered only by ``take``."""
+    """Rows ``index`` of ``matrix`` (dense or ``SparseRows``), in order, gathered by ``take``."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray | SparseRows
     index: np.ndarray
 
     @property
@@ -95,6 +95,8 @@ class SelectedRows:
         return (len(self.index), self.matrix.shape[1])
 
     def take(self, rows: np.ndarray) -> np.ndarray:
+        if isinstance(self.matrix, SparseRows):
+            return self.matrix.take(self.index[rows])
         return self.matrix[self.index[rows]]
 
 
@@ -493,32 +495,27 @@ def _step(params, state, inputs, targets, cfg, rng) -> float:
 def encode(params: NetworkParams, x: SparseRows | SelectedRows | np.ndarray) -> np.ndarray:
     """Predicted visual features, one row per input row (inference mode).
 
-    ``x`` is in a form ``train``'s inputs take, and ``ENCODE_CHUNK`` rows
-    at a time are gathered, as ``train`` gathers a mini-batch. Each layer
-    runs in weight blocks (``_blocks``) on ``textovision.thread_count()``
-    threads, a block staying in cache while every row of the chunk passes
-    through it. Each row still gets its own matrix-vector product, the
-    BLAS call of a one-row ``forward``: a batched product sums in another
-    order. So at one BLAS thread, which the CLI sets for ``encode`` over
-    any caller setting, every row has the bits of its own ``forward`` at
-    any thread count and in any input form.
+    ``x`` is in a form ``train``'s inputs take; ``ENCODE_CHUNK`` rows at a
+    time are gathered, as ``train`` gathers a mini-batch, and the last
+    layer writes them into the one output matrix. Each layer runs in
+    weight blocks (``_blocks``) on ``thread_count()`` threads, a block
+    staying in cache while every row of the chunk passes through it. Each
+    row still gets its own matrix-vector product, the BLAS call of a
+    one-row ``forward`` (a batched product sums in another order), so at
+    one BLAS thread, as the CLI runs ``encode``, every row has the bits of
+    its own ``forward`` at any thread count and in any input form.
     """
     shape, width = np.shape(x), params[0][0].shape[1]
     if len(shape) != 2 or shape[1] != width:
         raise ValueError(f"encode expects a 2-D (rows, {width}) input, got shape {shape}")
-    x, rows = _rows(x), np.arange(shape[0])
-    outputs = [np.empty((0, params[-1][0].shape[0]))]
-    for start in range(0, len(rows), ENCODE_CHUNK):
-        outputs.append(_encode_chunk(params, x.take(rows[start : start + ENCODE_CHUNK])))
-    return np.concatenate(outputs)
-
-
-def _encode_chunk(params: NetworkParams, h: np.ndarray) -> np.ndarray:
-    for w, b in params:
-        out = np.empty((len(h), len(w)))
-        _on_workers(_encode_blocks, _blocks(w), h, w, b, out)
-        h = out
-    return h
+    x, out = _rows(x), np.empty((shape[0], params[-1][0].shape[0]))
+    for start in range(0, shape[0], ENCODE_CHUNK):
+        h = x.take(np.arange(start, min(start + ENCODE_CHUNK, shape[0])))
+        for i, (w, b) in enumerate(params, start=1):
+            act = out[start : start + len(h)] if i == len(params) else np.empty((len(h), len(w)))
+            _on_workers(_encode_blocks, _blocks(w), h, w, b, act)
+            h = act
+    return out
 
 
 def _blocks(w: np.ndarray) -> list[tuple[int, int]]:

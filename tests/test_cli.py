@@ -569,6 +569,36 @@ class TestEncode:
             f"textovision: skipping 's#128': sentence 's#128' has no {TERM_NOUNS[kind]}\n"
             f"encoded 256 sentences, skipped 1, {zero} all-zero predictions\n")
 
+    def test_the_output_is_held_once(self, tmp_path, capsys):
+        # 4000 predictions of 512-d and one sentence out of vocabulary: the
+        # chunks joined, or all rows encoded and then the kept ones copied
+        # out, would hold the output twice
+        import tracemalloc
+
+        from oracles import random_net
+
+        from textovision import modelio, textvec
+
+        rng = np.random.default_rng(11)
+        words = [f"w{i:02}" for i in range(50)]
+        model = tmp_path / "m.bin"
+        modelio.save_model(str(model), modelio.TrainedModel(textvec.TermIndex("bow", words),
+                                                            random_net([50, 16, 512], rng)))
+        sentences = [Sentence(f"s#{k}", " ".join(rng.choice(words, size=12)))
+                     for k in range(4000)]
+        sentences.insert(2000, Sentence("oov#0", "zzz qqq"))
+        write_sentences(str(tmp_path / "s.tsv"), sentences)
+        tracemalloc.start()
+        try:
+            code = main(["encode", "--model", str(model), "--sentences", str(tmp_path / "s.tsv"),
+                         "--out", str(tmp_path / "e.feat")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(formats.read_features(str(tmp_path / "e.feat"))) == 4000
+        output = 4000 * 512 * 8
+        assert peak < 1.5 * output, f"peak {peak / output:.2f} times the output"
+
     def save_small_model(self, dirpath, kind):
         from oracles import random_net
 
@@ -1091,8 +1121,8 @@ class TestModelLoad:
         model.payload(b"\xc3")
         code, err = encode_model_bytes(tmp_path, model.data)
         assert code == 2
-        assert err == (f"textovision: error: {tmp_path / 'm.bin'}: 'utf-8' codec can't decode "
-                       "byte 0xc3 in position 0: unexpected end of data\n")
+        assert err == (f"textovision: error: {tmp_path / 'm.bin'}: not UTF-8 text "
+                       "(unexpected end of data)\n")
 
     def test_model_from_a_pipe_is_data_error(self, tmp_path, capsys):
         import threading

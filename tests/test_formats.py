@@ -304,6 +304,23 @@ class TestFeatureTwin:
             assert back.matrix.flags.aligned
             assert back.matrix.tobytes() == table.matrix.tobytes()
 
+    def test_a_tiny_vouching_twin_is_read_in_little_memory(self, tmp_path):
+        # the text's digest is read into a buffer no larger than the text,
+        # not 1 MiB per read
+        import tracemalloc
+
+        path = tmp_path / "f.feat"
+        formats.write_features(str(path), Features(["a"], [[1.5, 2.0]]))
+        assert twin_table(path) is not None
+        tracemalloc.start()
+        try:
+            ids, matrix = twin_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ids == ["a"] and matrix.tolist() == [[1.5, 2.0]]
+        assert peak < 64 << 10, f"peak {peak} bytes"
+
     def test_stale_twin_of_same_size_and_mtime_is_ignored(self, tmp_path):
         path = tmp_path / "f.feat"
         formats.write_features(str(path), Features(["a", "b"], [[1.5, 2.0], [3.0, 4.0]]))

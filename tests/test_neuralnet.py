@@ -761,6 +761,10 @@ class TestEncode:
         dense = nn.encode(params, x).tobytes()
         assert nn.encode(params, sparse_rows(x)).tobytes() == dense
         assert nn.encode(params, nn.SelectedRows(x[order], np.argsort(order))).tobytes() == dense
+        # some rows of compressed ones, out of order, as the CLI passes its kept rows
+        kept = order[:-7]
+        selected = nn.SelectedRows(sparse_rows(x[order]), np.argsort(order)[kept])
+        assert nn.encode(params, selected).tobytes() == nn.encode(params, x[kept]).tobytes()
 
     def test_no_rows_encode_to_an_empty_matrix(self):
         params = nn.init_network([4, 3], 3)
@@ -821,9 +825,12 @@ class TestEncodeBlocks:
             x = sparse_matrix(rng, count, widths[0])
         else:
             x = rng.normal(size=(count, widths[0]))
-        # the same rows in each form train takes, SelectedRows out of order
+        # the same rows in each form train takes, SelectedRows out of order,
+        # the last also of compressed rows with one more row than it selects
         order = rng.permutation(count)
-        forms = [x, sparse_rows(x), nn.SelectedRows(x[order], np.argsort(order))]
+        forms = [x, sparse_rows(x), nn.SelectedRows(x[order], np.argsort(order)),
+                 nn.SelectedRows(sparse_rows(np.vstack([rng.normal(size=(1, widths[0])),
+                                                        x[order]])), np.argsort(order) + 1)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "ENCODE_BLOCK_BYTES", block_bytes)
             encoded = []
