@@ -281,9 +281,17 @@ def cmd_rank(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    import numpy as np
+
     from . import formats, videofeat
 
-    pooled = videofeat.mean_pool(formats.read_features(args.features))
+    frames = formats.read_features(args.features)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is reported below
+        pooled = videofeat.mean_pool(frames)
+    finite = np.isfinite(pooled.matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{args.features}: video {pooled.ids[int(finite.argmin())]!r} "
+                         "pools to non-finite features (values too large)")
     if args.audio:
         pooled = videofeat.concat_visual_audio(pooled, formats.read_features(args.audio))
     formats.write_features(args.out, pooled)

@@ -12,7 +12,7 @@ randomness flows from seeded ``numpy.random.Generator`` streams, so a
 the loss history.
 
 ``train`` takes inputs and targets as ``SparseRows``, ``SelectedRows``
-or dense matrices, one row per example, and gathers each only one
+or dense matrices, one row per example, and gathers (``x[rows]``) one
 mini-batch at a time: term-count sentence vectors stay compressed
 (``TermIndex.rows``) and targets are row indices into the feature matrix,
 so a sparse corpus of any size never exists as one dense matrix.
@@ -72,7 +72,7 @@ class SparseRows:
     def shape(self) -> tuple[int, int]:
         return (len(self.indptr) - 1, self.dim)
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         """The dense (len(rows), dim) matrix of rows ``rows``, in that order."""
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
@@ -85,7 +85,7 @@ class SparseRows:
 
 @dataclass(frozen=True)
 class SelectedRows:
-    """Rows ``index`` of ``matrix`` (dense or ``SparseRows``), in order, gathered by ``take``."""
+    """Rows ``index`` of ``matrix`` (dense or ``SparseRows``), in order, gathered by ``[]``."""
 
     matrix: np.ndarray | SparseRows
     index: np.ndarray
@@ -94,19 +94,8 @@ class SelectedRows:
     def shape(self) -> tuple[int, int]:
         return (len(self.index), self.matrix.shape[1])
 
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        if isinstance(self.matrix, SparseRows):
-            return self.matrix.take(self.index[rows])
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
         return self.matrix[self.index[rows]]
-
-
-def _rows(x) -> SparseRows | SelectedRows:
-    """``x`` itself if it is ``SparseRows`` or ``SelectedRows``, else a dense
-    matrix as ``SelectedRows`` of all its rows."""
-    if isinstance(x, (SparseRows, SelectedRows)):
-        return x
-    x = np.asarray(x, dtype=np.float64)
-    return SelectedRows(x, np.arange(len(x)))
 
 
 @dataclass(frozen=True)
@@ -414,9 +403,8 @@ def train(
     Only the current mini-batch, or the validation set while it is
     scored, is gathered; each gets the same float64 operands a dense
     matrix's rows would, so the result does not depend on the form of
-    the inputs. A dense matrix is taken as ``SelectedRows`` of all its
-    rows. Each improving epoch but the last is copied into one best-epoch
-    snapshot; an improving last epoch returns the live parameters.
+    the inputs. Each improving epoch but the last is copied into one
+    best-epoch snapshot; an improving last epoch returns the live parameters.
     """
     for name, x, t in (("training", x_train, t_train), ("validation", x_val, t_val)):
         x_shape, t_shape = np.shape(x), np.shape(t)
@@ -428,7 +416,6 @@ def train(
     (_, x_dim), (_, t_dim) = np.shape(x_train), np.shape(t_train)
     if np.shape(x_val)[1] != x_dim or np.shape(t_val)[1] != t_dim:
         raise ValueError("validation dims do not match training dims")
-    x_train, t_train, x_val, t_val = map(_rows, (x_train, t_train, x_val, t_val))
 
     params = init_network((x_dim, *cfg.hidden_sizes, t_dim), cfg.seed)
     state = zero_state(params)
@@ -446,12 +433,11 @@ def train(
             loss_sum = 0.0
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                loss_sum += _step(params, state, x_train.take(batch), t_train.take(batch),
+                loss_sum += _step(params, state, x_train[batch], t_train[batch],
                                   cfg, rng) * batch.size
 
             train_loss = loss_sum / n
-            val_loss = mse_loss(forward(params, x_val.take(val_rows)).output,
-                                t_val.take(val_rows))
+            val_loss = mse_loss(forward(params, x_val[val_rows]).output, t_val[val_rows])
             if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
                 raise ValueError(
                     f"epoch {epoch}: non-finite loss (train {train_loss!r}, "
@@ -508,9 +494,9 @@ def encode(params: NetworkParams, x: SparseRows | SelectedRows | np.ndarray) -> 
     shape, width = np.shape(x), params[0][0].shape[1]
     if len(shape) != 2 or shape[1] != width:
         raise ValueError(f"encode expects a 2-D (rows, {width}) input, got shape {shape}")
-    x, out = _rows(x), np.empty((shape[0], params[-1][0].shape[0]))
+    out = np.empty((shape[0], params[-1][0].shape[0]))
     for start in range(0, shape[0], ENCODE_CHUNK):
-        h = x.take(np.arange(start, min(start + ENCODE_CHUNK, shape[0])))
+        h = x[np.arange(start, min(start + ENCODE_CHUNK, shape[0]))]
         for i, (w, b) in enumerate(params, start=1):
             act = out[start : start + len(h)] if i == len(params) else np.empty((len(h), len(w)))
             _on_workers(_encode_blocks, _blocks(w), h, w, b, act)

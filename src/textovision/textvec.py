@@ -153,12 +153,17 @@ class WordEmbeddingTable:
 
         matrix = np.zeros((len(sentences), self.dim))
         known = np.zeros(len(sentences), bool)
-        for i, (row, sentence) in enumerate(zip(matrix, sentences)):
-            found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
-            for word in found:  # summed in text order, which fixes the bits
-                row += self.table.matrix[word]
-            row /= max(len(found), 1)  # a row with no known word stays zero
-            known[i] = bool(found)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is reported below
+            for i, (row, sentence) in enumerate(zip(matrix, sentences)):
+                found = [self.index[t] for t in tokenize(sentence.text) if t in self.index]
+                for word in found:  # summed in text order, which fixes the bits
+                    row += self.table.matrix[word]
+                row /= max(len(found), 1)  # a row with no known word stays zero
+                known[i] = bool(found)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sentence {sentences[int(finite.argmin())].id!r}: its mean word "
+                             "vector overflows (values too large)")
         return matrix, known
 
 

@@ -84,7 +84,7 @@ def _rows(vocab, sentences):
 
 def _matrices(vocab, corpus, sentences):
     """Bag-of-words rows and item targets of ``sentences``."""
-    x = _rows(vocab, sentences).take(np.arange(len(sentences)))
+    x = _rows(vocab, sentences)[np.arange(len(sentences))]
     t = np.stack([corpus.targets[item_id_of(s.id)] for s in sentences])
     return x, t
 
@@ -332,7 +332,7 @@ def test_criterion_9_text_to_text_in_visual_space():
         in_visual_space = map_score(lambda sentences: nn.encode(result.params,
                                                                 _rows(vocab, sentences)))
         raw_bag_of_words = map_score(
-            lambda sentences: _rows(vocab, sentences).take(np.arange(len(sentences))))
+            lambda sentences: _rows(vocab, sentences)[np.arange(len(sentences))])
         assert in_visual_space > raw_bag_of_words, (
             f"visual-space mAP {in_visual_space:.4f} "
             f"not above bag-of-words mAP {raw_bag_of_words:.4f}"

@@ -348,6 +348,24 @@ class TestTrain:
         assert err[0].startswith("textovision: error: epoch 1: non-finite loss (train ")
         assert not model.exists()
 
+    def test_overflowing_word2vec_mean_is_one_data_error_naming_the_sentence(
+            self, tmp_path, capsys):
+        paths = write_corpus(tmp_path)
+        train = Path(paths["train_sentences"])
+        train.write_text("apple#9\tred\napple#8\tred car\n" + train.read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        words = {w: [0.5] * 4 for pool in ITEM_WORDS.values() for w in pool}
+        embeddings = tmp_path / "emb.txt"
+        formats.write_features(str(embeddings), table({**words, "car": [1e308] * 4,
+                                                       "red": [1e308] * 4}))
+        model = tmp_path / "m.bin"
+        assert main(train_args(paths, str(model), ["--vectorizer", "word2vec",
+                                                   "--embeddings", str(embeddings)])) == 2
+        # the error line alone: no numpy overflow warning, no divergence line
+        assert capsys.readouterr() == ("", "textovision: error: sentence 'apple#8': its mean "
+                                           "word vector overflows (values too large)\n")
+        assert not model.exists()
+
     def test_failed_model_write_leaves_earlier_model_untouched(self, tmp_path, capsys,
                                                                monkeypatch):
         paths = write_corpus(tmp_path)
@@ -523,6 +541,23 @@ class TestEncode:
             assert main(["encode", "--model", model, "--sentences", paths["val_sentences"],
                          "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_word2vec_mean_is_one_data_error_naming_the_sentence(
+            self, tmp_path, capsys):
+        from textovision import modelio, textvec
+
+        # the model itself is sound: its one weight times a finite mean stays finite
+        vectorizer = textvec.WordEmbeddingTable(table({"car": [1e308], "red": [1e308]}))
+        model = tmp_path / "m.bin"
+        modelio.save_model(str(model), modelio.TrainedModel(
+            vectorizer, [(np.full((1, 1), 0.5), np.zeros(1))]))
+        sentences, out = tmp_path / "s.tsv", tmp_path / "o.feat"
+        sentences.write_text("s#0\tred\ns#1\tred car\n", encoding="utf-8")
+        assert main(["encode", "--model", str(model), "--sentences", str(sentences),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "textovision: error: sentence 's#1': its mean "
+                                           "word vector overflows (values too large)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "s.tsv"]
 
     def test_all_oov_sentence_reported_and_skipped(self, tmp_path, capsys, trained):
         paths, model = trained
@@ -1329,6 +1364,17 @@ class TestPool:
         assert main(["pool", "--features", frames, "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"textovision: error: [Errno 2] No such file or directory: '{out}'\n")
+
+    def test_overflowing_mean_is_one_data_error_naming_the_file_and_video(
+            self, tmp_path, capsys):
+        frames = tmp_path / "frames.feat"
+        formats.write_features(str(frames), table(
+            {"v0#0": [1.0, 2.0], "v1#0": [1e308, 1.5], "v1#1": [1e308, 1.5]}))
+        out = tmp_path / "o.feat"
+        assert main(["pool", "--features", str(frames), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"textovision: error: {frames}: video 'v1' pools "
+                                           "to non-finite features (values too large)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.feat", "frames.feat.twin"]
 
     def test_missing_audio_names_video(self, tmp_path, capsys):
         frames = self.write_frames(tmp_path)

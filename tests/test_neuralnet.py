@@ -447,7 +447,7 @@ class TestSparseRows:
         sparse = sparse_rows(x)
         assert sparse.shape == x.shape
         picks = rng.integers(rows, size=rng.integers(1, 2 * rows))
-        assert sparse.take(picks).tobytes() == x[picks].tobytes()
+        assert sparse[picks].tobytes() == x[picks].tobytes()
 
 
 OVERFIT_X = np.array([[1.0, 0.5]])

@@ -31,7 +31,7 @@ def dense_rows(vectorizer, sentences):
     and its report of which sentences have a known term."""
     rows, known = vectorizer.rows(sentences)
     assert known.dtype == bool and known.shape == (len(sentences),)
-    return (rows if isinstance(rows, np.ndarray) else rows.take(np.arange(len(sentences)))), known
+    return rows[np.arange(len(sentences))], known
 
 
 def unknown_row_of(vectorizer, text):
@@ -367,7 +367,7 @@ class TestRows:
         assert rows.shape == (len(sentences), index.dim)
         expected = stacked(index, sentences)
         assert rows.values.size == np.count_nonzero(expected)
-        assert rows.take(np.arange(len(sentences))).tobytes() == expected.tobytes()
+        assert rows[np.arange(len(sentences))].tobytes() == expected.tobytes()
 
     # normal values round, so a sum in another order shows; a share of
     # them, or all, are +0.0, -0.0 or the tiny 1e-300
