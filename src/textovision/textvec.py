@@ -147,8 +147,8 @@ class WordEmbeddingTable:
 
     def rows(self, sentences: Sequence[Sentence]) -> tuple[np.ndarray, np.ndarray]:
         """Each sentence's mean of its in-table tokens' rows, as one dense
-        matrix (means have few zeros), and a bool per sentence, whether it
-        has one: a sentence with one known word maps to its embedding."""
+        matrix (means have few zeros; one that overflows is a ``ValueError``
+        naming its sentence), and a bool per sentence, whether it has one."""
         import numpy as np
 
         matrix = np.zeros((len(sentences), self.dim))
