@@ -159,14 +159,12 @@ def _no_term(vectorizer, sentence) -> str:
     return f"sentence {sentence.id!r} has no {vectorizer.term_noun}"
 
 
-def _training_rows(vectorizer, sentences, features, pair_map):
-    """Inputs and targets with one row per sentence: its vector, in the form
-    ``vectorizer.rows`` gives, and the feature row of its item, by index.
-
-    The item is looked up in ``pair_map`` (from an explicit pairs file)
-    if given, otherwise derived from the '<item_id>#<n>' sentence id
-    convention. Then the first sentence without a known term is an error.
-    """
+def _training_rows(vectorizer, path, sentences, features, pair_map):
+    """Inputs and targets with one row per sentence of file ``path``: its
+    vector, in the form ``vectorizer.rows`` gives, and its item's feature
+    row. The item is looked up in ``pair_map`` (from a pairs file) if given,
+    else taken from an '<item_id>#<n>' id; any other id is an error naming
+    ``path``. Then the first sentence without a known term is an error."""
     import numpy as np
 
     from . import formats, neuralnet
@@ -179,7 +177,10 @@ def _training_rows(vectorizer, sentences, features, pair_map):
             if item is None:
                 raise ValueError(f"sentence {sentence.id!r} is missing from the pairs file")
         else:
-            item = formats.item_id_of(sentence.id)
+            try:
+                item = formats.item_id_of(sentence.id)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if item not in row_of:
             raise ValueError(f"sentence {sentence.id!r}: item {item!r} has no feature row")
         targets.append(row_of[item])
@@ -227,8 +228,10 @@ def cmd_train(args) -> int:
         vectorizer = textvec.build_vocab(args.vectorizer, train_sentences)
 
     pair_map = dict(formats.read_pairs(args.pairs, unique_left=True)) if args.pairs else None
-    x_train, t_train = _training_rows(vectorizer, train_sentences, train_features, pair_map)
-    x_val, t_val = _training_rows(vectorizer, val_sentences, val_features, pair_map)
+    x_train, t_train = _training_rows(vectorizer, args.sentences, train_sentences, train_features,
+                                      pair_map)
+    x_val, t_val = _training_rows(vectorizer, args.val_sentences, val_sentences, val_features,
+                                  pair_map)
     result = neuralnet.train(x_train, t_train, x_val, t_val, cfg)
 
     modelio.save_model(args.out, modelio.TrainedModel(vectorizer, result.params))
@@ -286,8 +289,11 @@ def cmd_pool(args) -> int:
     from . import formats, videofeat
 
     frames = formats.read_features(args.features)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is reported below
-        pooled = videofeat.mean_pool(frames)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is reported below
+            pooled = videofeat.mean_pool(frames)
+    except ValueError as exc:  # a frame id that does not name its video
+        raise ValueError(f"{args.features}: {exc}") from None
     finite = np.isfinite(pooled.matrix).all(axis=1)
     if not finite.all():
         raise ValueError(f"{args.features}: video {pooled.ids[int(finite.argmin())]!r} "

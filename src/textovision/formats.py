@@ -94,6 +94,8 @@ def read_sentences(path: str) -> list[Sentence]:
                 raise ValueError(f"{path}:{lineno}: duplicate sentence id {sid!r}")
             seen.add(sid)
             sentences.append(Sentence(sid, text))
+    if not sentences:
+        raise ValueError(f"{path}: no sentences found")
     return sentences
 
 

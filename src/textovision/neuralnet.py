@@ -58,28 +58,26 @@ ENCODE_CHUNK = 256
 
 @dataclass(frozen=True, eq=False)
 class SparseRows:
-    """Rows of a float64 matrix in compressed form: row i keeps the columns
-    ``indices[indptr[i]:indptr[i + 1]]`` (ascending, int32) with the same
-    slice of ``values``, 12 bytes per kept entry; every other entry is +0.0.
-    ``TermIndex.rows`` builds them from term counts."""
+    """Rows of term counts, compressed: row i counts each column id in
+    ``indices[indptr[i]:indptr[i + 1]]`` (int32, in text order, one per
+    occurrence); every other entry is +0.0. ``TermIndex.rows`` builds them."""
 
     dim: int
     indptr: np.ndarray
     indices: np.ndarray
-    values: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.indptr) - 1, self.dim)
 
     def __getitem__(self, rows: np.ndarray) -> np.ndarray:
-        """The dense (len(rows), dim) matrix of rows ``rows``, in that order."""
+        """The dense (len(rows), dim) counts of rows ``rows``, in that order."""
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         # where each picked row's entries lie: its start plus their rank in it
         kept = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
         dense = np.zeros((len(rows), self.dim))
-        dense[np.repeat(np.arange(len(rows)), counts), self.indices[kept]] = self.values[kept]
+        np.add.at(dense, (np.repeat(np.arange(len(rows)), counts), self.indices[kept]), 1.0)
         return dense
 
 

@@ -110,8 +110,8 @@ class TermIndex:
         return isinstance(other, TermIndex) and (self.kind, self.terms) == (other.kind, other.terms)
 
     def rows(self, sentences: Sequence[Sentence]) -> tuple[SparseRows, np.ndarray]:
-        """All sentences' term counts, compressed: one entry per distinct
-        known term; and a bool per sentence, whether it has one."""
+        """All sentences' term counts, compressed: each one's known term ids
+        in text order, one per occurrence; and whether each has one."""
         import numpy as np
 
         from .neuralnet import SparseRows
@@ -125,13 +125,8 @@ class TermIndex:
                 lengths[row] = len(found)
                 yield from found
 
-        terms = np.fromiter(term_indices(), np.int64)
-        # sorted, the keys row * dim + term list rows in order, each one's terms ascending
-        keys, counts = np.unique(np.repeat(np.arange(len(sentences)) * self.dim, lengths) + terms,
-                                 return_counts=True)
-        indptr = np.searchsorted(keys, np.arange(len(sentences) + 1) * self.dim)
-        return SparseRows(self.dim, indptr, (keys % self.dim).astype(np.int32),
-                          counts.astype(np.float64)), lengths > 0
+        indices = np.fromiter(term_indices(), np.int32)  # fills lengths first
+        return SparseRows(self.dim, np.concatenate(([0], np.cumsum(lengths))), indices), lengths > 0
 
 
 class WordEmbeddingTable:
@@ -170,8 +165,6 @@ class WordEmbeddingTable:
 def build_vocab(kind: str, sentences: Sequence[Sentence]) -> TermIndex:
     """Index every term of the corpus, with no frequency cutoff."""
     noun, terms, _ = _term_kind(kind)
-    if not sentences:
-        raise ValueError(f"cannot build a {noun} from an empty corpus")
     seen: set[str] = set()
     for s in sentences:
         seen.update(terms(s.text))

@@ -292,6 +292,28 @@ class TestTrain:
         assert main(args) == 2
         assert "zebra" in capsys.readouterr().err
 
+    def test_sentence_id_without_an_item_names_its_file(self, tmp_path, capsys):
+        # without --pairs the item comes from the '<item_id>#<n>' id
+        paths = write_corpus(tmp_path)
+        train = Path(paths["train_sentences"])
+        train.write_text("cloud\tsoft white\n" + train.read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        files = sorted(tmp_path.iterdir())
+        assert main(train_args(paths, str(tmp_path / "m.bin"))) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: {train}: id 'cloud' does not follow '<item_id>#<n>'\n")
+        assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("key", ["train_sentences", "val_sentences"])
+    def test_empty_sentence_file_names_itself(self, tmp_path, capsys, key):
+        paths = write_corpus(tmp_path)
+        Path(paths[key]).write_text("\n", encoding="utf-8")  # a blank line holds no sentence
+        files = sorted(tmp_path.iterdir())
+        assert main(train_args(paths, str(tmp_path / "m.bin"))) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: {paths[key]}: no sentences found\n")
+        assert sorted(tmp_path.iterdir()) == files
+
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
     def test_validation_sentence_without_a_known_term_is_data_error(self, tmp_path, capsys,
                                                                     kind):
@@ -1374,6 +1396,15 @@ class TestPool:
         assert main(["pool", "--features", str(frames), "--out", str(out)]) == 2
         assert capsys.readouterr() == ("", f"textovision: error: {frames}: video 'v1' pools "
                                            "to non-finite features (values too large)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.feat", "frames.feat.twin"]
+
+    def test_frame_id_without_a_video_names_the_file(self, tmp_path, capsys):
+        frames = tmp_path / "frames.feat"
+        formats.write_features(str(frames), table({"v0#0": [1.0, 2.0], "v1": [3.0, 4.0]}))
+        out = tmp_path / "o.feat"
+        assert main(["pool", "--features", str(frames), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"textovision: error: {frames}: id 'v1' does not follow '<item_id>#<n>'\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.feat", "frames.feat.twin"]
 
     def test_missing_audio_names_video(self, tmp_path, capsys):

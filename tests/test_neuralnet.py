@@ -429,12 +429,22 @@ def sparse_matrix(rng, rows, cols):
     return x
 
 
+def count_matrix(rng, rows, cols):
+    """Mostly-zero term counts, many above 1, with column 0 all zero."""
+    x = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0, 3.0], size=(rows, cols))
+    x[:, 0] = 0.0
+    return x
+
+
 def sparse_rows(x):
-    """``x`` as ``SparseRows``, keeping every entry whose bit pattern is not
-    +0.0, so -0.0 and NaN are stored too."""
-    row, column = np.nonzero(x.view(np.uint64))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=len(x)))])
-    return nn.SparseRows(x.shape[1], indptr, column.astype(np.int32), x[row, column])
+    """The counts ``x`` as ``SparseRows``: each row's column ids, each as
+    often as its count, shuffled, as a text lists its terms with repeats
+    apart."""
+    shuffle = np.random.default_rng(0)
+    ids = [shuffle.permutation(np.repeat(np.arange(x.shape[1]), row.astype(np.intp)))
+           for row in x]
+    indptr = np.concatenate([[0], np.cumsum([len(row) for row in ids], dtype=np.intp)])
+    return nn.SparseRows(x.shape[1], indptr, np.concatenate([[], *ids]).astype(np.int32))
 
 
 class TestSparseRows:
@@ -442,9 +452,9 @@ class TestSparseRows:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(2, 9))
     def test_take_gives_back_dense_rows_bit_for_bit(self, seed, rows, cols):
         rng = np.random.default_rng(seed)
-        x = sparse_matrix(rng, rows, cols)
-        x[rng.integers(rows), rng.integers(cols)] = np.nan
+        x = count_matrix(rng, rows, cols)
         sparse = sparse_rows(x)
+        assert sparse.indices.size == x.sum()
         assert sparse.shape == x.shape
         picks = rng.integers(rows, size=rng.integers(1, 2 * rows))
         assert sparse[picks].tobytes() == x[picks].tobytes()
@@ -510,7 +520,7 @@ class TestTrain:
     def test_compressed_rows_train_bit_identical_to_dense_loop(self, seed, n_train, batch_size,
                                                               n_val, dropout):
         rng = np.random.default_rng(seed)
-        x = sparse_matrix(rng, n_train + n_val, 7)
+        x = count_matrix(rng, n_train + n_val, 7)
         items = np.abs(rng.normal(size=(5, 3)))
         targets = rng.integers(len(items), size=n_train + n_val)
         cfg = nn.TrainConfig(hidden_sizes=(6,), dropout_rate=dropout, seed=seed,
@@ -756,7 +766,7 @@ class TestEncode:
     def test_sparse_and_selected_rows_match_the_matrix_bit_for_bit(self):
         rng = np.random.default_rng(9)
         params = nn.init_network([40, 30, 20], 4)
-        x = sparse_matrix(rng, 25, 40)
+        x = count_matrix(rng, 25, 40)
         order = rng.permutation(len(x))
         dense = nn.encode(params, x).tobytes()
         assert nn.encode(params, sparse_rows(x)).tobytes() == dense
@@ -821,16 +831,16 @@ class TestEncodeBlocks:
             self, widths, count, block_bytes, sparse, seed):
         rng = np.random.default_rng(seed)
         params = random_net(widths, rng)
-        if sparse and widths[0] > 1:
-            x = sparse_matrix(rng, count, widths[0])
-        else:
-            x = rng.normal(size=(count, widths[0]))
+        counts = sparse and widths[0] > 1
+        x = count_matrix(rng, count, widths[0]) if counts else rng.normal(size=(count, widths[0]))
         # the same rows in each form train takes, SelectedRows out of order,
-        # the last also of compressed rows with one more row than it selects
+        # and for counts also compressed, the last with one more row than it selects
         order = rng.permutation(count)
-        forms = [x, sparse_rows(x), nn.SelectedRows(x[order], np.argsort(order)),
-                 nn.SelectedRows(sparse_rows(np.vstack([rng.normal(size=(1, widths[0])),
-                                                        x[order]])), np.argsort(order) + 1)]
+        forms = [x, nn.SelectedRows(x[order], np.argsort(order))]
+        if counts:
+            forms += [sparse_rows(x),
+                      nn.SelectedRows(sparse_rows(np.vstack([count_matrix(rng, 1, widths[0]),
+                                                             x[order]])), np.argsort(order) + 1)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nn, "ENCODE_BLOCK_BYTES", block_bytes)
             encoded = []

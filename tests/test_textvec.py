@@ -10,6 +10,7 @@ from oracles import vectorize
 from textovision import cli, formats, neuralnet
 from textovision.retrieval import Features
 from textovision.textvec import (
+    TERM_KINDS,
     Sentence,
     TermIndex,
     WordEmbeddingTable,
@@ -363,10 +364,14 @@ class TestRows:
         rows, known = index.rows(sentences)
         assert known.all()
         assert isinstance(rows, neuralnet.SparseRows)
-        assert (rows.indices.dtype, rows.values.dtype) == (np.int32, np.float64)
+        assert rows.indices.dtype == np.int32
         assert rows.shape == (len(sentences), index.dim)
+        # each sentence's known term ids in text order, one per occurrence
+        terms = TERM_KINDS[kind][1]
+        assert [rows.indices[a:z].tolist() for a, z in zip(rows.indptr, rows.indptr[1:])] == [
+            [index.index[t] for t in terms(s.text) if t in index.index] for s in sentences]
         expected = stacked(index, sentences)
-        assert rows.values.size == np.count_nonzero(expected)
+        assert rows.indices.size == expected.sum()
         assert rows[np.arange(len(sentences))].tobytes() == expected.tobytes()
 
     # normal values round, so a sum in another order shows; a share of
@@ -389,23 +394,25 @@ class TestRows:
         assert isinstance(rows, np.ndarray)
         assert rows.tobytes() == stacked(table, sentences).tobytes()
 
-    def test_term_rows_peak_memory_stays_near_their_size(self):
-        # 20 000 sentences of 12 words over 2000 words give 3.0 MB of rows;
-        # streaming the term indices peaks at 12.0 MB, while keeping a list
-        # of them per sentence until the sort peaked at 15.9 MB
+    @pytest.mark.parametrize("kind", ["bow", "hashing"])
+    def test_term_rows_peak_memory_stays_near_their_size(self, kind):
+        # 20 000 sentences of 12 words over 2000 words; the term ids are
+        # streamed into one int32 array and never sorted, so the peak stays
+        # near the rows' size (1.4x here; a sort of int64 keys of the ids
+        # would peak at 4.0x for bow and 4.5x for hashing)
         rng = np.random.default_rng(0)
         words = [f"w{i}" for i in range(2000)]
         sentences = [sent(" ".join(words[j] for j in row), f"s#{i}")
                      for i, row in enumerate(rng.integers(2000, size=(20000, 12)))]
-        index = build_vocab("bow", sentences)
+        index = build_vocab(kind, sentences)
         tracemalloc.start()
         try:
             rows, _ = index.rows(sentences)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        size = rows.indptr.nbytes + rows.indices.nbytes + rows.values.nbytes
-        assert peak <= 4.5 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of rows"
+        size = rows.indptr.nbytes + rows.indices.nbytes
+        assert peak <= 2 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of rows"
 
     @pytest.mark.parametrize("kind", ["bow", "hashing", "word2vec"])
     def test_sentence_without_a_known_term_fails_as_in_vectorize(self, kind):
@@ -424,7 +431,7 @@ class TestRows:
         assert not rows[1:].any()
         features = Features(["s"], np.ones((1, 2)))
         with pytest.raises(ValueError, match="'s#1'") as from_rows:
-            cli._training_rows(vectorizer, sentences, features, None)
+            cli._training_rows(vectorizer, "s.tsv", sentences, features, None)
         assert str(from_rows.value) == str(from_vectorize.value)
 
     @settings(max_examples=60, deadline=None)
